@@ -7,6 +7,17 @@ propagators are evaluated in closed form through the known spectrum
 a diagonal phase in the dual basis, and the full-space walk combines the four
 spectral projectors with O(N) work.  Times are dimensionless (adjacency
 spectral units); the integer spectrum makes every walk 2*pi-periodic.
+
+`apply_schedule` runs an L-step schedule on a full-space state in O(N + L),
+not O(N L).  It projects the state once onto the walk basis of the marked
+vertex and runs the same 4-dim step loop as for reduced states.  The
+complement of the walk subspace holds no amplitude on the marked vertex, so
+every oracle leaves it alone, and it lies in the adjacency eigenspaces 0
+(side-symmetric part) and -2 (side-antisymmetric part).  After a signed
+total walk time tau it is therefore sym + e^{2i tau} asym, per side, and its
+mass on each side needs three scalars only: ||sym||^2 + ||asym||^2 and the
+complex <sym, asym>.  Full runs thus carry the same walk phases, and the
+same phase precision, as reduced runs.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .graphs import REDUCED_DIM, FullAdjacency, GraphSize, dual_basis
+from .graphs import REDUCED_DIM, DualBasis, FullAdjacency, GraphSize, _check_vertex, dual_basis
 
 
 class StepKind(Enum):
@@ -150,12 +161,15 @@ def _is_reduced(state: np.ndarray) -> bool:
     return state.shape == (REDUCED_DIM,)
 
 
-def walk_reduced(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
-    """Apply exp(-i t A) to a reduced state via the dual basis."""
+def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> np.ndarray:
+    """Apply exp(-i t A) to a reduced state via the dual basis.
+
+    Pass the `DualBasis` itself to reuse it across many steps.
+    """
     state = np.asarray(state, dtype=complex)
     if not _is_reduced(state):
         raise DimensionMismatchError(f"expected a 4-vector, got shape {state.shape}")
-    dual = dual_basis(size)
+    dual = graph if isinstance(graph, DualBasis) else dual_basis(graph)
     coeffs = dual.to_dual(state) * np.exp(-1j * t * dual.eigenvalues)
     return dual.from_dual(coeffs)
 
@@ -167,7 +181,7 @@ def walk_full(state: np.ndarray, t: float, graph: FullAdjacency | GraphSize) -> 
     side-antisymmetric uniform vector (n-2), side-antisymmetric zero-mean
     vectors (-2), and side-symmetric zero-mean vectors (0).  Splitting the
     state into symmetric/antisymmetric halves and their means applies all
-    four projectors in O(N).
+    four projectors in O(N), writing both halves into one new array.
     """
     size = graph.size if isinstance(graph, FullAdjacency) else graph
     n = size.n
@@ -176,13 +190,22 @@ def walk_full(state: np.ndarray, t: float, graph: FullAdjacency | GraphSize) -> 
         raise DimensionMismatchError(
             f"expected state of length {size.N}, got shape {state.shape}"
         )
-    sym = (state[:n] + state[n:]) / 2.0
-    asym = (state[:n] - state[n:]) / 2.0
+    sym = np.add(state[:n], state[n:])
+    sym /= 2.0
+    asym = np.subtract(state[:n], state[n:])
+    asym /= 2.0
     mean_sym = sym.mean()
     mean_asym = asym.mean()
-    out_sym = np.exp(-1j * t * n) * mean_sym + (sym - mean_sym)
-    out_asym = np.exp(-1j * t * (n - 2)) * mean_asym + np.exp(2j * t) * (asym - mean_asym)
-    return np.concatenate([out_sym + out_asym, out_sym - out_asym])
+    sym -= mean_sym
+    sym += np.exp(-1j * t * n) * mean_sym
+    asym -= mean_asym
+    # phase first: complex multiply is not bitwise commutative under FMA
+    np.multiply(np.exp(2j * t), asym, out=asym)
+    asym += np.exp(-1j * t * (n - 2)) * mean_asym
+    out = np.empty(size.N, dtype=complex)
+    np.add(sym, asym, out=out[:n])
+    np.subtract(sym, asym, out=out[n:])
+    return out
 
 
 def oracle_phase(state: np.ndarray, theta: float, marked: int = 0) -> np.ndarray:
@@ -240,6 +263,7 @@ def group_probabilities(state: np.ndarray, size: GraphSize, marked: int = 0) -> 
     state = np.asarray(state)
     if _is_reduced(state):
         return np.abs(state) ** 2
+    _check_vertex(size, marked)
     n = size.n
     opposite = size.opposite(marked)
     prob = np.abs(state) ** 2
@@ -249,14 +273,31 @@ def group_probabilities(state: np.ndarray, size: GraphSize, marked: int = 0) -> 
     return np.array([prob[marked], prob[opposite], same, far])
 
 
-def _sample_probs(state, size, marked, sample_basis):
-    if sample_basis == "walk":
-        return group_probabilities(state, size, marked)
-    if sample_basis == "dual":
-        if not _is_reduced(state):
-            raise ValueError("dual-basis sampling is only defined for reduced states")
-        return np.abs(dual_basis(size).to_dual(state)) ** 2
-    raise ValueError(f"unknown sample basis {sample_basis!r}")
+def _split_full(state: np.ndarray, size: GraphSize, marked: int):
+    """Project a full state onto the walk basis and summarise the rest.
+
+    The residual r left by the projection reads, per side and aligned by
+    index (vertex j against its opposite), sym + asym on the marked side and
+    sym - asym on the far side.  Returns the 4 walk-basis coefficients,
+    ||sym||^2 + ||asym||^2 and <sym, asym>.
+    """
+    n = size.n
+    side, local = divmod(_check_vertex(size, marked), n)
+    same = state[side * n:(side + 1) * n]
+    far = state[(1 - side) * n:(2 - side) * n]
+    scale = np.sqrt(n - 1.0)
+    coeffs = np.array([
+        same[local],
+        far[local],
+        (same.sum() - same[local]) / scale,
+        (far.sum() - far[local]) / scale,
+    ])
+    rest_same = same - coeffs[2] / scale
+    rest_far = far - coeffs[3] / scale
+    rest_same[local] = rest_far[local] = 0.0
+    sym = (rest_same + rest_far) / 2.0
+    asym = (rest_same - rest_far) / 2.0
+    return coeffs, np.vdot(sym, sym).real + np.vdot(asym, asym).real, np.vdot(sym, asym)
 
 
 def apply_schedule(
@@ -274,20 +315,40 @@ def apply_schedule(
     schedules the final success probability is the chance the classical
     procedure outputs the marked vertex (mass on the marked vertex plus its
     opposite); otherwise it is the marked-vertex probability itself.
+
+    A full-space state is projected once onto the walk basis of `marked`;
+    its complement enters the samples through three scalars (see the module
+    docstring), so a run costs O(N + L) for L steps.
     """
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    state = np.asarray(state, dtype=complex)
-    if not _is_reduced(state) and state.shape != (size.N,):
+    if sample_basis not in ("walk", "dual"):
+        raise ValueError(f"unknown sample basis {sample_basis!r}")
+    coeffs = np.asarray(state, dtype=complex)
+    if _is_reduced(coeffs):
+        rest_norm, rest_cross = 0.0, 0j
+    elif coeffs.shape != (size.N,):
         raise DimensionMismatchError(
-            f"state length {state.shape} matches neither 4 nor N={size.N}"
+            f"state length {coeffs.shape} matches neither 4 nor N={size.N}"
         )
+    elif sample_basis == "dual":
+        raise ValueError("dual-basis sampling is only defined for reduced states")
+    else:
+        coeffs, rest_norm, rest_cross = _split_full(coeffs, size, marked)
+    dual = dual_basis(size)
     samples = []
     queries = 0
     walk_time = 0.0
+    tau = 0.0  # signed total walk time mod pi: the complement's period
 
     def record(step_index):
-        probs = _sample_probs(state, size, marked, sample_basis)
+        if sample_basis == "dual":
+            probs = np.abs(dual.to_dual(coeffs)) ** 2
+        else:
+            probs = group_probabilities(coeffs, size)
+            swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
+            probs[2] += rest_norm + swing
+            probs[3] += rest_norm - swing
         samples.append(
             TrajectorySample(step_index, tuple(float(p) for p in probs), queries, walk_time)
         )
@@ -295,24 +356,19 @@ def apply_schedule(
     record(0)
     for index, step in enumerate(schedule.steps, start=1):
         if step.kind is StepKind.WALK:
-            if _is_reduced(state):
-                state = walk_reduced(state, step.parameter, size)
-            else:
-                state = walk_full(state, step.parameter, size)
+            coeffs = walk_reduced(coeffs, step.parameter, dual)
             walk_time += abs(step.parameter)
+            tau = (tau + step.parameter) % np.pi
         else:
-            state = oracle_phase(state, step.parameter, marked)
+            coeffs = oracle_phase(coeffs, step.parameter)
             queries += 1
         if index % sample_every == 0 or index == len(schedule.steps):
             record(index)
 
-    p_marked = success_probability(state, marked)
+    final = success_probability(coeffs)
     if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
         queries += 1
-        opposite_mass = float(group_probabilities(state, size, marked)[1])
-        final = p_marked + opposite_mass
-    else:
-        final = p_marked
+        final += float(group_probabilities(coeffs, size)[1])
     return RunReport(
         trajectory=tuple(samples),
         final_success_probability=final,
@@ -334,23 +390,24 @@ def measure_and_check(
     claimed vertex is in fact the marked one.
     """
     state = np.asarray(state)
+    marked = _check_vertex(size, marked)
     if _is_reduced(state):
         groups = np.abs(state) ** 2
         groups = groups / groups.sum()
         group = rng.choice(4, p=groups)
-        n, big_n = size.n, size.N
-        opposite = size.opposite(marked)
-        side = marked // n
+        n = size.n
+        side, local = divmod(marked, n)
         if group == 0:
             outcome = marked
         elif group == 1:
-            outcome = opposite
-        elif group == 2:
-            candidates = [v for v in range(side * n, (side + 1) * n) if v != marked]
-            outcome = int(rng.choice(candidates))
+            outcome = size.opposite(marked)
         else:
-            candidates = [v for v in range((1 - side) * n, (2 - side) * n) if v != opposite]
-            outcome = int(rng.choice(candidates))
+            # uniform over the n - 1 vertices of that side other than the
+            # marked vertex or its opposite, which share the index `local`
+            index = int(rng.integers(0, n - 1))
+            if index >= local:
+                index += 1
+            outcome = (side if group == 2 else 1 - side) * n + index
     else:
         prob = np.abs(state) ** 2
         outcome = int(rng.choice(state.shape[0], p=prob / prob.sum()))

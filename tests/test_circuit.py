@@ -21,7 +21,7 @@ from ciinwalk.errors import DimensionMismatchError, UnsupportedSizeError
 from ciinwalk.graphs import GraphSize, build_full_adjacency
 from ciinwalk.schedules import deterministic_schedule
 
-from conftest import random_state
+from conftest import random_state, run_stepwise
 
 
 def dense_walk(m, t):
@@ -182,14 +182,7 @@ class TestCompileSchedule:
         program = compile_schedule(schedule, 4, marked=5)
         start = uniform_state(size, reduced=False)
         via_circuit = simulate(program, start)
-        state = start
-        from ciinwalk.dynamics import StepKind, oracle_phase
-
-        for step in schedule.steps:
-            if step.kind is StepKind.WALK:
-                state = walk_full(state, step.parameter, size)
-            else:
-                state = oracle_phase(state, step.parameter, marked=5)
+        state, _ = run_stepwise(start, schedule, size, marked=5)
         fidelity = abs(np.vdot(state, via_circuit)) ** 2
         assert fidelity > 1.0 - 1e-9
 

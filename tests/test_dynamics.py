@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ciinwalk import dynamics
+from ciinwalk import schedules as sch
 from ciinwalk.dynamics import (
     FinishingRule,
     Schedule,
@@ -22,7 +26,7 @@ from ciinwalk.dynamics import (
 from ciinwalk.errors import DimensionMismatchError
 from ciinwalk.graphs import GraphSize, build_full_adjacency, build_walk_basis, dual_basis, reduced_adjacency
 
-from conftest import fidelity, random_state
+from conftest import fidelity, random_state, run_stepwise
 
 
 def dense_walk_reduced(size, t):
@@ -117,6 +121,23 @@ class TestWalkFull:
         with pytest.raises(DimensionMismatchError):
             walk_full(np.zeros(9, dtype=complex), 1.0, GraphSize(5))
 
+    def test_bitwise_equal_to_concatenated_projectors(self, rng):
+        # the in-place evaluation keeps every operation and its operand order
+        for n in (2, 9, 1000):
+            size = GraphSize(n)
+            state = random_state(rng, size.N)
+            before = state.copy()
+            for t in (0.3, -7.1, 1e5):
+                sym = (state[:n] + state[n:]) / 2.0
+                asym = (state[:n] - state[n:]) / 2.0
+                mean_sym, mean_asym = sym.mean(), asym.mean()
+                out_sym = np.exp(-1j * t * n) * mean_sym + (sym - mean_sym)
+                out_asym = (np.exp(-1j * t * (n - 2)) * mean_asym
+                            + np.exp(2j * t) * (asym - mean_asym))
+                expected = np.concatenate([out_sym + out_asym, out_sym - out_asym])
+                assert walk_full(state, t, size).tobytes() == expected.tobytes()
+            assert np.array_equal(state, before)
+
     def test_commuting_diagram_with_reduced_walk(self, rng):
         # lifting, walking in full space, and projecting equals the reduced walk
         for n in range(3, 13):
@@ -193,6 +214,13 @@ class TestObservables:
         state = random_state(rng, 16)
         groups = group_probabilities(state, size, marked=3)
         assert abs(groups.sum() - 1.0) < 1e-12
+
+    def test_group_probabilities_out_of_range_marked(self):
+        size = GraphSize(8)
+        state = uniform_state(size, reduced=False)
+        for marked in (-1, size.N):
+            with pytest.raises(IndexError):
+                group_probabilities(state, size, marked=marked)
 
 
 class TestApplySchedule:
@@ -310,6 +338,86 @@ class TestApplySchedule:
             apply_schedule(uniform_state(size, reduced=False), Schedule(()), size,
                            sample_basis="dual")
 
+    def test_full_state_checks(self):
+        size = GraphSize(8)
+        schedule = Schedule((walk_step(0.5), oracle_step(1.0)))
+        for length in (3, size.N - 1, size.N + 1):
+            with pytest.raises(DimensionMismatchError):
+                apply_schedule(np.zeros(length, dtype=complex), schedule, size)
+        for marked in (-1, size.N):
+            with pytest.raises(IndexError):
+                apply_schedule(uniform_state(size, reduced=False), schedule, size,
+                               marked=marked)
+
+
+BUILDERS = {
+    "deterministic": (lambda k: GraphSize(8 + 4 * k), sch.deterministic_schedule),
+    "odd": (lambda k: GraphSize(9 + 2 * k), sch.odd_schedule),
+    "approx": (lambda k: GraphSize(8 + k), sch.approx_schedule),
+}
+
+
+def assert_matches_stepwise(state, schedule, size, marked, every):
+    report = apply_schedule(state, schedule, size, sample_every=every, marked=marked)
+    final, samples = run_stepwise(state, schedule, size, marked, every)
+    assert [s.step for s in report.trajectory] == [step for step, _ in samples]
+    for sample, (_, probs) in zip(report.trajectory, samples):
+        assert np.abs(np.array(sample.probabilities) - probs).max() <= 1e-12
+    expected = abs(final[marked]) ** 2
+    if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+        expected += abs(final[size.opposite(marked)]) ** 2
+    assert abs(report.final_success_probability - expected) <= 1e-12
+
+
+class TestFullSpaceSplit:
+    """Full-space runs go through the 4-dim loop plus a three-scalar complement;
+    the stepwise O(N) executor is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        route=st.sampled_from(sorted(BUILDERS)),
+        k=st.integers(0, 4),
+        local=st.integers(0, 10 ** 6),
+        far_side=st.booleans(),
+        every=st.sampled_from([1, 3, 4, 8, 10 ** 6]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_builder_schedules_match_stepwise(self, route, k, local, far_side, every, seed):
+        sized, build = BUILDERS[route]
+        size = sized(k)
+        marked = local % size.n + (size.n if far_side else 0)
+        state = random_state(np.random.default_rng(seed), size.N)
+        leakage = 1.0 - np.linalg.norm(build_walk_basis(size, marked).project(state)) ** 2
+        assert leakage > 0.1  # a substantial complement
+        assert_matches_stepwise(state, build(size), size, marked, every)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 12),  # n = 2 gives N = 4, read as a reduced state
+        local=st.integers(0, 10 ** 6),
+        far_side=st.booleans(),
+        params=st.lists(st.tuples(st.booleans(), st.floats(-40.0, 40.0)), max_size=30),
+        every=st.integers(1, 5),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_random_signed_schedules_match_stepwise(self, n, local, far_side, params, every,
+                                                    seed):
+        size = GraphSize(n)
+        marked = local % n + (n if far_side else 0)
+        steps = tuple(walk_step(x) if is_walk else oracle_step(x) for is_walk, x in params)
+        state = random_state(np.random.default_rng(seed), size.N)
+        assert_matches_stepwise(state, Schedule(steps), size, marked, every)
+
+    def test_no_full_space_pass_per_step(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("walk_full called inside apply_schedule")
+
+        monkeypatch.setattr(dynamics, "walk_full", forbidden)
+        size = GraphSize(64)
+        schedule = sch.deterministic_schedule(size)
+        report = apply_schedule(random_state(rng, size.N), schedule, size, marked=70)
+        assert len(report.trajectory) == len(schedule.steps) + 1
+
 
 class TestMeasureAndCheck:
     def test_deterministic_given_seed(self):
@@ -327,6 +435,27 @@ class TestMeasureAndCheck:
         for _ in range(50):
             claimed, success = measure_and_check(plus, size, marked=0, rng=rng)
             assert success and claimed == 0
+
+    def test_reduced_rest_groups_uniform_without_excluded_vertex(self):
+        # marked 7 sits at index 2 of side 1; a claim from the rest groups is
+        # the opposite of a uniform draw over that side's other n - 1 vertices
+        size = GraphSize(5)
+        for group, expected in ((2, {0, 1, 3, 4}), (3, {5, 6, 8, 9})):
+            state = np.zeros(4, dtype=complex)
+            state[group] = 1.0
+            rng = np.random.default_rng(11)
+            claims = [measure_and_check(state, size, marked=7, rng=rng) for _ in range(4000)]
+            assert not any(success for _, success in claims)
+            counts = np.bincount([claimed for claimed, _ in claims], minlength=size.N)
+            assert set(np.flatnonzero(counts)) == expected
+            assert np.abs(counts[sorted(expected)] - 1000).max() < 150
+
+    def test_out_of_range_marked(self):
+        size = GraphSize(5)
+        for marked in (-1, size.N):
+            with pytest.raises(IndexError):
+                measure_and_check(uniform_state(size), size, marked=marked,
+                                  rng=np.random.default_rng(0))
 
     def test_full_state_opposite_outcome_corrected(self):
         size = GraphSize(5)
