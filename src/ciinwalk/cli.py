@@ -230,6 +230,10 @@ def _run_fig7(args) -> int:
 
 @_experiment("sweep-determinism")
 def _run_sweep_determinism(args) -> int:
+    if args.variant == "approx":
+        raise ValueError(
+            "--variant approx has no exact route to sweep; use deterministic or odd"
+        )
     n_values = _parse_n_list(args.n_list) if args.n_list else list(range(8, 65, 4))
     rows = []
     worst = 1.0
@@ -354,7 +358,9 @@ def _build_parser() -> _Parser:
                        default="deterministic", help="schedule variant where applicable")
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for the random walk times of verify-circuit; "
+                            "the other experiments are deterministic and ignore it")
         if name == "fig3-cg":
             p.add_argument("--gamma", type=float, default=None,
                            help="hopping rate (default: the critical 1/n)")

@@ -18,6 +18,19 @@ total walk time tau it is therefore sym + e^{2i tau} asym, per side, and its
 mass on each side needs three scalars only: ||sym||^2 + ||asym||^2 and the
 complex <sym, asym>.  Full runs thus carry the same walk phases, and the
 same phase precision, as reduced runs.
+
+The step loop computes exp(-i t lambda) once per distinct walk time and
+exp(-i theta) once per distinct oracle angle, and updates its own copy of
+the 4 coefficients in place.  Each step runs the numpy operations of the
+public `walk_reduced` and `oracle_phase`, in the same operand order, so its
+outputs are bit-identical to stepping through those functions.  A cache
+keyed by a float merges 0.0 and -0.0; their phases can differ only in the
+sign of a zero imaginary part, which can change the sign of a zero
+coefficient but no probability.
+
+At n = 2 a full state (N = 4) has the shape of a reduced one, so
+`apply_schedule`, `group_probabilities` and `measure_and_check` refuse
+n = 2 rather than guess.
 """
 
 from __future__ import annotations
@@ -161,6 +174,26 @@ def _is_reduced(state: np.ndarray) -> bool:
     return state.shape == (REDUCED_DIM,)
 
 
+def _check_unambiguous(size: GraphSize) -> None:
+    if size.n == 2:
+        raise DimensionMismatchError(
+            "n = 2 is ambiguous: a full-space state (N = 4) has the shape of a "
+            "reduced 4-vector in walk-basis coordinates"
+        )
+
+
+def _walk(coeffs: np.ndarray, phases: np.ndarray, matrix: np.ndarray, out=None) -> np.ndarray:
+    """exp(-i t A) on walk-basis coefficients, given the dual-basis phases
+    exp(-i t lambda) and the real `DualBasis.matrix`.
+
+    The matrix stays real: a complex copy takes another numpy loop and
+    changes the last bits.
+    """
+    dual_coeffs = matrix.T @ coeffs
+    dual_coeffs *= phases
+    return np.matmul(matrix, dual_coeffs, out=out)
+
+
 def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> np.ndarray:
     """Apply exp(-i t A) to a reduced state via the dual basis.
 
@@ -170,8 +203,7 @@ def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> n
     if not _is_reduced(state):
         raise DimensionMismatchError(f"expected a 4-vector, got shape {state.shape}")
     dual = graph if isinstance(graph, DualBasis) else dual_basis(graph)
-    coeffs = dual.to_dual(state) * np.exp(-1j * t * dual.eigenvalues)
-    return dual.from_dual(coeffs)
+    return _walk(state, np.exp(-1j * t * dual.eigenvalues), dual.matrix)
 
 
 def walk_full(state: np.ndarray, t: float, graph: FullAdjacency | GraphSize) -> np.ndarray:
@@ -260,6 +292,7 @@ def entangled_fidelity(state: np.ndarray, marked: int = 0) -> float:
 
 def group_probabilities(state: np.ndarray, size: GraphSize, marked: int = 0) -> np.ndarray:
     """Probability mass of the four vertex groups relative to the marked vertex."""
+    _check_unambiguous(size)
     state = np.asarray(state)
     if _is_reduced(state):
         return np.abs(state) ** 2
@@ -320,12 +353,14 @@ def apply_schedule(
     its complement enters the samples through three scalars (see the module
     docstring), so a run costs O(N + L) for L steps.
     """
+    _check_unambiguous(size)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     if sample_basis not in ("walk", "dual"):
         raise ValueError(f"unknown sample basis {sample_basis!r}")
     coeffs = np.asarray(state, dtype=complex)
     if _is_reduced(coeffs):
+        coeffs = coeffs.copy()
         rest_norm, rest_cross = 0.0, 0j
     elif coeffs.shape != (size.N,):
         raise DimensionMismatchError(
@@ -354,15 +389,26 @@ def apply_schedule(
         )
 
     record(0)
+    matrix, eigenvalues = dual.matrix, dual.eigenvalues
+    walk_phases = {}
+    oracle_phases = {}
+    last = len(schedule.steps)
     for index, step in enumerate(schedule.steps, start=1):
+        parameter = step.parameter
         if step.kind is StepKind.WALK:
-            coeffs = walk_reduced(coeffs, step.parameter, dual)
-            walk_time += abs(step.parameter)
-            tau = (tau + step.parameter) % np.pi
+            phases = walk_phases.get(parameter)
+            if phases is None:
+                phases = walk_phases[parameter] = np.exp(-1j * parameter * eigenvalues)
+            _walk(coeffs, phases, matrix, out=coeffs)
+            walk_time += abs(parameter)
+            tau = (tau + parameter) % np.pi
         else:
-            coeffs = oracle_phase(coeffs, step.parameter)
+            phase = oracle_phases.get(parameter)
+            if phase is None:
+                phase = oracle_phases[parameter] = np.exp(-1j * parameter)
+            coeffs[0] *= phase
             queries += 1
-        if index % sample_every == 0 or index == len(schedule.steps):
+        if index % sample_every == 0 or index == last:
             record(index)
 
     final = success_probability(coeffs)
@@ -389,6 +435,7 @@ def measure_and_check(
     returns x if marked, else (x + n) mod N.  The boolean reports whether the
     claimed vertex is in fact the marked one.
     """
+    _check_unambiguous(size)
     state = np.asarray(state)
     marked = _check_vertex(size, marked)
     if _is_reduced(state):

@@ -225,10 +225,13 @@ class DualBasis:
             ]
         ) / np.sqrt(2.0 * n)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
+        """(n, n-2, -2, 0), built once per instance and read-only."""
         n = self.size.n
-        return np.array([n, n - 2.0, -2.0, 0.0])
+        values = np.array([n, n - 2.0, -2.0, 0.0])
+        values.setflags(write=False)
+        return values
 
     def to_dual(self, state: np.ndarray) -> np.ndarray:
         """Walk-basis coordinates -> dual coordinates."""

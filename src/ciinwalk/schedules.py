@@ -239,18 +239,11 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     fidelity is not monotonic in n: the rounding residual oscillates.
     """
     params = approx_params(size)
-    steps: list[ScheduleStep] = []
-    for _ in range(params.p):
-        steps += [
-            oracle_step(PI),
-            walk_step(params.t1),
-            oracle_step(PI),
-            walk_step(params.t2),
-        ]
-    steps.append(walk_step(params.t3))
+    iterate = (oracle_step(PI), walk_step(params.t1), oracle_step(PI), walk_step(params.t2))
+    steps = iterate * params.p + (walk_step(params.t3),)
     if finishing == "coherent":
         k8 = nint(size.n / 8)
-        steps += [oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n)]
+        steps += (oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n))
         rule = FinishingRule.MEASURE_AND_CHECK
     elif finishing == "measure":
         rule = FinishingRule.MEASURE_AND_CHECK
@@ -258,7 +251,7 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
         rule = FinishingRule.NONE
     else:
         raise ValueError(f"unknown finishing mode {finishing!r}")
-    return Schedule(tuple(steps), rule, n=size.n, variant="approx", p=params.p)
+    return Schedule(steps, rule, n=size.n, variant="approx", p=params.p)
 
 
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -297,22 +290,18 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
     params = deterministic_params(size, p)
     finish = entangled_to_marked(size)
     n = size.n
-    steps: list[ScheduleStep] = []
-    for _ in range(params.p):
-        steps += [
-            oracle_step(params.theta),
-            walk_step(PI / 2.0),
-            oracle_step(params.theta),
-            walk_step(PI / n),
-            oracle_step(-params.theta),
-            walk_step(PI / 2.0),
-            oracle_step(-params.theta),
-            walk_step(PI / n),
-        ]
-    steps.append(walk_step(params.t3))
-    steps += list(finish)
+    iterate = (
+        oracle_step(params.theta),
+        walk_step(PI / 2.0),
+        oracle_step(params.theta),
+        walk_step(PI / n),
+        oracle_step(-params.theta),
+        walk_step(PI / 2.0),
+        oracle_step(-params.theta),
+        walk_step(PI / n),
+    )
     return Schedule(
-        tuple(steps),
+        iterate * params.p + (walk_step(params.t3),) + finish,
         FinishingRule.COHERENT,
         n=n,
         variant="deterministic",
@@ -333,44 +322,43 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
     n = size.n
     if n % 2 == 0:
         raise UnsupportedSizeError(f"odd-path schedule requires odd n, got {n}")
-    steps: list[ScheduleStep] = []
     if deterministic:
         if p is None:
             p = odd_p_min(size)
         params = odd_params(size, p)
-        for _ in range(params.p):
-            steps += [
-                oracle_step(params.theta),
-                walk_step(PI / 2.0),
-                oracle_step(params.theta),
-                walk_step(PI / 2.0),
-                oracle_step(-params.theta),
-                walk_step(PI / 2.0),
-                oracle_step(-params.theta),
-                walk_step(PI / 2.0),
-            ]
-        steps.append(walk_step(params.xi_unwind_time))
-        steps += [
+        iterate = (
+            oracle_step(params.theta),
+            walk_step(PI / 2.0),
+            oracle_step(params.theta),
+            walk_step(PI / 2.0),
+            oracle_step(-params.theta),
+            walk_step(PI / 2.0),
+            oracle_step(-params.theta),
+            walk_step(PI / 2.0),
+        )
+        finish = (
+            walk_step(params.xi_unwind_time),
             oracle_step(-params.gamma),
             walk_step(-PI),
             oracle_step(-params.phi),
             walk_step(-PI),
-        ]
+        )
         return Schedule(
-            tuple(steps), FinishingRule.COHERENT, n=n, variant="odd-deterministic", p=p
+            iterate * params.p + finish,
+            FinishingRule.COHERENT,
+            n=n,
+            variant="odd-deterministic",
+            p=p,
         )
     if p is None:
         p = max(1, round(PI / (4.0 * math.asin(1.0 / math.sqrt(n)))))
-    for _ in range(p):
-        steps += [
-            oracle_step(PI),
-            walk_step(PI / 2.0),
-            oracle_step(PI),
-            walk_step(PI / 2.0),
-        ]
-    steps.append(walk_step(-PI * n / 4.0))
+    iterate = (oracle_step(PI), walk_step(PI / 2.0), oracle_step(PI), walk_step(PI / 2.0))
     return Schedule(
-        tuple(steps), FinishingRule.MEASURE_AND_CHECK, n=n, variant="odd-approx", p=p
+        iterate * p + (walk_step(-PI * n / 4.0),),
+        FinishingRule.MEASURE_AND_CHECK,
+        n=n,
+        variant="odd-approx",
+        p=p,
     )
 
 

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from ciinwalk.dynamics import StepKind, group_probabilities, oracle_phase, walk_full
+from ciinwalk import dynamics
+from ciinwalk.dynamics import (
+    FinishingRule,
+    RunReport,
+    StepKind,
+    TrajectorySample,
+    group_probabilities,
+    oracle_phase,
+    success_probability,
+    walk_full,
+    walk_reduced,
+)
+from ciinwalk.graphs import dual_basis
 
 
 @pytest.fixture
@@ -33,3 +45,50 @@ def run_stepwise(state, schedule, size, marked=0, sample_every=1):
         if index % sample_every == 0 or index == len(schedule.steps):
             samples.append((index, group_probabilities(state, size, marked)))
     return state, samples
+
+
+def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis="walk"):
+    """Reference 4-dim executor: `apply_schedule` stepping through the public
+    `walk_reduced` and `oracle_phase`, one call per step, each with a fresh
+    phase.  `apply_schedule` must match it bit for bit.
+    """
+    coeffs = np.asarray(state, dtype=complex)
+    if coeffs.shape == (4,):
+        rest_norm, rest_cross = 0.0, 0j
+    else:
+        coeffs, rest_norm, rest_cross = dynamics._split_full(coeffs, size, marked)
+    dual = dual_basis(size)
+    samples = []
+    queries = 0
+    walk_time = 0.0
+    tau = 0.0
+
+    def record(step_index):
+        if sample_basis == "dual":
+            probs = np.abs(dual.to_dual(coeffs)) ** 2
+        else:
+            probs = group_probabilities(coeffs, size)
+            swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
+            probs[2] += rest_norm + swing
+            probs[3] += rest_norm - swing
+        samples.append(
+            TrajectorySample(step_index, tuple(float(p) for p in probs), queries, walk_time)
+        )
+
+    record(0)
+    for index, step in enumerate(schedule.steps, start=1):
+        if step.kind is StepKind.WALK:
+            coeffs = walk_reduced(coeffs, step.parameter, dual)
+            walk_time += abs(step.parameter)
+            tau = (tau + step.parameter) % np.pi
+        else:
+            coeffs = oracle_phase(coeffs, step.parameter)
+            queries += 1
+        if index % sample_every == 0 or index == len(schedule.steps):
+            record(index)
+
+    final = success_probability(coeffs)
+    if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+        queries += 1
+        final += float(group_probabilities(coeffs, size)[1])
+    return RunReport(tuple(samples), final, queries, walk_time)

@@ -34,6 +34,15 @@ class TestConfigHandling:
         assert code == 1
         assert "odd" in capsys.readouterr().err
 
+    def test_approx_variant_has_no_determinism_sweep(self, tmp_path, monkeypatch, capsys):
+        code = run_in(
+            tmp_path, monkeypatch,
+            ["sweep-determinism", "--variant", "approx", "--n-list", "8"],
+        )
+        assert code == 1
+        assert "--variant approx" in capsys.readouterr().err
+        assert not (tmp_path / "sweep-determinism.csv").exists()
+
 
 class TestExperiments:
     def test_fig3_writes_trajectory_and_summary(self, tmp_path, monkeypatch, capsys):

@@ -26,7 +26,7 @@ from ciinwalk.dynamics import (
 from ciinwalk.errors import DimensionMismatchError
 from ciinwalk.graphs import GraphSize, build_full_adjacency, build_walk_basis, dual_basis, reduced_adjacency
 
-from conftest import fidelity, random_state, run_stepwise
+from conftest import apply_stepwise, fidelity, random_state, run_stepwise
 
 
 def dense_walk_reduced(size, t):
@@ -78,6 +78,18 @@ class TestWalkReduced:
             assert np.abs(
                 walk_reduced(state, t, size) - dense_walk_reduced(size, t) @ state
             ).max() < 1e-12
+
+    def test_bitwise_equal_to_dual_basis_formula(self, rng):
+        # the shared step helper keeps the operations and operand order of
+        # the dual-basis form: real matrix, phase as the second factor
+        for n in (3, 8, 2 ** 20, 2 ** 30):
+            dual = dual_basis(GraphSize(n))
+            for t in (0.3, -7.1, np.pi / 2.0, np.pi / n, 1e5):
+                state = random_state(rng, 4)
+                before = state.copy()
+                expected = dual.from_dual(dual.to_dual(state) * np.exp(-1j * t * dual.eigenvalues))
+                assert walk_reduced(state, t, dual).tobytes() == expected.tobytes()
+                assert state.tobytes() == before.tobytes()
 
     def test_unitarity(self, rng):
         size = GraphSize(10)
@@ -393,7 +405,7 @@ class TestFullSpaceSplit:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(3, 12),  # n = 2 gives N = 4, read as a reduced state
+        n=st.integers(3, 12),  # n = 2 is refused: N = 4 is the reduced shape
         local=st.integers(0, 10 ** 6),
         far_side=st.booleans(),
         params=st.lists(st.tuples(st.booleans(), st.floats(-40.0, 40.0)), max_size=30),
@@ -417,6 +429,118 @@ class TestFullSpaceSplit:
         schedule = sch.deterministic_schedule(size)
         report = apply_schedule(random_state(rng, size.N), schedule, size, marked=70)
         assert len(report.trajectory) == len(schedule.steps) + 1
+
+
+def report_bits(report):
+    """Every float of a run report as exact text: `.17g` round-trips a double
+    and keeps the sign of zero."""
+    return (report.to_csv(), report.final_success_probability.hex(),
+            report.total_walk_time.hex(), report.oracle_queries)
+
+
+def assert_bitwise_stepwise(state, schedule, size, **kwargs):
+    report = apply_schedule(state, schedule, size, **kwargs)
+    assert report_bits(report) == report_bits(apply_stepwise(state, schedule, size, **kwargs))
+
+
+# walk times and oracle angles the builders use, plus both signed zeros
+PARAMETER_POOL = (0.0, -0.0, np.pi, -np.pi, np.pi / 2.0, -np.pi / 2.0, 0.3, -1.7, 12.5)
+
+
+class TestStepLoopBitwise:
+    """The step loop caches phases and updates in place; every output bit
+    equals stepping through the public walk_reduced and oracle_phase."""
+
+    @pytest.mark.parametrize("route", sorted(BUILDERS))
+    def test_builder_schedules(self, route, rng):
+        sized, build = BUILDERS[route]
+        for k in range(4):
+            size = sized(k)
+            schedule = build(size)
+            for every in (1, 3, len(schedule.steps)):
+                assert_bitwise_stepwise(uniform_state(size), schedule, size, sample_every=every)
+                assert_bitwise_stepwise(random_state(rng, 4), schedule, size,
+                                        sample_every=every, sample_basis="dual")
+                marked = int(rng.integers(0, size.N))
+                assert_bitwise_stepwise(random_state(rng, size.N), schedule, size,
+                                        sample_every=every, marked=marked)
+
+    def test_large_sizes_reduced(self):
+        for size, schedule in (
+            (GraphSize(2 ** 20), sch.deterministic_schedule(GraphSize(2 ** 20))),
+            (GraphSize(2 ** 20 + 1), sch.odd_schedule(GraphSize(2 ** 20 + 1))),
+            (GraphSize(2 ** 18 - 3), sch.approx_schedule(GraphSize(2 ** 18 - 3))),
+        ):
+            assert_bitwise_stepwise(uniform_state(size), schedule, size,
+                                    sample_every=len(schedule.steps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        params=st.lists(
+            st.tuples(st.booleans(), st.one_of(st.sampled_from(PARAMETER_POOL),
+                                               st.floats(-40.0, 40.0))),
+            max_size=40,
+        ),
+        full=st.booleans(),
+        every=st.integers(1, 5),
+        finishing=st.sampled_from(list(FinishingRule)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_random_signed_schedules_with_repeats(self, n, params, full, every, finishing,
+                                                  seed):
+        size = GraphSize(n)
+        rng = np.random.default_rng(seed)
+        steps = tuple(walk_step(x) if is_walk else oracle_step(x) for is_walk, x in params)
+        schedule = Schedule(steps + steps, finishing)
+        state = random_state(rng, size.N if full else 4)
+        marked = int(rng.integers(0, size.N)) if full else 0
+        assert_bitwise_stepwise(state, schedule, size, sample_every=every, marked=marked)
+
+    def test_signed_zero_phases_share_a_cache_entry_harmlessly(self):
+        # 0.0 and -0.0 are one cache key, but the phases they stand for may
+        # differ in the sign of a zero imaginary part (the oracle's do); the
+        # cache keeps whichever comes first
+        plus, minus = np.exp(-1j * 0.0), np.exp(-1j * -0.0)
+        assert plus == minus and plus.imag.hex() != minus.imag.hex()
+        zeros = (walk_step(0.0), walk_step(-0.0), oracle_step(0.0), oracle_step(-0.0))
+        orders = [zeros, zeros[::-1], zeros[1::2] + zeros[::2]]
+        for n in (3, 8, 9):
+            size = GraphSize(n)
+            # a marked amplitude of -0 - 0j takes the sign of the cached zero
+            signed = np.array([complex(-0.0, -0.0), -0.0j, 1.0, 0.0])
+            for state in (marked_state(size), -marked_state(size), signed,
+                          uniform_state(size)):
+                for order in orders:
+                    steps = order + (walk_step(0.3), oracle_step(np.pi)) + order[::-1]
+                    assert_bitwise_stepwise(state, Schedule(steps * 2), size)
+
+    def test_caller_state_untouched_and_public_steps_unused(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public per-step function called inside apply_schedule")
+
+        monkeypatch.setattr(dynamics, "walk_reduced", forbidden)
+        monkeypatch.setattr(dynamics, "oracle_phase", forbidden)
+        size = GraphSize(12)
+        state = random_state(rng, 4)
+        before = state.copy()
+        apply_schedule(state, sch.deterministic_schedule(size), size)
+        assert state.tobytes() == before.tobytes()
+
+
+class TestSizeTwoRefused:
+    """At n = 2 a full state (N = 4) has the reduced shape; reading it as
+    walk-basis coordinates would ignore `marked`."""
+
+    def test_shape_ambiguity_raises(self):
+        size = GraphSize(2)
+        state = uniform_state(size, reduced=False)
+        with pytest.raises(DimensionMismatchError, match="ambiguous"):
+            apply_schedule(state, Schedule(()), size, marked=2)
+        with pytest.raises(DimensionMismatchError, match="ambiguous"):
+            group_probabilities(state, size, marked=2)
+        with pytest.raises(DimensionMismatchError, match="ambiguous"):
+            measure_and_check(state, size, marked=2, rng=np.random.default_rng(0))
 
 
 class TestMeasureAndCheck:

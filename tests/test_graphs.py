@@ -202,6 +202,15 @@ class TestDualBasis:
                 residual = reduced @ dual.matrix[:, k] - dual.eigenvalues[k] * dual.matrix[:, k]
                 assert np.abs(residual).max() < 1e-12
 
+    def test_eigenvalues_cached_and_read_only(self):
+        for n in (2, 9, 2 ** 30):
+            dual = dual_basis(GraphSize(n))
+            values = dual.eigenvalues
+            assert values is dual.eigenvalues
+            assert values.tobytes() == np.array([n, n - 2.0, -2.0, 0.0]).tobytes()
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
     def test_kernel_vector_n9(self):
         size = GraphSize(9)
         vec = dual_basis(size).matrix[:, 3]

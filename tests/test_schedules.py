@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -553,6 +555,76 @@ class TestAccounting:
         queries, _ = sch.query_accounting(schedule)
         ratio = queries / np.sqrt(size.N)
         assert abs(ratio - np.pi / (2 * np.sqrt(2))) / (np.pi / (2 * np.sqrt(2))) < 0.10
+
+
+class TestBuilderSteps:
+    """Each builder repeats one iterate p times; its steps equal the sequence
+    unrolled step by step from the closed-form parameters."""
+
+    def test_approx(self):
+        pi = np.pi
+        for n in (3, 5, 8, 10, 64, 1023, 1024):
+            size = GraphSize(n)
+            params = sch.approx_params(size)
+            steps = []
+            for _ in range(params.p):
+                steps += [oracle_step(pi), walk_step(params.t1),
+                          oracle_step(pi), walk_step(params.t2)]
+            steps.append(walk_step(params.t3))
+            bare = sch.approx_schedule(size, finishing="none")
+            assert bare.steps == tuple(steps) and bare.p == params.p
+            assert sch.approx_schedule(size, finishing="measure").steps == tuple(steps)
+            steps += [oracle_step(pi / 2.0), walk_step(2.0 * pi * sch.nint(n / 8) / n)]
+            assert sch.approx_schedule(size).steps == tuple(steps)
+
+    def test_deterministic(self):
+        pi = np.pi
+        for n in (8, 12, 64, 1000, 4096):
+            size = GraphSize(n)
+            p_min = sch.deterministic_p_min(size)
+            for p in (None, p_min, p_min + 3):
+                params = sch.deterministic_params(size, p_min if p is None else p)
+                steps = []
+                for _ in range(params.p):
+                    steps += [oracle_step(params.theta), walk_step(pi / 2.0),
+                              oracle_step(params.theta), walk_step(pi / n),
+                              oracle_step(-params.theta), walk_step(pi / 2.0),
+                              oracle_step(-params.theta), walk_step(pi / n)]
+                steps.append(walk_step(params.t3))
+                steps += sch.entangled_to_marked(size)
+                schedule = sch.deterministic_schedule(size, p)
+                assert schedule.steps == tuple(steps) and schedule.p == params.p
+
+    def test_odd_deterministic(self):
+        pi = np.pi
+        for n in (3, 5, 9, 101, 1025):
+            size = GraphSize(n)
+            p_min = sch.odd_p_min(size)
+            for p in (None, p_min, p_min + 2):
+                params = sch.odd_params(size, p_min if p is None else p)
+                steps = []
+                for _ in range(params.p):
+                    for theta in (params.theta, params.theta, -params.theta, -params.theta):
+                        steps += [oracle_step(theta), walk_step(pi / 2.0)]
+                steps += [walk_step(-pi * n / 4.0), oracle_step(-params.gamma), walk_step(-pi),
+                          oracle_step(-params.phi), walk_step(-pi)]
+                schedule = sch.odd_schedule(size, p=p)
+                assert schedule.steps == tuple(steps) and schedule.p == params.p
+
+    def test_odd_approximate(self):
+        pi = np.pi
+        for n in (3, 5, 9, 101, 1025):
+            size = GraphSize(n)
+            default = max(1, round(pi / (4.0 * math.asin(1.0 / math.sqrt(n)))))
+            for p in (None, 1, default + 2):
+                count = default if p is None else p
+                steps = []
+                for _ in range(count):
+                    steps += [oracle_step(pi), walk_step(pi / 2.0),
+                              oracle_step(pi), walk_step(pi / 2.0)]
+                steps.append(walk_step(-pi * n / 4.0))
+                schedule = sch.odd_schedule(size, deterministic=False, p=p)
+                assert schedule.steps == tuple(steps) and schedule.p == count
 
 
 class TestScheduleText:
