@@ -45,8 +45,6 @@ from .graphs import (
     FullAdjacency,
     GraphSize,
     WalkBasis,
-    build_full_adjacency,
-    build_walk_basis,
     dual_basis,
     reduce_operator,
     reduced_adjacency,
@@ -69,7 +67,6 @@ from .schedules import (
     odd_params,
     odd_schedule,
     parse_schedule,
-    query_accounting,
     render_schedule,
 )
 

@@ -230,10 +230,6 @@ def _run_fig7(args) -> int:
 
 @_experiment("sweep-determinism")
 def _run_sweep_determinism(args) -> int:
-    if args.variant == "approx":
-        raise ValueError(
-            "--variant approx has no exact route to sweep; use deterministic or odd"
-        )
     n_values = _parse_n_list(args.n_list) if args.n_list else list(range(8, 65, 4))
     rows = []
     worst = 1.0
@@ -264,7 +260,7 @@ def _run_sweep_queries(args) -> int:
     for n in n_values:
         size = GraphSize(n)
         schedule = sch.deterministic_schedule(size, args.p)
-        queries, walk_time = sch.query_accounting(schedule)
+        queries, walk_time = schedule.oracle_queries, schedule.total_walk_time
         ratio = queries / np.sqrt(size.N)
         last_ratio = ratio
         rows.append(
@@ -349,13 +345,19 @@ def _build_parser() -> _Parser:
         "verify-circuit": "gate-level walk equivalence and compiled pipeline checks",
     }
     for name, description in descriptions.items():
-        p = sub.add_parser(name, help=description, description=description)
-        p.add_argument("--n", type=int, default=None, help="side size n (half the vertices)")
-        p.add_argument("--N", dest="big_n", type=int, default=None,
-                       help="total vertex count N = 2n")
-        p.add_argument("--p", type=int, default=None, help="iteration count override")
-        p.add_argument("--variant", choices=("approx", "deterministic", "odd"),
-                       default="deterministic", help="schedule variant where applicable")
+        # no abbreviations: a flag that an experiment does not declare, such as
+        # --n on sweep-queries, must not be read as a prefix of another (--n-list)
+        p = sub.add_parser(name, help=description, description=description,
+                           allow_abbrev=False)
+        if name.startswith("fig"):
+            p.add_argument("--n", type=int, default=None, help="side size n (half the vertices)")
+            p.add_argument("--N", dest="big_n", type=int, default=None,
+                           help="total vertex count N = 2n")
+        if name in ("fig6-compare", "fig7-oddpath", "sweep-determinism", "sweep-queries"):
+            p.add_argument("--p", type=int, default=None, help="iteration count override")
+        if name == "sweep-determinism":
+            p.add_argument("--variant", choices=("deterministic", "odd"),
+                           default="deterministic", help="exact route to sweep")
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0,

@@ -184,7 +184,8 @@ def _check_unambiguous(size: GraphSize) -> None:
 
 def _walk(coeffs: np.ndarray, phases: np.ndarray, matrix: np.ndarray, out=None) -> np.ndarray:
     """exp(-i t A) on walk-basis coefficients, given the dual-basis phases
-    exp(-i t lambda) and the real `DualBasis.matrix`.
+    exp(-i t lambda) and the real `DualBasis.matrix`.  `coeffs` may also be
+    a 4 x k block of columns, with the phases as a (4, 1) column.
 
     The matrix stays real: a complex copy takes another numpy loop and
     changes the last bits.

@@ -111,11 +111,6 @@ class FullAdjacency:
         return np.sort(np.concatenate([[n, n - 2], [-2.0] * (n - 1), [0.0] * (n - 1)]))
 
 
-def build_full_adjacency(size: GraphSize) -> FullAdjacency:
-    """CIIN adjacency: complete graphs on each side, identity interconnect."""
-    return FullAdjacency(size)
-
-
 @dataclass(frozen=True)
 class WalkBasis:
     """Orthonormal 4-vector basis of the invariant search subspace.
@@ -164,10 +159,6 @@ class WalkBasis:
                 f"expected state of length {self.size.N}, got shape {state.shape}"
             )
         return self.matrix.T @ state
-
-
-def build_walk_basis(size: GraphSize, marked: int) -> WalkBasis:
-    return WalkBasis(size, marked)
 
 
 def reduced_adjacency(size: GraphSize) -> np.ndarray:

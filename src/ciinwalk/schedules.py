@@ -33,6 +33,7 @@ from .dynamics import (
     Schedule,
     ScheduleStep,
     StepKind,
+    _walk,
     oracle_step,
     walk_step,
 )
@@ -219,6 +220,21 @@ def odd_params(size: GraphSize, p: int) -> OddPathParams:
 # ---------------------------------------------------------------------------
 
 
+def _approx_steps(params: ApproxParams) -> tuple[ScheduleStep, ...]:
+    """The approximate iterate: O(pi) W(t1) O(pi) W(t2)."""
+    return (oracle_step(PI), walk_step(params.t1), oracle_step(PI), walk_step(params.t2))
+
+
+def _slowed_steps(n: int, theta: float) -> tuple[ScheduleStep, ...]:
+    """One slowed iterate U(theta): O(theta) W(pi/2) O(theta) W(pi/n)."""
+    return (oracle_step(theta), walk_step(PI / 2.0), oracle_step(theta), walk_step(PI / n))
+
+
+def _half_turn_steps(theta: float) -> tuple[ScheduleStep, ...]:
+    """The odd-n half-turn iterate: O(theta) W(pi/2)."""
+    return (oracle_step(theta), walk_step(PI / 2.0))
+
+
 def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     """Approximate search schedule.
 
@@ -239,8 +255,7 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     fidelity is not monotonic in n: the rounding residual oscillates.
     """
     params = approx_params(size)
-    iterate = (oracle_step(PI), walk_step(params.t1), oracle_step(PI), walk_step(params.t2))
-    steps = iterate * params.p + (walk_step(params.t3),)
+    steps = _approx_steps(params) * params.p + (walk_step(params.t3),)
     if finishing == "coherent":
         k8 = nint(size.n / 8)
         steps += (oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n))
@@ -290,16 +305,7 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
     params = deterministic_params(size, p)
     finish = entangled_to_marked(size)
     n = size.n
-    iterate = (
-        oracle_step(params.theta),
-        walk_step(PI / 2.0),
-        oracle_step(params.theta),
-        walk_step(PI / n),
-        oracle_step(-params.theta),
-        walk_step(PI / 2.0),
-        oracle_step(-params.theta),
-        walk_step(PI / n),
-    )
+    iterate = _slowed_steps(n, params.theta) + _slowed_steps(n, -params.theta)
     return Schedule(
         iterate * params.p + (walk_step(params.t3),) + finish,
         FinishingRule.COHERENT,
@@ -326,16 +332,7 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
         if p is None:
             p = odd_p_min(size)
         params = odd_params(size, p)
-        iterate = (
-            oracle_step(params.theta),
-            walk_step(PI / 2.0),
-            oracle_step(params.theta),
-            walk_step(PI / 2.0),
-            oracle_step(-params.theta),
-            walk_step(PI / 2.0),
-            oracle_step(-params.theta),
-            walk_step(PI / 2.0),
-        )
+        iterate = _half_turn_steps(params.theta) * 2 + _half_turn_steps(-params.theta) * 2
         finish = (
             walk_step(params.xi_unwind_time),
             oracle_step(-params.gamma),
@@ -352,9 +349,10 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
         )
     if p is None:
         p = max(1, round(PI / (4.0 * math.asin(1.0 / math.sqrt(n)))))
-    iterate = (oracle_step(PI), walk_step(PI / 2.0), oracle_step(PI), walk_step(PI / 2.0))
+    elif p < 1:
+        raise ValueError(f"p={p}: the approximate odd-n route needs p >= 1")
     return Schedule(
-        iterate * p + (walk_step(-PI * n / 4.0),),
+        _half_turn_steps(PI) * 2 * p + (walk_step(-PI * n / 4.0),),
         FinishingRule.MEASURE_AND_CHECK,
         n=n,
         variant="odd-approx",
@@ -362,78 +360,51 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
     )
 
 
-def query_accounting(schedule: Schedule) -> tuple[int, float]:
-    """(oracle query count, total walk time) for a schedule."""
-    return schedule.oracle_queries, schedule.total_walk_time
-
-
 # ---------------------------------------------------------------------------
 # iterate matrices and spectra
 # ---------------------------------------------------------------------------
 
 
-def walk_matrix(size: GraphSize, t: float) -> np.ndarray:
-    """4x4 walk propagator exp(-i t A) in walk-basis coordinates."""
-    dual = dual_basis(size)
-    return (dual.matrix * np.exp(-1j * t * dual.eigenvalues)) @ dual.matrix.T
-
-
-def oracle_matrix(theta: float) -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[0, 0] = np.exp(-1j * theta)
-    return m
-
-
 def schedule_matrix(steps, size: GraphSize) -> np.ndarray:
-    """Fold chronological steps into a single 4x4 unitary (reduced space)."""
+    """Fold chronological steps into a single 4x4 unitary (reduced space).
+
+    Walks act on all four columns at once through the dual-basis formula
+    of `apply_schedule`; an oracle scales the marked row.
+    """
+    dual = dual_basis(size)
     m = np.eye(4, dtype=complex)
     for step in steps:
-        factor = (
-            walk_matrix(size, step.parameter)
-            if step.kind is StepKind.WALK
-            else oracle_matrix(step.parameter)
-        )
-        m = factor @ m
+        if step.kind is StepKind.WALK:
+            phases = np.exp(-1j * step.parameter * dual.eigenvalues)
+            m = _walk(m, phases[:, np.newaxis], dual.matrix)
+        else:
+            m[0] *= np.exp(-1j * step.parameter)
     return m
 
 
 def approx_iterate(size: GraphSize) -> np.ndarray:
-    params = approx_params(size)
-    return (
-        walk_matrix(size, params.t2)
-        @ oracle_matrix(PI)
-        @ walk_matrix(size, params.t1)
-        @ oracle_matrix(PI)
-    )
+    return schedule_matrix(_approx_steps(approx_params(size)), size)
 
 
 def deterministic_half_iterate(size: GraphSize, theta: float) -> np.ndarray:
     """One slowed iterate U(theta); at theta = pi it equals the approximate
     iterate exactly (n divisible by 4)."""
-    n = size.n
-    return (
-        walk_matrix(size, PI / n)
-        @ oracle_matrix(theta)
-        @ walk_matrix(size, PI / 2.0)
-        @ oracle_matrix(theta)
-    )
+    return schedule_matrix(_slowed_steps(size.n, theta), size)
 
 
 def deterministic_iterate(size: GraphSize, theta: float) -> np.ndarray:
     """The double iterate U(-theta) U(theta)."""
-    return deterministic_half_iterate(size, -theta) @ deterministic_half_iterate(size, theta)
+    return schedule_matrix(_slowed_steps(size.n, theta) + _slowed_steps(size.n, -theta), size)
 
 
 def odd_base_iterate(size: GraphSize) -> np.ndarray:
     """The simple odd-n iterate: half-turn walk after an oracle flip."""
-    return walk_matrix(size, PI / 2.0) @ oracle_matrix(PI)
+    return schedule_matrix(_half_turn_steps(PI), size)
 
 
 def odd_iterate(size: GraphSize, theta: float) -> np.ndarray:
     """Derandomized odd-n iterate (two theta steps, then two -theta steps)."""
-    plus = walk_matrix(size, PI / 2.0) @ oracle_matrix(theta)
-    minus = walk_matrix(size, PI / 2.0) @ oracle_matrix(-theta)
-    return minus @ minus @ plus @ plus
+    return schedule_matrix(_half_turn_steps(theta) * 2 + _half_turn_steps(-theta) * 2, size)
 
 
 def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:

@@ -24,9 +24,9 @@ from ciinwalk.dynamics import (
     walk_reduced,
 )
 from ciinwalk.graphs import (
+    FullAdjacency,
     GraphSize,
-    build_full_adjacency,
-    build_walk_basis,
+    WalkBasis,
     dual_basis,
     reduce_operator,
     reduced_adjacency,
@@ -116,7 +116,7 @@ def test_criterion_4_query_count_asymptotics():
     start = time.perf_counter()
     size = GraphSize(4096)
     schedule = sch.deterministic_schedule(size)
-    queries, _ = sch.query_accounting(schedule)
+    queries = schedule.oracle_queries
     ratio = queries / np.sqrt(size.N)
     final = run_schedule_reduced(size, schedule).final_success_probability
     elapsed = time.perf_counter() - start
@@ -193,7 +193,7 @@ def test_criterion_7_circuit_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for m in range(1, 7):
-        adjacency = build_full_adjacency(GraphSize(2 ** m)).dense
+        adjacency = FullAdjacency(GraphSize(2 ** m)).dense
         for t in rng.uniform(0.0, 2 * np.pi, size=20):
             reconstructed = reconstruct_unitary(walk_circuit(m, float(t)))
             exact = scipy.linalg.expm(-1j * float(t) * adjacency)
@@ -218,15 +218,15 @@ def test_criterion_8_reduction_correctness():
     worst_reduction = 0.0
     for n in range(2, 65):
         size = GraphSize(n)
-        basis = build_walk_basis(size, marked=0)
-        brute = reduce_operator(build_full_adjacency(size).dense, basis)
+        basis = WalkBasis(size, marked=0)
+        brute = reduce_operator(FullAdjacency(size).dense, basis)
         worst_reduction = max(worst_reduction, float(np.abs(brute - reduced_adjacency(size)).max()))
     rng = np.random.default_rng(88)
     worst_diagram = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 33))
         size = GraphSize(n)
-        basis = build_walk_basis(size, marked=int(rng.integers(0, size.N)))
+        basis = WalkBasis(size, marked=int(rng.integers(0, size.N)))
         coeffs = random_state(rng, 4)
         t = float(rng.uniform(0, 2 * np.pi))
         projected = basis.project(walk_full(basis.lift(coeffs), t, size))

@@ -18,14 +18,14 @@ from ciinwalk.circuit import (
 )
 from ciinwalk.dynamics import Schedule, apply_schedule, oracle_step, uniform_state, walk_full, walk_step
 from ciinwalk.errors import DimensionMismatchError, UnsupportedSizeError
-from ciinwalk.graphs import GraphSize, build_full_adjacency
+from ciinwalk.graphs import FullAdjacency, GraphSize
 from ciinwalk.schedules import deterministic_schedule
 
 from conftest import random_state, run_stepwise
 
 
 def dense_walk(m, t):
-    adjacency = build_full_adjacency(GraphSize(2 ** m)).dense
+    adjacency = FullAdjacency(GraphSize(2 ** m)).dense
     return scipy.linalg.expm(-1j * t * adjacency)
 
 

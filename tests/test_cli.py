@@ -35,13 +35,40 @@ class TestConfigHandling:
         assert "odd" in capsys.readouterr().err
 
     def test_approx_variant_has_no_determinism_sweep(self, tmp_path, monkeypatch, capsys):
-        code = run_in(
-            tmp_path, monkeypatch,
-            ["sweep-determinism", "--variant", "approx", "--n-list", "8"],
-        )
-        assert code == 1
-        assert "--variant approx" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_in(
+                tmp_path, monkeypatch,
+                ["sweep-determinism", "--variant", "approx", "--n-list", "8"],
+            )
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert "--variant" in err and "'approx'" in err
         assert not (tmp_path / "sweep-determinism.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5-dual", "--p", "3"],
+        ["fig5-dual", "--variant", "odd"],
+        ["fig3-cg", "--p", "2"],
+        ["fig6-compare", "--variant", "odd"],
+        ["sweep-queries", "--n", "5"],
+        ["sweep-queries", "--variant", "odd"],
+        ["sweep-determinism", "--n", "8"],
+        ["verify-circuit", "--N", "16"],
+        ["verify-circuit", "--p", "2"],
+    ])
+    def test_undeclared_flag_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run_in(tmp_path, monkeypatch, argv)
+        assert info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    def test_odd_path_rejects_nonpositive_p(self, tmp_path, monkeypatch, capsys, p):
+        code = run_in(tmp_path, monkeypatch, ["fig7-oddpath", "--n", "9", "--p", p])
+        assert code == 1
+        assert f"p={p}" in capsys.readouterr().err
+        assert not (tmp_path / "fig7-oddpath.csv").exists()
 
 
 class TestExperiments:

@@ -24,7 +24,7 @@ from ciinwalk.dynamics import (
     walk_step,
 )
 from ciinwalk.errors import DimensionMismatchError
-from ciinwalk.graphs import GraphSize, build_full_adjacency, build_walk_basis, dual_basis, reduced_adjacency
+from ciinwalk.graphs import FullAdjacency, GraphSize, WalkBasis, dual_basis, reduced_adjacency
 
 from conftest import apply_stepwise, fidelity, random_state, run_stepwise
 
@@ -113,14 +113,14 @@ class TestWalkFull:
 
     def test_matches_dense_exponential_n9(self, rng):
         size = GraphSize(9)
-        dense = build_full_adjacency(size).dense
+        dense = FullAdjacency(size).dense
         exact = scipy.linalg.expm(-1j * 1.3 * dense)
         state = random_state(rng, 18)
         assert np.abs(walk_full(state, 1.3, size) - exact @ state).max() < 1e-10
 
     def test_accepts_adjacency_object(self, rng):
         size = GraphSize(4)
-        graph = build_full_adjacency(size)
+        graph = FullAdjacency(size)
         state = random_state(rng, 8)
         assert np.allclose(walk_full(state, 0.4, graph), walk_full(state, 0.4, size))
 
@@ -154,7 +154,7 @@ class TestWalkFull:
         # lifting, walking in full space, and projecting equals the reduced walk
         for n in range(3, 13):
             size = GraphSize(n)
-            basis = build_walk_basis(size, marked=0)
+            basis = WalkBasis(size, marked=0)
             coeffs = random_state(rng, 4)
             t = rng.uniform(0, 2 * np.pi)
             projected = basis.project(walk_full(basis.lift(coeffs), t, size))
@@ -178,7 +178,7 @@ class TestOraclePhase:
         expected[0] = np.exp(-1j * np.pi / 2.0) / np.sqrt(8.0)
         assert np.abs(out - expected).max() < 1e-12
         # cross-check against the full-space apply
-        basis = build_walk_basis(size, marked=0)
+        basis = WalkBasis(size, marked=0)
         full = oracle_phase(uniform_state(size, reduced=False), np.pi / 2.0, marked=0)
         assert np.abs(basis.project(full) - out).max() < 1e-12
 
@@ -399,7 +399,7 @@ class TestFullSpaceSplit:
         size = sized(k)
         marked = local % size.n + (size.n if far_side else 0)
         state = random_state(np.random.default_rng(seed), size.N)
-        leakage = 1.0 - np.linalg.norm(build_walk_basis(size, marked).project(state)) ** 2
+        leakage = 1.0 - np.linalg.norm(WalkBasis(size, marked).project(state)) ** 2
         assert leakage > 0.1  # a substantial complement
         assert_matches_stepwise(state, build(size), size, marked, every)
 

@@ -3,9 +3,9 @@ import pytest
 
 from ciinwalk.errors import DimensionMismatchError, InvalidSizeError
 from ciinwalk.graphs import (
+    FullAdjacency,
     GraphSize,
-    build_full_adjacency,
-    build_walk_basis,
+    WalkBasis,
     dual_basis,
     matrix_from_json,
     matrix_to_json,
@@ -43,12 +43,12 @@ class TestGraphSize:
 
 class TestFullAdjacency:
     def test_neighbourhood_of_vertex_zero_n5(self):
-        adj = build_full_adjacency(GraphSize(5)).dense
+        adj = FullAdjacency(GraphSize(5)).dense
         assert adj.shape == (10, 10)
         assert sorted(np.flatnonzero(adj[0])) == [1, 2, 3, 4, 5]
 
     def test_n2_is_the_four_cycle(self):
-        adj = build_full_adjacency(GraphSize(2)).dense
+        adj = FullAdjacency(GraphSize(2)).dense
         expected = np.array(
             [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=float
         )
@@ -57,32 +57,32 @@ class TestFullAdjacency:
     def test_structure_invariants(self):
         for n in (2, 3, 6, 9, 16):
             size = GraphSize(n)
-            adj = build_full_adjacency(size).dense
+            adj = FullAdjacency(size).dense
             assert np.array_equal(adj, adj.T)
             assert np.all(np.diag(adj) == 0)
             assert np.all(adj.sum(axis=0) == n)
 
     def test_eigenvalue_multiset_n8(self):
         # independent oracle: dense diagonalization of the 16x16 matrix
-        adj = build_full_adjacency(GraphSize(8)).dense
+        adj = FullAdjacency(GraphSize(8)).dense
         eigs = np.sort(np.linalg.eigvalsh(adj))
         expected = np.sort(np.array([8.0, 6.0] + [-2.0] * 7 + [0.0] * 7))
         assert np.allclose(eigs, expected, atol=1e-10)
 
     def test_declared_eigenvalues_match_dense(self):
         for n in (2, 5, 12):
-            graph = build_full_adjacency(GraphSize(n))
+            graph = FullAdjacency(GraphSize(n))
             dense = np.sort(np.linalg.eigvalsh(graph.dense))
             assert np.allclose(graph.eigenvalues(), dense, atol=1e-10)
 
     def test_matrix_free_apply_matches_dense(self, rng):
         for n in (2, 3, 7, 20):
-            graph = build_full_adjacency(GraphSize(n))
+            graph = FullAdjacency(GraphSize(n))
             vec = random_state(rng, 2 * n)
             assert np.allclose(graph.apply(vec), graph.dense @ vec, atol=1e-12)
 
     def test_apply_rejects_wrong_length(self):
-        graph = build_full_adjacency(GraphSize(4))
+        graph = FullAdjacency(GraphSize(4))
         with pytest.raises(DimensionMismatchError):
             graph.apply(np.zeros(7))
 
@@ -90,52 +90,52 @@ class TestFullAdjacency:
 class TestWalkBasis:
     def test_orthonormal_for_all_sizes(self):
         for n in (2, 3, 5, 16, 33):
-            basis = build_walk_basis(GraphSize(n), marked=1)
+            basis = WalkBasis(GraphSize(n), marked=1)
             gram = basis.matrix.T @ basis.matrix
             assert np.abs(gram - np.eye(4)).max() < 1e-12
 
     def test_uniform_state_projection(self):
         for n in (2, 7, 24):
             size = GraphSize(n)
-            basis = build_walk_basis(size, marked=3 % size.N)
+            basis = WalkBasis(size, marked=3 % size.N)
             uniform = np.full(size.N, 1.0 / np.sqrt(size.N))
             expected = np.array([1.0, 1.0, np.sqrt(n - 1.0), np.sqrt(n - 1.0)])
             expected /= np.sqrt(2.0 * n)
             assert np.abs(basis.project(uniform) - expected).max() < 1e-12
 
     def test_same_side_superposition_n5(self):
-        basis = build_walk_basis(GraphSize(5), marked=0)
+        basis = WalkBasis(GraphSize(5), marked=0)
         b3 = basis.matrix[:, 2]
         expected = np.zeros(10)
         expected[[1, 2, 3, 4]] = 0.5
         assert np.abs(b3 - expected).max() < 1e-15
 
     def test_singleton_groups_n2(self):
-        basis = build_walk_basis(GraphSize(2), marked=0)
+        basis = WalkBasis(GraphSize(2), marked=0)
         assert np.argmax(basis.matrix[:, 2]) == 1
         assert np.argmax(basis.matrix[:, 3]) == 3
         assert basis.matrix[1, 2] == 1.0
         assert basis.matrix[3, 3] == 1.0
 
     def test_opposite_index_wraps_n5_marked7(self):
-        basis = build_walk_basis(GraphSize(5), marked=7)
+        basis = WalkBasis(GraphSize(5), marked=7)
         assert basis.opposite == 2
         b2 = basis.matrix[:, 1]
         assert b2[2] == 1.0 and np.count_nonzero(b2) == 1
         # full-matrix symmetry: basis diagonalizes the same reduced block
-        graph = build_full_adjacency(GraphSize(5))
+        graph = FullAdjacency(GraphSize(5))
         assert np.abs(
             reduce_operator(graph.dense, basis) - reduced_adjacency(GraphSize(5))
         ).max() < 1e-12
 
     def test_marked_out_of_range(self):
         with pytest.raises(IndexError):
-            build_walk_basis(GraphSize(3), marked=6)
+            WalkBasis(GraphSize(3), marked=6)
         with pytest.raises(IndexError):
-            build_walk_basis(GraphSize(3), marked=-1)
+            WalkBasis(GraphSize(3), marked=-1)
 
     def test_lift_project_roundtrip(self, rng):
-        basis = build_walk_basis(GraphSize(6), marked=2)
+        basis = WalkBasis(GraphSize(6), marked=2)
         coeffs = random_state(rng, 4)
         assert np.abs(basis.project(basis.lift(coeffs)) - coeffs).max() < 1e-12
 
@@ -144,8 +144,8 @@ class TestReduceOperator:
     def test_reduction_matches_closed_form_sweep(self):
         for n in range(2, 65):
             size = GraphSize(n)
-            basis = build_walk_basis(size, marked=0)
-            brute = reduce_operator(build_full_adjacency(size).dense, basis)
+            basis = WalkBasis(size, marked=0)
+            brute = reduce_operator(FullAdjacency(size).dense, basis)
             assert np.abs(brute - reduced_adjacency(size)).max() < 1e-12
 
     def test_closed_form_entries_n5(self):
@@ -155,28 +155,28 @@ class TestReduceOperator:
         assert np.array_equal(reduced, reduced.T)
 
     def test_identity_reduces_to_identity(self):
-        basis = build_walk_basis(GraphSize(7), marked=4)
+        basis = WalkBasis(GraphSize(7), marked=4)
         assert np.abs(reduce_operator(np.eye(14), basis) - np.eye(4)).max() < 1e-12
 
     def test_square_commutes_with_reduction_n6(self):
         # valid because the walk subspace is invariant under the adjacency
         size = GraphSize(6)
-        basis = build_walk_basis(size, marked=0)
-        dense = build_full_adjacency(size).dense
+        basis = WalkBasis(size, marked=0)
+        dense = FullAdjacency(size).dense
         assert np.abs(
             reduce_operator(dense @ dense, basis) - reduced_adjacency(size) @ reduced_adjacency(size)
         ).max() < 1e-10
 
     def test_dimension_mismatch(self):
-        basis = build_walk_basis(GraphSize(4), marked=0)
+        basis = WalkBasis(GraphSize(4), marked=0)
         with pytest.raises(DimensionMismatchError):
             reduce_operator(np.eye(6), basis)
 
     def test_vertex_transitivity(self):
         size = GraphSize(9)
-        dense = build_full_adjacency(size).dense
-        first = reduce_operator(dense, build_walk_basis(size, marked=0))
-        second = reduce_operator(dense, build_walk_basis(size, marked=13))
+        dense = FullAdjacency(size).dense
+        first = reduce_operator(dense, WalkBasis(size, marked=0))
+        second = reduce_operator(dense, WalkBasis(size, marked=13))
         assert np.abs(first - second).max() < 1e-12
 
 

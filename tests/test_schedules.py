@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from ciinwalk.dynamics import (
+    FinishingRule,
     StepKind,
     apply_schedule,
     entangled_fidelity,
@@ -191,6 +192,53 @@ class TestIterateStructure:
             assert abs(abs(phase) - 1.0) < 1e-12
             assert np.abs(block - phase * rotation).max() < 1e-12
             assert abs(block[0, 0].real - (1.0 - 2.0 / n) * np.sign(phase.real)) < 1e-12
+
+
+def every_builder(n):
+    """Every schedule the builders make at side size n."""
+    size = GraphSize(n)
+    schedules = [sch.approx_schedule(size, finishing) for finishing in ("coherent", "none")]
+    if n % 4 == 0:
+        schedules.append(sch.deterministic_schedule(size))
+    if n % 2 == 1:
+        schedules += [sch.odd_schedule(size), sch.odd_schedule(size, deterministic=False)]
+    return schedules
+
+
+class TestScheduleMatrix:
+    @pytest.mark.parametrize("n", [5, 8, 9, 12, 64, 101, 1024, 1025])
+    def test_iterates_fold_their_builders_leading_steps(self, n):
+        # each iterate matrix is the fold of the steps its builder repeats,
+        # bit for bit
+        size = GraphSize(n)
+
+        def fold(steps):
+            return sch.schedule_matrix(steps, size).tobytes()
+
+        assert sch.approx_iterate(size).tobytes() == fold(sch.approx_schedule(size).steps[:4])
+        if n % 4 == 0:
+            theta = sch.deterministic_params(size, sch.deterministic_p_min(size)).theta
+            steps = sch.deterministic_schedule(size).steps
+            assert sch.deterministic_half_iterate(size, theta).tobytes() == fold(steps[:4])
+            assert sch.deterministic_iterate(size, theta).tobytes() == fold(steps[:8])
+        if n % 2 == 1:
+            theta = sch.odd_params(size, sch.odd_p_min(size)).theta
+            assert sch.odd_iterate(size, theta).tobytes() == fold(sch.odd_schedule(size).steps[:8])
+            bare = sch.odd_schedule(size, deterministic=False).steps
+            assert sch.odd_base_iterate(size).tobytes() == fold(bare[:2])
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 257])
+    def test_every_builder_matches_dense_fold_and_executor(self, n):
+        size = GraphSize(n)
+        for schedule in every_builder(n):
+            matrix = sch.schedule_matrix(schedule.steps, size)
+            assert np.abs(matrix - dense_schedule_matrix(size, schedule.steps)).max() < 1e-11
+            state = matrix @ uniform_state(size)
+            final = abs(state[0]) ** 2
+            if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+                final += abs(state[1]) ** 2
+            report = run_reduced(size, schedule)
+            assert abs(final - report.final_success_probability) < 1e-12
 
 
 class TestIterateSpectrum:
@@ -506,6 +554,11 @@ class TestOddSchedule:
                 report = run_reduced(size, sch.odd_schedule(size, deterministic=True, p=p))
                 assert report.final_success_probability >= 1.0 - 1e-9
 
+    def test_approximate_route_rejects_nonpositive_p(self):
+        for p in (0, -3):
+            with pytest.raises(ValueError):
+                sch.odd_schedule(GraphSize(9), deterministic=False, p=p)
+
     def test_exactness_full_space_n9(self):
         size = GraphSize(9)
         schedule = sch.odd_schedule(size, deterministic=True)
@@ -540,19 +593,18 @@ class TestAccounting:
         size = GraphSize(1024)
         schedule = sch.approx_schedule(size)
         p = round(np.arccos(1 / 32.0) / sch.approx_params(size).lambda_plus)
-        queries, _ = sch.query_accounting(schedule)
+        queries = schedule.oracle_queries
         assert queries == 2 * p + 2
 
     def test_deterministic_count_n12(self):
         schedule = sch.deterministic_schedule(GraphSize(12), 2)
-        queries, walk_time = sch.query_accounting(schedule)
-        assert queries == 10
-        assert walk_time > 0
+        assert schedule.oracle_queries == 10
+        assert schedule.total_walk_time > 0
 
     def test_asymptotic_ratio_n4096(self):
         size = GraphSize(4096)
         schedule = sch.deterministic_schedule(size)
-        queries, _ = sch.query_accounting(schedule)
+        queries = schedule.oracle_queries
         ratio = queries / np.sqrt(size.N)
         assert abs(ratio - np.pi / (2 * np.sqrt(2))) / (np.pi / (2 * np.sqrt(2))) < 0.10
 
