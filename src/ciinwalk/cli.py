@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -29,7 +30,6 @@ from .cg import CGConfig, cg_evolve, cg_prediction
 from .dynamics import (
     FinishingRule,
     RunReport,
-    Schedule,
     apply_schedule,
     entangled_fidelity,
     group_probabilities,
@@ -61,6 +61,12 @@ class _Parser(argparse.ArgumentParser):
         if message:
             self._print_message(message, sys.stderr)
         raise SystemExit(CONFIG_ERROR if status == 2 else status)
+
+
+def _bare(schedule):
+    """The schedule's p iterates alone: no tuning walk, no finishing map."""
+    return dataclasses.replace(schedule, steps=schedule.iterate * schedule.p,
+                               finishing_rule=FinishingRule.NONE)
 
 
 def _resolve_size(args, default_n):
@@ -127,13 +133,13 @@ def _parse_n_list(text: str) -> list[int]:
 def _run_fig3(args) -> int:
     size = _resolve_size(args, default_n=1024)
     gamma = args.gamma if args.gamma is not None else 1.0 / size.n
+    predicted = cg_prediction(size)
     config = CGConfig(size=size, gamma=gamma, total_time=args.total_time, dt=args.dt)
     report = cg_evolve(config)
     _write_report(report, _out_path(args), args.format)
     probs = np.array([s.probabilities[0] for s in report.trajectory])
     times = np.array([s.walk_time_so_far for s in report.trajectory])
     peak_index = int(probs.argmax())
-    predicted = cg_prediction(size)
     print(
         f"fig3-cg: N={size.N} gamma={gamma:.6g} "
         f"peak={probs[peak_index]:.6f} at t={times[peak_index]:.3f} "
@@ -167,16 +173,13 @@ def _run_fig4(args) -> int:
 def _run_fig5(args) -> int:
     size = _resolve_size(args, default_n=1024)
     schedule = sch.approx_schedule(size, finishing="none")
-    iterates = schedule.p
-    bare = Schedule(schedule.steps[: 4 * iterates], FinishingRule.NONE,
-                    n=size.n, variant="approx", p=iterates)
-    report = apply_schedule(uniform_state(size), bare, size, sample_every=4,
+    report = apply_schedule(uniform_state(size), _bare(schedule), size, sample_every=4,
                             sample_basis="dual")
     _write_report(report, _out_path(args), args.format)
     # fidelity with the entangled target after the tuning walk
     state = sch.schedule_matrix(schedule.steps, size) @ uniform_state(size)
     print(
-        f"fig5-dual: N={size.N} p={iterates} "
+        f"fig5-dual: N={size.N} p={schedule.p} "
         f"entangled fidelity={entangled_fidelity(state):.6f} "
         f"queries={schedule.oracle_queries}"
     )
@@ -188,14 +191,10 @@ def _run_fig6(args) -> int:
     size = _resolve_size(args, default_n=12)
     p = args.p if args.p is not None else 2
     approx = sch.approx_schedule(size, finishing="none")
-    approx_bare = Schedule(approx.steps[: 4 * approx.p], FinishingRule.NONE,
-                           n=size.n, variant="approx", p=approx.p)
     det = sch.deterministic_schedule(size, p)
-    det_bare = Schedule(det.steps[: 8 * p], FinishingRule.NONE,
-                        n=size.n, variant="deterministic", p=p)
-    rep_a = apply_schedule(uniform_state(size), approx_bare, size, sample_every=4,
+    rep_a = apply_schedule(uniform_state(size), _bare(approx), size, sample_every=4,
                            sample_basis="dual")
-    rep_d = apply_schedule(uniform_state(size), det_bare, size, sample_every=8,
+    rep_d = apply_schedule(uniform_state(size), _bare(det), size, sample_every=8,
                            sample_basis="dual")
     _write_report(rep_a, _out_path(args, "approx"), args.format)
     _write_report(rep_d, _out_path(args, "deterministic"), args.format)
@@ -278,6 +277,8 @@ def _run_sweep_queries(args) -> int:
 
 @_experiment("verify-circuit")
 def _run_verify_circuit(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     checks = []
     ok = True

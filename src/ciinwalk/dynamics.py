@@ -38,13 +38,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .graphs import REDUCED_DIM, DualBasis, FullAdjacency, GraphSize, _check_vertex, dual_basis
+from .graphs import REDUCED_DIM, DualBasis, GraphSize, _check_vertex, dual_basis
 
 
 class StepKind(Enum):
@@ -93,6 +93,10 @@ class Schedule:
 
     Steps are chronological: steps[0] is applied first.  `n`, `variant` and
     `p` are metadata used by the text serialization and the circuit compiler.
+    A builder also records its `iterate`, the step block that `steps` begins
+    with, repeated p times; its unitary is `schedule_matrix(iterate, size)`.
+    The text form does not carry it, so a parsed schedule has an empty
+    `iterate` and still compares equal.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -100,6 +104,15 @@ class Schedule:
     n: int | None = None
     variant: str | None = None
     p: int | None = None
+    iterate: tuple[ScheduleStep, ...] = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        if self.iterate and (
+            self.p is None
+            or self.p < 1
+            or self.steps[: len(self.iterate) * self.p] != self.iterate * self.p
+        ):
+            raise ValueError(f"steps do not begin with the iterate repeated p={self.p} times")
 
     @property
     def oracle_queries(self) -> int:
@@ -174,6 +187,16 @@ def _is_reduced(state: np.ndarray) -> bool:
     return state.shape == (REDUCED_DIM,)
 
 
+def _marked_index(state: np.ndarray, marked: int) -> int:
+    """Index of the marked amplitude: 0 on a reduced state, else `marked`,
+    which must lie in [0, N) rather than wrap."""
+    if _is_reduced(state):
+        return 0
+    if not 0 <= marked < state.shape[0]:
+        raise IndexError(f"marked vertex {marked} out of range for N={state.shape[0]}")
+    return marked
+
+
 def _check_unambiguous(size: GraphSize) -> None:
     if size.n == 2:
         raise DimensionMismatchError(
@@ -207,7 +230,7 @@ def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> n
     return _walk(state, np.exp(-1j * t * dual.eigenvalues), dual.matrix)
 
 
-def walk_full(state: np.ndarray, t: float, graph: FullAdjacency | GraphSize) -> np.ndarray:
+def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     """Apply exp(-i t A_full) matrix-free through the four spectral projectors.
 
     The eigenspaces of the CIIN adjacency are: the all-ones vector (n), the
@@ -216,7 +239,6 @@ def walk_full(state: np.ndarray, t: float, graph: FullAdjacency | GraphSize) -> 
     state into symmetric/antisymmetric halves and their means applies all
     four projectors in O(N), writing both halves into one new array.
     """
-    size = graph.size if isinstance(graph, FullAdjacency) else graph
     n = size.n
     state = np.asarray(state, dtype=complex)
     if state.shape != (size.N,):
@@ -249,10 +271,7 @@ def oracle_phase(state: np.ndarray, theta: float, marked: int = 0) -> np.ndarray
     """
     state = np.asarray(state, dtype=complex)
     out = state.copy()
-    index = 0 if _is_reduced(state) else marked
-    if not 0 <= index < state.shape[0]:
-        raise IndexError(f"marked vertex {marked} out of range for N={state.shape[0]}")
-    out[index] *= np.exp(-1j * theta)
+    out[_marked_index(state, marked)] *= np.exp(-1j * theta)
     return out
 
 
@@ -276,8 +295,7 @@ def marked_state(size: GraphSize, reduced: bool = True, marked: int = 0) -> np.n
 def success_probability(state: np.ndarray, marked: int = 0) -> float:
     """Probability of measuring the marked vertex."""
     state = np.asarray(state)
-    index = 0 if _is_reduced(state) else marked
-    return float(abs(state[index]) ** 2)
+    return float(abs(state[_marked_index(state, marked)]) ** 2)
 
 
 def entangled_fidelity(state: np.ndarray, marked: int = 0) -> float:
@@ -286,6 +304,7 @@ def entangled_fidelity(state: np.ndarray, marked: int = 0) -> float:
     if _is_reduced(state):
         a, b = state[0], state[1]
     else:
+        marked = _marked_index(state, marked)
         n = state.shape[0] // 2
         a, b = state[marked], state[(marked + n) % state.shape[0]]
     return float(abs((a + b) / np.sqrt(2.0)) ** 2)

@@ -15,7 +15,6 @@ admissible, so orthonormality and eigen-relations hold to ~1e-12.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,18 +49,6 @@ class GraphSize:
     def N(self) -> int:
         return 2 * self.n
 
-    @property
-    def is_mult4(self) -> bool:
-        return self.n % 4 == 0
-
-    @property
-    def is_odd(self) -> bool:
-        return self.n % 2 == 1
-
-    @property
-    def is_pow2(self) -> bool:
-        return self.n & (self.n - 1) == 0
-
     def opposite(self, vertex: int) -> int:
         """Index of the vertex joined to `vertex` by an interconnect edge."""
         return (vertex + self.n) % self.N
@@ -75,12 +62,10 @@ def _check_vertex(size: GraphSize, vertex: int) -> int:
 
 @dataclass(frozen=True)
 class FullAdjacency:
-    """Adjacency of a CIIN, available dense or as a matrix-free apply.
+    """Adjacency of a CIIN as a dense N x N matrix.
 
-    The dense form is built lazily and is meant for small graphs (exact
-    tests); `apply` exploits the row structure (all-ones block minus the
-    diagonal, plus the matching) and costs O(N), so full-space checks scale
-    to large N without O(N^2) storage.
+    The dense form is built lazily and is meant for small graphs: it is the
+    reference that exact tests compare the closed-form propagators against.
     """
 
     size: GraphSize
@@ -91,24 +76,6 @@ class FullAdjacency:
         block = np.ones((n, n)) - np.eye(n)
         eye = np.eye(n)
         return np.block([[block, eye], [eye, block]])
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A @ vec without materializing A."""
-        n = self.size.n
-        if vec.shape != (self.size.N,):
-            raise DimensionMismatchError(
-                f"expected state of length {self.size.N}, got shape {vec.shape}"
-            )
-        lo, hi = vec[:n], vec[n:]
-        out = np.empty_like(vec, dtype=np.result_type(vec.dtype, float))
-        out[:n] = lo.sum() - lo + hi
-        out[n:] = hi.sum() - hi + lo
-        return out
-
-    def eigenvalues(self) -> np.ndarray:
-        """The four distinct eigenvalues with multiplicities, as a sorted array."""
-        n = self.size.n
-        return np.sort(np.concatenate([[n, n - 2], [-2.0] * (n - 1), [0.0] * (n - 1)]))
 
 
 @dataclass(frozen=True)
@@ -235,16 +202,3 @@ class DualBasis:
 
 def dual_basis(size: GraphSize) -> DualBasis:
     return DualBasis(size)
-
-
-def matrix_to_json(matrix: np.ndarray) -> str:
-    """Serialize a real matrix as row-major doubles (test-fixture format)."""
-    m = np.asarray(matrix, dtype=float)
-    payload = {"rows": m.shape[0], "cols": m.shape[1], "entries": m.ravel().tolist()}
-    return json.dumps(payload, sort_keys=True)
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    payload = json.loads(text)
-    entries = np.array(payload["entries"], dtype=float)
-    return entries.reshape(payload["rows"], payload["cols"])

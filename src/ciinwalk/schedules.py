@@ -255,7 +255,8 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     fidelity is not monotonic in n: the rounding residual oscillates.
     """
     params = approx_params(size)
-    steps = _approx_steps(params) * params.p + (walk_step(params.t3),)
+    iterate = _approx_steps(params)
+    steps = iterate * params.p + (walk_step(params.t3),)
     if finishing == "coherent":
         k8 = nint(size.n / 8)
         steps += (oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n))
@@ -266,7 +267,7 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
         rule = FinishingRule.NONE
     else:
         raise ValueError(f"unknown finishing mode {finishing!r}")
-    return Schedule(steps, rule, n=size.n, variant="approx", p=params.p)
+    return Schedule(steps, rule, n=size.n, variant="approx", p=params.p, iterate=iterate)
 
 
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -312,6 +313,7 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
         n=n,
         variant="deterministic",
         p=params.p,
+        iterate=iterate,
     )
 
 
@@ -346,22 +348,25 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
             n=n,
             variant="odd-deterministic",
             p=p,
+            iterate=iterate,
         )
     if p is None:
         p = max(1, round(PI / (4.0 * math.asin(1.0 / math.sqrt(n)))))
     elif p < 1:
         raise ValueError(f"p={p}: the approximate odd-n route needs p >= 1")
+    iterate = _half_turn_steps(PI) * 2
     return Schedule(
-        _half_turn_steps(PI) * 2 * p + (walk_step(-PI * n / 4.0),),
+        iterate * p + (walk_step(-PI * n / 4.0),),
         FinishingRule.MEASURE_AND_CHECK,
         n=n,
         variant="odd-approx",
         p=p,
+        iterate=iterate,
     )
 
 
 # ---------------------------------------------------------------------------
-# iterate matrices and spectra
+# schedule matrices and iterate spectra
 # ---------------------------------------------------------------------------
 
 
@@ -380,31 +385,6 @@ def schedule_matrix(steps, size: GraphSize) -> np.ndarray:
         else:
             m[0] *= np.exp(-1j * step.parameter)
     return m
-
-
-def approx_iterate(size: GraphSize) -> np.ndarray:
-    return schedule_matrix(_approx_steps(approx_params(size)), size)
-
-
-def deterministic_half_iterate(size: GraphSize, theta: float) -> np.ndarray:
-    """One slowed iterate U(theta); at theta = pi it equals the approximate
-    iterate exactly (n divisible by 4)."""
-    return schedule_matrix(_slowed_steps(size.n, theta), size)
-
-
-def deterministic_iterate(size: GraphSize, theta: float) -> np.ndarray:
-    """The double iterate U(-theta) U(theta)."""
-    return schedule_matrix(_slowed_steps(size.n, theta) + _slowed_steps(size.n, -theta), size)
-
-
-def odd_base_iterate(size: GraphSize) -> np.ndarray:
-    """The simple odd-n iterate: half-turn walk after an oracle flip."""
-    return schedule_matrix(_half_turn_steps(PI), size)
-
-
-def odd_iterate(size: GraphSize, theta: float) -> np.ndarray:
-    """Derandomized odd-n iterate (two theta steps, then two -theta steps)."""
-    return schedule_matrix(_half_turn_steps(theta) * 2 + _half_turn_steps(-theta) * 2, size)
 
 
 def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:
@@ -507,7 +487,10 @@ def parse_schedule(text: str) -> Schedule:
         parts = line.split()
         if len(parts) != 2 or parts[0] not in (StepKind.WALK.value, StepKind.ORACLE.value):
             raise ValueError(f"malformed schedule line: {line!r}")
-        steps.append(ScheduleStep(StepKind(parts[0]), float(parts[1])))
+        parameter = float(parts[1])
+        if not math.isfinite(parameter):
+            raise ValueError(f"non-finite parameter in schedule line: {line!r}")
+        steps.append(ScheduleStep(StepKind(parts[0]), parameter))
     return Schedule(
         tuple(steps),
         FinishingRule(fields.get("finishing", "none")),

@@ -173,8 +173,7 @@ def test_criterion_5_approximate_fidelity():
 
 def test_criterion_6_exact_iteration_count_n12():
     size = GraphSize(12)
-    params = sch.deterministic_params(size, 2)
-    iterate = sch.deterministic_iterate(size, params.theta)
+    iterate = sch.schedule_matrix(sch.deterministic_schedule(size, 2).iterate, size)
     dual = dual_basis(size)
     state = uniform_state(size)
     populations = []

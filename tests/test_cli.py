@@ -45,6 +45,19 @@ class TestConfigHandling:
         assert "--variant" in err and "'approx'" in err
         assert not (tmp_path / "sweep-determinism.csv").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_verify_circuit_needs_a_trial(self, tmp_path, monkeypatch, capsys, trials):
+        code = run_in(tmp_path, monkeypatch, ["verify-circuit", "--trials", trials])
+        assert code == 1
+        assert "--trials" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig3_refuses_small_n_before_writing(self, tmp_path, monkeypatch, capsys):
+        code = run_in(tmp_path, monkeypatch, ["fig3-cg", "--n", "3"])
+        assert code == 1
+        assert "n >= 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["fig5-dual", "--p", "3"],
         ["fig5-dual", "--variant", "odd"],

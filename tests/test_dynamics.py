@@ -118,12 +118,6 @@ class TestWalkFull:
         state = random_state(rng, 18)
         assert np.abs(walk_full(state, 1.3, size) - exact @ state).max() < 1e-10
 
-    def test_accepts_adjacency_object(self, rng):
-        size = GraphSize(4)
-        graph = FullAdjacency(size)
-        state = random_state(rng, 8)
-        assert np.allclose(walk_full(state, 0.4, graph), walk_full(state, 0.4, size))
-
     def test_norm_preserved(self, rng):
         size = GraphSize(50)
         state = random_state(rng, 100)
@@ -233,6 +227,14 @@ class TestObservables:
         for marked in (-1, size.N):
             with pytest.raises(IndexError):
                 group_probabilities(state, size, marked=marked)
+
+    @pytest.mark.parametrize("observable", [success_probability, entangled_fidelity])
+    def test_out_of_range_marked_does_not_wrap(self, observable):
+        # marked = -1 would wrap onto vertex 15, which holds all the weight
+        state = marked_state(GraphSize(8), reduced=False, marked=15)
+        for marked in (-1, -16, 16):
+            with pytest.raises(IndexError):
+                observable(state, marked=marked)
 
 
 class TestApplySchedule:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from ciinwalk.dynamics import (
     FinishingRule,
+    Schedule,
     StepKind,
     apply_schedule,
     entangled_fidelity,
@@ -99,16 +101,15 @@ class TestIterateStructure:
     def test_approx_subspace_closure(self, n):
         size = GraphSize(n)
         dual = dual_basis(size).matrix
-        block = dual.T @ sch.approx_iterate(size) @ dual
+        block = dual.T @ sch.schedule_matrix(sch.approx_schedule(size).iterate, size) @ dual
         for row, col in ((1, 0), (2, 0), (1, 3), (2, 3)):
             assert abs(block[row, col]) < 1e-12
 
     @pytest.mark.parametrize("n", [8, 12, 20, 64])
     def test_deterministic_subspace_closure(self, n):
         size = GraphSize(n)
-        theta = sch.deterministic_params(size, sch.deterministic_p_min(size)).theta
         dual = dual_basis(size).matrix
-        block = dual.T @ sch.deterministic_iterate(size, theta) @ dual
+        block = dual.T @ sch.schedule_matrix(sch.deterministic_schedule(size).iterate, size) @ dual
         for row, col in ((1, 0), (2, 0), (1, 3), (2, 3)):
             assert abs(block[row, col]) < 1e-12
 
@@ -120,7 +121,7 @@ class TestIterateStructure:
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
         plane = np.stack([e1, xi], axis=1)
-        squared = sch.odd_base_iterate(size) @ sch.odd_base_iterate(size)
+        squared = sch.schedule_matrix(sch.odd_schedule(size, deterministic=False).iterate, size)
         block_full = dual.T @ squared @ dual
         block = plane.conj().T @ block_full @ plane
         residual = np.linalg.norm(block_full @ plane - plane @ block)
@@ -132,7 +133,8 @@ class TestIterateStructure:
             size = GraphSize(n)
             params = sch.approx_params(size)
             dual = dual_basis(size).matrix
-            block = (dual.T @ sch.approx_iterate(size) @ dual)[np.ix_([0, 3], [0, 3])]
+            iterate = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
+            block = (dual.T @ iterate @ dual)[np.ix_([0, 3], [0, 3])]
             e = np.exp(2j * params.t1)
             root = np.sqrt(n - 1.0)
             closed = np.array(
@@ -157,7 +159,8 @@ class TestIterateStructure:
             size,
             (oracle_step(np.pi), walk_step(params.t1), oracle_step(np.pi), walk_step(params.t2)),
         )
-        assert np.abs(sch.approx_iterate(size) - hand).max() < 1e-12
+        folded = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
+        assert np.abs(folded - hand).max() < 1e-12
         theta = 1.1
         hand = dense_schedule_matrix(
             size,
@@ -168,10 +171,12 @@ class TestIterateStructure:
                 oracle_step(-theta), walk_step(np.pi / 8),
             ),
         )
-        assert np.abs(sch.deterministic_iterate(size, theta) - hand).max() < 1e-12
+        steps = sch._slowed_steps(8, theta) + sch._slowed_steps(8, -theta)
+        folded = sch.schedule_matrix(steps, size)
+        assert np.abs(folded - hand).max() < 1e-12
         size = GraphSize(9)
         hand = dense_schedule_matrix(size, (oracle_step(np.pi), walk_step(np.pi / 2)))
-        assert np.abs(sch.odd_base_iterate(size) - hand).max() < 1e-12
+        assert np.abs(sch.schedule_matrix(sch._half_turn_steps(np.pi), size) - hand).max() < 1e-12
 
     def test_odd_block_is_grover_rotation(self):
         # two applications of the base iterate form the textbook rotation
@@ -183,7 +188,7 @@ class TestIterateStructure:
             e1 = np.zeros(4, dtype=complex)
             e1[0] = 1.0
             plane = np.stack([e1, xi], axis=1)
-            squared = sch.odd_base_iterate(size) @ sch.odd_base_iterate(size)
+            squared = sch.schedule_matrix(sch.odd_schedule(size, deterministic=False).iterate, size)
             block = plane.conj().T @ dual.T @ squared @ dual @ plane
             cos = (n - 2.0) / n
             sin = 2.0 * np.sqrt(n - 1.0) / n
@@ -197,8 +202,9 @@ class TestIterateStructure:
 def every_builder(n):
     """Every schedule the builders make at side size n."""
     size = GraphSize(n)
-    schedules = [sch.approx_schedule(size, finishing) for finishing in ("coherent", "none")]
-    if n % 4 == 0:
+    schedules = [sch.approx_schedule(size, finishing)
+                 for finishing in ("coherent", "measure", "none")]
+    if n % 4 == 0 and n >= 8:
         schedules.append(sch.deterministic_schedule(size))
     if n % 2 == 1:
         schedules += [sch.odd_schedule(size), sch.odd_schedule(size, deterministic=False)]
@@ -208,24 +214,11 @@ def every_builder(n):
 class TestScheduleMatrix:
     @pytest.mark.parametrize("n", [5, 8, 9, 12, 64, 101, 1024, 1025])
     def test_iterates_fold_their_builders_leading_steps(self, n):
-        # each iterate matrix is the fold of the steps its builder repeats,
-        # bit for bit
-        size = GraphSize(n)
-
-        def fold(steps):
-            return sch.schedule_matrix(steps, size).tobytes()
-
-        assert sch.approx_iterate(size).tobytes() == fold(sch.approx_schedule(size).steps[:4])
-        if n % 4 == 0:
-            theta = sch.deterministic_params(size, sch.deterministic_p_min(size)).theta
-            steps = sch.deterministic_schedule(size).steps
-            assert sch.deterministic_half_iterate(size, theta).tobytes() == fold(steps[:4])
-            assert sch.deterministic_iterate(size, theta).tobytes() == fold(steps[:8])
-        if n % 2 == 1:
-            theta = sch.odd_params(size, sch.odd_p_min(size)).theta
-            assert sch.odd_iterate(size, theta).tobytes() == fold(sch.odd_schedule(size).steps[:8])
-            bare = sch.odd_schedule(size, deterministic=False).steps
-            assert sch.odd_base_iterate(size).tobytes() == fold(bare[:2])
+        # each builder's steps begin with its recorded iterate, p times
+        for schedule in every_builder(n):
+            iterate, p = schedule.iterate, schedule.p
+            assert iterate and p >= 1
+            assert schedule.steps[: len(iterate) * p] == iterate * p
 
     @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 257])
     def test_every_builder_matches_dense_fold_and_executor(self, n):
@@ -264,7 +257,8 @@ class TestIterateSpectrum:
         size = GraphSize(n)
         spectrum = sch.iterate_spectrum("approx", size)
         dual = dual_basis(size).matrix
-        block = (dual.T @ sch.approx_iterate(size) @ dual)[np.ix_([0, 3], [0, 3])]
+        iterate = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
+        block = (dual.T @ iterate @ dual)[np.ix_([0, 3], [0, 3])]
         self.check_block_spectrum(
             block, spectrum.lambda_plus,
             spectrum.eigenstates[[0, 3], 0], spectrum.eigenstates[[0, 3], 1],
@@ -276,9 +270,8 @@ class TestIterateSpectrum:
         dual = dual_basis(size).matrix
         for theta in rng.uniform(0.05, np.pi, size=20):
             spectrum = sch.iterate_spectrum("deterministic", size, float(theta))
-            block = (dual.T @ sch.deterministic_iterate(size, float(theta)) @ dual)[
-                np.ix_([0, 3], [0, 3])
-            ]
+            steps = sch._slowed_steps(n, float(theta)) + sch._slowed_steps(n, -float(theta))
+            block = (dual.T @ sch.schedule_matrix(steps, size) @ dual)[np.ix_([0, 3], [0, 3])]
             self.check_block_spectrum(
                 block, spectrum.lambda_plus,
                 spectrum.eigenstates[[0, 3], 0], spectrum.eigenstates[[0, 3], 1],
@@ -293,8 +286,10 @@ class TestIterateSpectrum:
         e1[0] = 1.0
         plane = np.stack([e1, xi], axis=1)
         for theta in rng.uniform(0.05, np.pi, size=20):
-            spectrum = sch.iterate_spectrum("odd", size, float(theta))
-            full = dual.T @ sch.odd_iterate(size, float(theta)) @ dual
+            theta = float(theta)
+            spectrum = sch.iterate_spectrum("odd", size, theta)
+            steps = sch._half_turn_steps(theta) * 2 + sch._half_turn_steps(-theta) * 2
+            full = dual.T @ sch.schedule_matrix(steps, size) @ dual
             block = plane.conj().T @ full @ plane
             self.check_block_spectrum(
                 block, spectrum.lambda_plus,
@@ -405,7 +400,7 @@ class TestDeterministicSchedule:
     def test_entangled_target_exact_after_two_iterations_n12(self):
         size = GraphSize(12)
         params = sch.deterministic_params(size, 2)
-        iterate = sch.deterministic_iterate(size, params.theta)
+        iterate = sch.schedule_matrix(sch.deterministic_schedule(size, 2).iterate, size)
         state = uniform_state(size)
         dual = dual_basis(size)
         populations = [abs(dual.to_dual(state)[0]) ** 2]
@@ -421,14 +416,14 @@ class TestDeterministicSchedule:
     def test_theta_pi_reduces_to_approx_iterate(self):
         for n in (8, 12, 32, 64):
             size = GraphSize(n)
-            half = sch.deterministic_half_iterate(size, np.pi)
-            assert np.abs(half - sch.approx_iterate(size)).max() < 1e-12
+            half = sch.schedule_matrix(sch._slowed_steps(n, np.pi), size)
+            approx = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
+            assert np.abs(half - approx).max() < 1e-12
 
     def test_monotone_amplification_staircase(self):
         size = GraphSize(32)
         p = sch.deterministic_p_min(size) + 2
-        params = sch.deterministic_params(size, p)
-        iterate = sch.deterministic_iterate(size, params.theta)
+        iterate = sch.schedule_matrix(sch.deterministic_schedule(size, p).iterate, size)
         dual = dual_basis(size)
         state = uniform_state(size)
         previous = abs(dual.to_dual(state)[3]) ** 2
@@ -530,7 +525,7 @@ class TestOddSchedule:
         # phase-free closed form
         size = GraphSize(5)
         dual = dual_basis(size).matrix
-        squared = sch.odd_base_iterate(size) @ sch.odd_base_iterate(size)
+        squared = sch.schedule_matrix(sch.odd_schedule(size, deterministic=False).iterate, size)
         entry = (dual.T @ squared @ dual)[0, 0]
         assert abs(abs(entry) - 0.6) < 1e-12
         assert abs(entry + 0.6) < 1e-12
@@ -539,9 +534,8 @@ class TestOddSchedule:
         for n in (5, 9, 21):
             size = GraphSize(n)
             p = sch.odd_p_min(size) + 1
-            params = sch.odd_params(size, p)
             state = uniform_state(size)
-            iterate = sch.odd_iterate(size, params.theta)
+            iterate = sch.schedule_matrix(sch.odd_schedule(size, p=p).iterate, size)
             for _ in range(p):
                 state = iterate @ state
             assert fidelity(state, sch.xi_state(size)) > 1.0 - 1e-12
@@ -679,11 +673,30 @@ class TestBuilderSteps:
                 assert schedule.steps == tuple(steps) and schedule.p == count
 
 
+# SHA-256 of render_schedule over every_builder(n), n = 3..299, in order
+# (1,262 schedules); it pins the schedule text byte for byte.
+SCHEDULE_TEXT_DIGEST = "2030f9921fa950ca10b896ec9e569f1476ca03addc19e30122c4556583946ed0"
+
+
 class TestScheduleText:
     def test_round_trip(self):
+        for n in (3, 8, 9, 12, 33, 64, 101, 1024, 1025):
+            for schedule in every_builder(n):
+                parsed = sch.parse_schedule(sch.render_schedule(schedule))
+                assert parsed == schedule
+                assert parsed.iterate == ()
         schedule = sch.deterministic_schedule(GraphSize(12), 2)
-        parsed = sch.parse_schedule(sch.render_schedule(schedule))
-        assert parsed == schedule
+        assert sch.parse_schedule(sch.render_schedule(schedule)) == schedule
+
+    def test_every_builder_renders_the_pinned_text(self):
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(3, 300):
+            for schedule in every_builder(n):
+                digest.update(sch.render_schedule(schedule).encode())
+                count += 1
+        assert count == 1262
+        assert digest.hexdigest() == SCHEDULE_TEXT_DIGEST
 
     def test_header_carries_metadata(self):
         text = sch.render_schedule(sch.odd_schedule(GraphSize(9)))
@@ -696,6 +709,22 @@ class TestScheduleText:
             sch.parse_schedule("WALK 1.0\n")
         with pytest.raises(ValueError):
             sch.parse_schedule("SCHEDULE n=4 p=1 variant=x finishing=none\nSPIN 0.3\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite_parameters(self, value):
+        text = f"SCHEDULE n=8 p=1 variant=x finishing=none\nWALK {value}\n"
+        with pytest.raises(ValueError, match=f"WALK {value}"):
+            sch.parse_schedule(text)
+
+    def test_iterate_must_lead_the_steps(self):
+        iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
+        steps = iterate * 2 + (walk_step(1.0),)
+        assert Schedule(steps, p=2, iterate=iterate).iterate == iterate
+        for p in (3, 0, None):
+            with pytest.raises(ValueError):
+                Schedule(steps, p=p, iterate=iterate)
+        with pytest.raises(ValueError):
+            Schedule(steps[1:], p=1, iterate=iterate)
 
     def test_seventeen_digit_round_trip_of_parameters(self):
         schedule = sch.approx_schedule(GraphSize(13), finishing="none")
