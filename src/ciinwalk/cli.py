@@ -140,9 +140,14 @@ def _run_fig3(args) -> int:
     probs = np.array([s.probabilities[0] for s in report.trajectory])
     times = np.array([s.walk_time_so_far for s in report.trajectory])
     peak_index = int(probs.argmax())
+    if args.total_time < predicted.peak_time:
+        # the largest value so far is no peak: the run stopped on its way up
+        found = (f"run ended at t={times[-1]:.3f} before the predicted peak, "
+                 f"largest p={probs[peak_index]:.6f}")
+    else:
+        found = f"peak={probs[peak_index]:.6f} at t={times[peak_index]:.3f}"
     print(
-        f"fig3-cg: N={size.N} gamma={gamma:.6g} "
-        f"peak={probs[peak_index]:.6f} at t={times[peak_index]:.3f} "
+        f"fig3-cg: N={size.N} gamma={gamma:.6g} {found} "
         f"(predicted ~0.5 at t={predicted.peak_time:.3f})"
     )
     return 0
@@ -151,6 +156,8 @@ def _run_fig3(args) -> int:
 @_experiment("fig4-walk")
 def _run_fig4(args) -> int:
     size = _resolve_size(args, default_n=9)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     times = np.linspace(0.0, args.t_max, args.samples)
     start = marked_state(size, reduced=False)
     rows = []

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# schedule_matrix lives beside the walk it folds, and stays public here
 from .dynamics import (
     FinishingRule,
     Schedule,
     ScheduleStep,
     StepKind,
-    _walk,
     oracle_step,
+    schedule_matrix,
     walk_step,
 )
 from .errors import (
@@ -366,25 +367,8 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# schedule matrices and iterate spectra
+# iterate spectra
 # ---------------------------------------------------------------------------
-
-
-def schedule_matrix(steps, size: GraphSize) -> np.ndarray:
-    """Fold chronological steps into a single 4x4 unitary (reduced space).
-
-    Walks act on all four columns at once through the dual-basis formula
-    of `apply_schedule`; an oracle scales the marked row.
-    """
-    dual = dual_basis(size)
-    m = np.eye(4, dtype=complex)
-    for step in steps:
-        if step.kind is StepKind.WALK:
-            phases = np.exp(-1j * step.parameter * dual.eigenvalues)
-            m = _walk(m, phases[:, np.newaxis], dual.matrix)
-        else:
-            m[0] *= np.exp(-1j * step.parameter)
-    return m
 
 
 def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ciinwalk import dynamics
+from ciinwalk import schedules as sch
 from ciinwalk.dynamics import (
     FinishingRule,
     RunReport,
@@ -13,7 +14,7 @@ from ciinwalk.dynamics import (
     walk_full,
     walk_reduced,
 )
-from ciinwalk.graphs import dual_basis
+from ciinwalk.graphs import GraphSize, dual_basis
 
 
 @pytest.fixture
@@ -28,6 +29,18 @@ def random_state(rng, dim):
 
 def fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+def every_builder(n):
+    """Every schedule the builders make at side size n."""
+    size = GraphSize(n)
+    schedules = [sch.approx_schedule(size, finishing)
+                 for finishing in ("coherent", "measure", "none")]
+    if n % 4 == 0 and n >= 8:
+        schedules.append(sch.deterministic_schedule(size))
+    if n % 2 == 1:
+        schedules += [sch.odd_schedule(size), sch.odd_schedule(size, deterministic=False)]
+    return schedules
 
 
 def run_stepwise(state, schedule, size, marked=0, sample_every=1):

@@ -10,6 +10,7 @@ above 1 - 1/n (and above 0.99) at n = 64, 256, 1024.
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from ciinwalk.cg import CGConfig, cg_evolve, rotation_pair_gap
@@ -23,6 +24,7 @@ from ciinwalk.dynamics import (
     walk_full,
     walk_reduced,
 )
+from ciinwalk.errors import MappingUnavailableError
 from ciinwalk.graphs import (
     FullAdjacency,
     GraphSize,
@@ -110,6 +112,25 @@ def test_criterion_3_odd_path_exactness():
     assert worst_reduced >= 1 - 1e-9
     assert worst_full >= 1 - 1e-8
     assert elapsed < 10.0
+
+
+def test_exact_routes_over_the_whole_domain():
+    # every size the exact routes accept up to 4096, at endpoint sampling
+    start = time.perf_counter()
+    worst, worst_at = -1.0, None
+    for route, sizes, build in (("deterministic", range(8, 4097, 4), sch.deterministic_schedule),
+                                ("odd", range(3, 4096, 2), sch.odd_schedule)):
+        for n in sizes:
+            size = GraphSize(n)
+            miss = 1.0 - run_schedule_reduced(size, build(size)).final_success_probability
+            if miss > worst:
+                worst, worst_at = miss, f"{route} n={n}"
+    elapsed = time.perf_counter() - start
+    report("2+3", worst <= 1e-12, f"3070 sizes, worst 1 - P = {worst:.2e} at {worst_at}, "
+                                  f"runtime={elapsed:.2f}s")
+    assert worst <= 1e-12
+    with pytest.raises(MappingUnavailableError):
+        sch.deterministic_schedule(GraphSize(4))
 
 
 def test_criterion_4_query_count_asymptotics():

@@ -52,6 +52,13 @@ class TestConfigHandling:
         assert "--trials" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_fig4_needs_a_sample(self, tmp_path, monkeypatch, capsys, samples):
+        code = run_in(tmp_path, monkeypatch, ["fig4-walk", "--samples", samples])
+        assert code == 1
+        assert "--samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig3_refuses_small_n_before_writing(self, tmp_path, monkeypatch, capsys):
         code = run_in(tmp_path, monkeypatch, ["fig3-cg", "--n", "3"])
         assert code == 1
@@ -96,6 +103,19 @@ class TestExperiments:
         lines = (tmp_path / "fig3-cg.csv").read_text().splitlines()
         assert lines[0] == "step,p1,p2,p3,p4,queries_so_far,walk_time_so_far"
         assert len(lines) == 202
+
+    @pytest.mark.parametrize("total_time", ["0", "5"])
+    def test_fig3_short_run_ends_before_the_peak(self, tmp_path, monkeypatch, capsys,
+                                                 total_time):
+        # the predicted peak at n = 64 is at t = 12.566
+        argv = ["fig3-cg", "--n", "64", "--total-time", total_time]
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        out = capsys.readouterr().out
+        assert "before the predicted peak" in out and "peak=" not in out
+        assert (tmp_path / "fig3-cg.csv").exists()
+        assert run_in(tmp_path, monkeypatch, ["fig3-cg", "--n", "64", "--total-time", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "peak=" in out and "before the predicted peak" not in out
 
     def test_fig4_periodicity_summary(self, tmp_path, monkeypatch, capsys):
         code = run_in(tmp_path, monkeypatch, ["fig4-walk", "--samples", "64"])

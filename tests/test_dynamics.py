@@ -1,3 +1,6 @@
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +29,7 @@ from ciinwalk.dynamics import (
 from ciinwalk.errors import DimensionMismatchError
 from ciinwalk.graphs import FullAdjacency, GraphSize, WalkBasis, dual_basis, reduced_adjacency
 
-from conftest import apply_stepwise, fidelity, random_state, run_stepwise
+from conftest import apply_stepwise, every_builder, fidelity, random_state, run_stepwise
 
 
 def dense_walk_reduced(size, t):
@@ -459,12 +462,14 @@ class TestStepLoopBitwise:
         for k in range(4):
             size = sized(k)
             schedule = build(size)
-            for every in (1, 3, len(schedule.steps)):
-                assert_bitwise_stepwise(uniform_state(size), schedule, size, sample_every=every)
-                assert_bitwise_stepwise(random_state(rng, 4), schedule, size,
+            # endpoint sampling folds a recorded iterate; without one it steps
+            looped = dataclasses.replace(schedule, iterate=())
+            for every, run in ((1, schedule), (3, schedule), (len(schedule.steps), looped)):
+                assert_bitwise_stepwise(uniform_state(size), run, size, sample_every=every)
+                assert_bitwise_stepwise(random_state(rng, 4), run, size,
                                         sample_every=every, sample_basis="dual")
                 marked = int(rng.integers(0, size.N))
-                assert_bitwise_stepwise(random_state(rng, size.N), schedule, size,
+                assert_bitwise_stepwise(random_state(rng, size.N), run, size,
                                         sample_every=every, marked=marked)
 
     def test_large_sizes_reduced(self):
@@ -473,8 +478,8 @@ class TestStepLoopBitwise:
             (GraphSize(2 ** 20 + 1), sch.odd_schedule(GraphSize(2 ** 20 + 1))),
             (GraphSize(2 ** 18 - 3), sch.approx_schedule(GraphSize(2 ** 18 - 3))),
         ):
-            assert_bitwise_stepwise(uniform_state(size), schedule, size,
-                                    sample_every=len(schedule.steps))
+            assert_bitwise_stepwise(uniform_state(size), dataclasses.replace(schedule, iterate=()),
+                                    size, sample_every=len(schedule.steps))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -528,6 +533,125 @@ class TestStepLoopBitwise:
         before = state.copy()
         apply_schedule(state, sch.deterministic_schedule(size), size)
         assert state.tobytes() == before.tobytes()
+
+
+def mp_final_probability(schedule, size, digits=40):
+    """Reference for endpoint runs: the schedule's float steps folded in
+    `digits`-digit arithmetic, the iterate raised to p by squaring."""
+    with mpmath.workdps(digits):
+        n = size.n
+        s = mpmath.sqrt(n - 1)
+        dual = mpmath.matrix([[1, -1, s, -s], [1, 1, -s, -s], [s, -s, -1, 1],
+                              [s, s, 1, 1]]) / mpmath.sqrt(2 * n)
+
+        def fold(steps):
+            matrix = mpmath.eye(4)
+            for step in steps:
+                t = mpmath.mpf(step.parameter)
+                if step.kind is StepKind.WALK:
+                    phases = [mpmath.expj(-t * lam) for lam in (n, n - 2, -2, 0)]
+                    matrix = dual * mpmath.diag(phases) * dual.T * matrix
+                else:
+                    matrix[0, :] *= mpmath.expj(-t)
+            return matrix
+
+        power, base, p = mpmath.eye(4), fold(schedule.iterate), schedule.p
+        while p:
+            if p & 1:
+                power = base * power
+            base, p = base * base, p >> 1
+        block = len(schedule.iterate) * schedule.p
+        state = fold(schedule.steps[block:]) * power * dual.column(0)
+        final = abs(state[0]) ** 2
+        if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+            final += abs(state[1]) ** 2
+        return float(final)
+
+
+class TestEndpointFold:
+    """Endpoint-only runs fold the recorded iterate and raise it to p; the
+    step loop and a high-precision fold of the same steps are references."""
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 101, 1024, 1025, 4096, 4097])
+    def test_matches_high_precision_fold(self, n):
+        # each builder with its defaults; both paths stay within 6e-14 here
+        size = GraphSize(n)
+        schedules = [sch.approx_schedule(size)]
+        schedules.append(sch.odd_schedule(size) if n % 2 else sch.deterministic_schedule(size))
+        for schedule in schedules:
+            report = apply_schedule(uniform_state(size), schedule, size,
+                                    sample_every=len(schedule.steps))
+            reference = mp_final_probability(schedule, size)
+            assert abs(report.final_success_probability - reference) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2 ** 20, 2 ** 20 + 1])
+    def test_matches_the_loop_and_the_accounting(self, n):
+        size = GraphSize(n)
+        for schedule in every_builder(n):
+            every = len(schedule.steps)
+            folded = apply_schedule(uniform_state(size), schedule, size, sample_every=every)
+            looped = apply_schedule(uniform_state(size), dataclasses.replace(schedule, iterate=()),
+                                    size, sample_every=every)
+            assert abs(folded.final_success_probability
+                       - looped.final_success_probability) <= 1e-12
+            assert folded.oracle_queries == looped.oracle_queries == schedule.oracle_queries
+            assert folded.total_walk_time == pytest.approx(schedule.total_walk_time, rel=1e-12)
+            assert [s.step for s in folded.trajectory] == [0, every]
+
+    def test_fold_is_taken_only_for_endpoint_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "schedule_matrix",
+                            lambda *args: calls.append(args) or sch.schedule_matrix(*args))
+        size = GraphSize(64)
+        schedule = sch.deterministic_schedule(size)
+        block = len(schedule.iterate) * schedule.p
+        for every in (block - 1, block, len(schedule.steps)):
+            apply_schedule(uniform_state(size), schedule, size, sample_every=every)
+        apply_schedule(uniform_state(size), dataclasses.replace(schedule, iterate=()), size,
+                       sample_every=block)
+        assert [args[0] for args in calls] == [schedule.iterate, schedule.iterate]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        block=st.lists(
+            st.tuples(st.booleans(), st.one_of(st.sampled_from(PARAMETER_POOL),
+                                               st.floats(-2 * np.pi, 2 * np.pi))),
+            min_size=1, max_size=8,
+        ),
+        tail=st.lists(st.tuples(st.booleans(), st.floats(-2 * np.pi, 2 * np.pi)), max_size=5),
+        p=st.integers(1, 20),
+        full=st.booleans(),
+        offset=st.integers(-3, 3),
+        finishing=st.sampled_from(list(FinishingRule)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_random_blocks_agree_with_the_loop(self, n, block, tail, p, full, offset,
+                                               finishing, seed):
+        size = GraphSize(n)
+        rng = np.random.default_rng(seed)
+        iterate, rest = (tuple(walk_step(x) if is_walk else oracle_step(x) for is_walk, x in part)
+                         for part in (block, tail))
+        schedule = Schedule(iterate * p + rest, finishing, p=p, iterate=iterate)
+        looped = dataclasses.replace(schedule, iterate=())
+        state = random_state(rng, size.N if full else 4)
+        marked = int(rng.integers(0, size.N)) if full else 0
+        every = max(1, len(iterate) * p + offset)
+        kwargs = dict(sample_every=every, marked=marked)
+        folded = apply_schedule(state, schedule, size, **kwargs)
+        if every < len(iterate) * p:  # a sample inside the block: the loop runs
+            assert report_bits(folded) == report_bits(apply_schedule(state, looped, size, **kwargs))
+            return
+        reference = apply_schedule(state, looped, size, **kwargs)
+        assert [s.step for s in folded.trajectory] == [s.step for s in reference.trajectory]
+        for got, want in zip(folded.trajectory, reference.trajectory):
+            assert np.abs(np.subtract(got.probabilities, want.probabilities)).max() <= 1e-12
+            assert got.queries_so_far == want.queries_so_far
+            assert got.walk_time_so_far == pytest.approx(want.walk_time_so_far, rel=1e-12,
+                                                         abs=1e-12)
+        assert abs(folded.final_success_probability
+                   - reference.final_success_probability) <= 1e-12
+        assert folded.oracle_queries == reference.oracle_queries
 
 
 class TestSizeTwoRefused:

@@ -21,7 +21,7 @@ from ciinwalk.errors import MappingUnavailableError, ThetaNotRealError, Unsuppor
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import fidelity
+from conftest import every_builder, fidelity
 
 
 def dense_step_matrix(size, step):
@@ -197,18 +197,6 @@ class TestIterateStructure:
             assert abs(abs(phase) - 1.0) < 1e-12
             assert np.abs(block - phase * rotation).max() < 1e-12
             assert abs(block[0, 0].real - (1.0 - 2.0 / n) * np.sign(phase.real)) < 1e-12
-
-
-def every_builder(n):
-    """Every schedule the builders make at side size n."""
-    size = GraphSize(n)
-    schedules = [sch.approx_schedule(size, finishing)
-                 for finishing in ("coherent", "measure", "none")]
-    if n % 4 == 0 and n >= 8:
-        schedules.append(sch.deterministic_schedule(size))
-    if n % 2 == 1:
-        schedules += [sch.odd_schedule(size), sch.odd_schedule(size, deterministic=False)]
-    return schedules
 
 
 class TestScheduleMatrix:
