@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunReport, TrajectorySample, uniform_state
+from .dynamics import RunReport, Trajectory, uniform_state
 from .graphs import GraphSize, reduced_adjacency
 
 
@@ -31,6 +31,10 @@ class CGConfig:
     dt: float
 
     def __post_init__(self) -> None:
+        for name, value in (("gamma", self.gamma), ("total_time", self.total_time),
+                            ("dt", self.dt)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.total_time < 0:
@@ -96,12 +100,9 @@ def cg_evolve(config: CGConfig, marked: int = 0) -> RunReport:
     # states[:, k] = exp(-i H t_k) |s> in walk coordinates
     states = vectors @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
     probs = np.abs(states) ** 2
-    samples = tuple(
-        TrajectorySample(k, tuple(probs[:, k]), 0, float(t))
-        for k, t in enumerate(times)
-    )
+    count = len(times)
     return RunReport(
-        trajectory=samples,
+        trajectory=Trajectory(np.arange(count), probs.T, np.zeros(count, dtype=np.int64), times),
         final_success_probability=float(probs[0, -1]),
         oracle_queries=0,
         total_walk_time=float(config.total_time),

@@ -118,19 +118,43 @@ def _condition_slicer(condition: str):
     return tuple(slice(None) if c == "-" else int(c) for c in condition)
 
 
-def simulate(program: CircuitProgram, state: np.ndarray) -> np.ndarray:
-    """Apply the gates in list order to a statevector of length 2^num_wires.
+def _rotate(view: np.ndarray, index: tuple, angle: float) -> None:
+    """Multiply view[index] by e^{i angle} in place.
 
-    Each gate costs O(2^num_wires) with in-place amplitude updates on a
-    reshaped view; the input array is not modified.
+    Where `index` fixes every wire, a single-vector call multiplies one
+    complex scalar, whose real products are rounded one by one; numpy's loop
+    over a complex array (here, that amplitude across a batch) may fuse a
+    multiply-add and round differently.  That case is spelt out in real
+    operations, which round as the scalar product does, so a batched column
+    keeps the bits of the same column simulated alone.
+    """
+    phase = np.exp(1j * angle)
+    if any(isinstance(i, slice) for i in index):
+        view[index] *= phase
+        return
+    target = view[index + (...,)]
+    re, im = target.real.copy(), target.imag.copy()
+    target.real = re * phase.real - im * phase.imag
+    target.imag = re * phase.imag + im * phase.real
+
+
+def simulate(program: CircuitProgram, state: np.ndarray) -> np.ndarray:
+    """Apply the gates in list order to a statevector of length 2^num_wires,
+    or to every column of a (2^num_wires, k) block in one pass.
+
+    Each gate costs O(2^num_wires k) with in-place amplitude updates on a
+    view reshaped to (2,) * num_wires plus the batch axis; every column
+    comes out bit for bit as a call on that column alone would give it.
+    The input array is not modified.
     """
     state = np.asarray(state, dtype=complex)
-    if state.shape != (program.dimension,):
+    if state.ndim not in (1, 2) or state.shape[0] != program.dimension:
         raise DimensionMismatchError(
-            f"state length {state.shape} does not match 2^{program.num_wires}"
+            f"state shape {state.shape} is neither (2^{program.num_wires},) "
+            f"nor (2^{program.num_wires}, k)"
         )
     out = state.copy()
-    view = out.reshape((2,) * program.num_wires)
+    view = out.reshape((2,) * program.num_wires + state.shape[1:])
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for gate in program.gates:
         if isinstance(gate, Hadamard):
@@ -146,8 +170,8 @@ def simulate(program: CircuitProgram, state: np.ndarray) -> np.ndarray:
             lo = [slice(None)] * program.num_wires
             hi = list(lo)
             lo[gate.wire], hi[gate.wire] = 0, 1
-            view[tuple(lo)] *= np.exp(1j * gate.theta)
-            view[tuple(hi)] *= np.exp(1j * gate.phi)
+            _rotate(view, tuple(lo), gate.theta)
+            _rotate(view, tuple(hi), gate.phi)
         elif isinstance(gate, NotGate):
             lo = [slice(None)] * program.num_wires
             hi = list(lo)
@@ -157,21 +181,16 @@ def simulate(program: CircuitProgram, state: np.ndarray) -> np.ndarray:
             view[lo] = view[hi]
             view[hi] = tmp
         elif isinstance(gate, ControlledPhase):
-            view[_condition_slicer(gate.condition)] *= np.exp(1j * gate.phase)
+            _rotate(view, _condition_slicer(gate.condition), gate.phase)
         else:
             raise TypeError(f"unknown gate {gate!r}")
     return out
 
 
 def reconstruct_unitary(program: CircuitProgram) -> np.ndarray:
-    """Dense unitary of the program, column by column (small wire counts)."""
-    dim = program.dimension
-    unitary = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[col] = 1.0
-        unitary[:, col] = simulate(program, basis)
-    return unitary
+    """Dense unitary of the program: every basis column in one batched
+    `simulate` call (small wire counts)."""
+    return simulate(program, np.eye(program.dimension, dtype=complex))
 
 
 def compile_schedule(schedule: Schedule, m: int, marked: int = 0) -> CircuitProgram:

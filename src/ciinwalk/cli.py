@@ -137,8 +137,8 @@ def _run_fig3(args) -> int:
     config = CGConfig(size=size, gamma=gamma, total_time=args.total_time, dt=args.dt)
     report = cg_evolve(config)
     _write_report(report, _out_path(args), args.format)
-    probs = np.array([s.probabilities[0] for s in report.trajectory])
-    times = np.array([s.walk_time_so_far for s in report.trajectory])
+    probs = report.trajectory.probabilities[:, 0]
+    times = report.trajectory.walk_time_so_far
     peak_index = int(probs.argmax())
     if args.total_time < predicted.peak_time:
         # the largest value so far is no peak: the run stopped on its way up
@@ -158,6 +158,8 @@ def _run_fig4(args) -> int:
     size = _resolve_size(args, default_n=9)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not np.isfinite(args.t_max):
+        raise ValueError(f"--t-max must be finite, got {args.t_max}")
     times = np.linspace(0.0, args.t_max, args.samples)
     start = marked_state(size, reduced=False)
     rows = []

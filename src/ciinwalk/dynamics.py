@@ -46,8 +46,6 @@ n = 2 rather than guess.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -146,11 +144,63 @@ class TrajectorySample:
     walk_time_so_far: float
 
 
+# rows per `.tolist()` block in `RunReport.to_csv`
+_CSV_BLOCK = 4096
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A run's samples as four read-only columns, one row per sample.
+
+    `step` and `queries_so_far` are int64 of length k, `probabilities` is
+    float64 of shape (k, 4) and `walk_time_so_far` float64 of length k.
+    `len()`, indexing and iteration give `TrajectorySample`s of Python
+    numbers; a slice gives a `Trajectory`.  Arrays handed in of the right
+    dtype become the columns without a copy, so a producer hands over
+    arrays that it no longer writes.
+    """
+
+    step: np.ndarray
+    probabilities: np.ndarray
+    queries_so_far: np.ndarray
+    walk_time_so_far: np.ndarray
+
+    def __post_init__(self) -> None:
+        k = len(self.step)
+        for name, dtype, shape in (("step", np.int64, (k,)),
+                                   ("probabilities", np.float64, (k, 4)),
+                                   ("queries_so_far", np.int64, (k,)),
+                                   ("walk_time_so_far", np.float64, (k,))):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self.step[index], self.probabilities[index],
+                              self.queries_so_far[index], self.walk_time_so_far[index])
+        return TrajectorySample(int(self.step[index]), tuple(self.probabilities[index].tolist()),
+                                int(self.queries_so_far[index]),
+                                float(self.walk_time_so_far[index]))
+
+    def __iter__(self):
+        columns = zip(self.step.tolist(), self.probabilities.tolist(),
+                      self.queries_so_far.tolist(), self.walk_time_so_far.tolist())
+        for step, probabilities, queries, walk_time in columns:
+            yield TrajectorySample(step, tuple(probabilities), queries, walk_time)
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Trajectory samples and final accounting for one schedule run."""
 
-    trajectory: tuple[TrajectorySample, ...]
+    trajectory: Trajectory
     final_success_probability: float
     oracle_queries: int
     total_walk_time: float
@@ -163,29 +213,32 @@ class RunReport:
         Columns: step, p1..p4, queries_so_far, walk_time_so_far.  p1..p4 are
         the probabilities of the four vertex groups (marked, opposite,
         same-side rest, far-side rest) or dual-basis populations when the run
-        sampled in the dual basis.
+        sampled in the dual basis.  Floats are written as `.17g`, which
+        round-trips a double; rows are formatted from the columns a block at
+        a time.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for s in self.trajectory:
-            writer.writerow(
-                [s.step]
-                + [format(p, ".17g") for p in s.probabilities]
-                + [s.queries_so_far, format(s.walk_time_so_far, ".17g")]
-            )
-        return buf.getvalue()
+        t = self.trajectory
+        parts = [",".join(self.CSV_HEADER) + "\n"]
+        for start in range(0, len(t), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            rows = zip(t.step[block].tolist(), *t.probabilities[block].T.tolist(),
+                       t.queries_so_far[block].tolist(), t.walk_time_so_far[block].tolist())
+            parts.append("".join([_CSV_ROW % row for row in rows]))
+        return "".join(parts)
 
     def to_json(self) -> str:
+        t = self.trajectory
+        columns = zip(t.step.tolist(), t.probabilities.tolist(),
+                      t.queries_so_far.tolist(), t.walk_time_so_far.tolist())
         payload = {
             "trajectory": [
                 {
-                    "step": s.step,
-                    "probabilities": list(s.probabilities),
-                    "queries_so_far": s.queries_so_far,
-                    "walk_time_so_far": s.walk_time_so_far,
+                    "step": step,
+                    "probabilities": probabilities,
+                    "queries_so_far": queries,
+                    "walk_time_so_far": walk_time,
                 }
-                for s in self.trajectory
+                for step, probabilities, queries, walk_time in columns
             ],
             "final_success_probability": self.final_success_probability,
             "oracle_queries": self.oracle_queries,
@@ -425,7 +478,8 @@ def apply_schedule(
     else:
         coeffs, rest_norm, rest_cross = _split_full(coeffs, size, marked)
     dual = dual_basis(size)
-    samples = []
+    # trajectory columns, one entry per sample
+    sampled, rows, query_counts, walk_times = [], [], [], []
     queries = 0
     walk_time = 0.0
     tau = 0.0  # signed total walk time mod pi: the complement's period
@@ -438,9 +492,10 @@ def apply_schedule(
             swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
             probs[2] += rest_norm + swing
             probs[3] += rest_norm - swing
-        samples.append(
-            TrajectorySample(step_index, tuple(float(p) for p in probs), queries, walk_time)
-        )
+        sampled.append(step_index)
+        rows.append(probs)
+        query_counts.append(queries)
+        walk_times.append(walk_time)
 
     record(0)
     steps, last = schedule.steps, len(schedule.steps)
@@ -485,7 +540,7 @@ def apply_schedule(
         queries += 1
         final += float(group_probabilities(coeffs, size)[1])
     return RunReport(
-        trajectory=tuple(samples),
+        trajectory=Trajectory(sampled, rows, query_counts, walk_times),
         final_success_probability=final,
         oracle_queries=queries,
         total_walk_time=walk_time,

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from ciinwalk.dynamics import (
     FinishingRule,
     RunReport,
     StepKind,
-    TrajectorySample,
+    Trajectory,
     group_probabilities,
     oracle_phase,
     success_probability,
@@ -71,7 +75,7 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
     else:
         coeffs, rest_norm, rest_cross = dynamics._split_full(coeffs, size, marked)
     dual = dual_basis(size)
-    samples = []
+    sampled, rows, query_counts, walk_times = [], [], [], []
     queries = 0
     walk_time = 0.0
     tau = 0.0
@@ -84,9 +88,10 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
             swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
             probs[2] += rest_norm + swing
             probs[3] += rest_norm - swing
-        samples.append(
-            TrajectorySample(step_index, tuple(float(p) for p in probs), queries, walk_time)
-        )
+        sampled.append(step_index)
+        rows.append(probs)
+        query_counts.append(queries)
+        walk_times.append(walk_time)
 
     record(0)
     for index, step in enumerate(schedule.steps, start=1):
@@ -104,4 +109,39 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
     if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
         queries += 1
         final += float(group_probabilities(coeffs, size)[1])
-    return RunReport(tuple(samples), final, queries, walk_time)
+    return RunReport(Trajectory(sampled, rows, query_counts, walk_times), final, queries,
+                     walk_time)
+
+
+def reference_csv(report):
+    """`RunReport.to_csv` as it was written sample by sample: `csv.writer`
+    with `format(x, ".17g")` for every float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.CSV_HEADER)
+    for s in report.trajectory:
+        writer.writerow(
+            [s.step]
+            + [format(p, ".17g") for p in s.probabilities]
+            + [s.queries_so_far, format(s.walk_time_so_far, ".17g")]
+        )
+    return buf.getvalue()
+
+
+def reference_json(report):
+    """`RunReport.to_json` as it was written sample by sample."""
+    payload = {
+        "trajectory": [
+            {
+                "step": s.step,
+                "probabilities": list(s.probabilities),
+                "queries_so_far": s.queries_so_far,
+                "walk_time_so_far": s.walk_time_so_far,
+            }
+            for s in report.trajectory
+        ],
+        "final_success_probability": report.final_success_probability,
+        "oracle_queries": report.oracle_queries,
+        "total_walk_time": report.total_walk_time,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)

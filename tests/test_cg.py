@@ -1,8 +1,60 @@
 import numpy as np
 import pytest
 
+from ciinwalk import cg, dynamics
 from ciinwalk.cg import CGConfig, cg_evolve, cg_hamiltonian, cg_prediction, rotation_pair_gap
+from ciinwalk.dynamics import TrajectorySample
 from ciinwalk.graphs import GraphSize, reduced_adjacency
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["gamma", "total_time", "dt"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_refuses_non_finite_values(self, field, value):
+        values = {"gamma": 1.0 / 64, "total_time": 10.0, "dt": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CGConfig(GraphSize(64), **values)
+
+
+def per_sample_trajectory(config):
+    """cg_evolve's samples as it once built them, one object per sample."""
+    energies, vectors = np.linalg.eigh(cg_hamiltonian(config.size, config.gamma))
+    coeffs = vectors.T @ dynamics.uniform_state(config.size)
+    times = cg._sample_times(config.total_time, config.dt)
+    states = vectors @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
+    probs = np.abs(states) ** 2
+    return tuple(TrajectorySample(k, tuple(probs[:, k]), 0, float(t))
+                 for k, t in enumerate(times))
+
+
+class TestTrajectoryColumns:
+    def test_samples_equal_the_per_sample_form(self):
+        config = CGConfig(GraphSize(256), 1.0 / 256, 30.0, 0.01)
+        trajectory = cg_evolve(config).trajectory
+        expected = per_sample_trajectory(config)
+        assert len(trajectory) == len(expected) == 3001
+        assert tuple(trajectory) == expected
+        for k in (0, 1, 1500, -1):
+            assert trajectory[k] == expected[k]
+        assert tuple(trajectory[10:20]) == expected[10:20]
+        assert np.array_equal(trajectory.probabilities, [s.probabilities for s in expected])
+        assert np.array_equal(trajectory.walk_time_so_far,
+                              [s.walk_time_so_far for s in expected])
+        assert trajectory.step.tolist() == list(range(3001))
+        assert not trajectory.queries_so_far.any()
+
+    def test_builds_no_sample_objects(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return TrajectorySample(*args)
+
+        monkeypatch.setattr(dynamics, "TrajectorySample", counting)
+        monkeypatch.setattr(cg, "TrajectorySample", counting, raising=False)
+        report = cg_evolve(CGConfig(GraphSize(1024), 1.0 / 1024, 99999.0, 1.0))
+        assert len(report.trajectory) == 100_000
+        assert built == []
 
 
 class TestHamiltonian:

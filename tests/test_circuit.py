@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ciinwalk import circuit
 from ciinwalk.circuit import (
     CircuitProgram,
     ControlledPhase,
@@ -152,6 +153,85 @@ class TestSimulate:
         out = simulate(program, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
         assert abs(out[0] - np.exp(0.4j) / np.sqrt(2)) < 1e-15
         assert abs(out[1] - np.exp(-0.9j) / np.sqrt(2)) < 1e-15
+
+
+def random_block(rng, dim, k):
+    return rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+
+
+def assert_columns_match(program, block):
+    """A batched call gives every column the bits of a call on it alone."""
+    out = simulate(program, block)
+    assert out.shape == block.shape
+    for col in range(block.shape[1]):
+        assert out[:, col].tobytes() == simulate(program, block[:, col]).tobytes()
+
+
+class TestBatchedSimulate:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_walk_circuits(self, m, rng):
+        for t in rng.uniform(0.0, 2.0 * np.pi, size=3):
+            program = walk_circuit(m, float(t))
+            assert_columns_match(program, np.eye(program.dimension, dtype=complex))
+            assert_columns_match(program, random_block(rng, program.dimension, 5))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_oracle_circuits(self, m, rng):
+        # the controlled phase fixes every wire: one amplitude per column
+        for k in (1, 2, 7, 16):
+            marked = int(rng.integers(0, 2 ** (m + 1)))
+            program = oracle_circuit(m, marked, float(rng.uniform(-np.pi, np.pi)))
+            assert_columns_match(program, random_block(rng, program.dimension, k))
+
+    def test_compiled_schedule_m3(self, rng):
+        program = compile_schedule(deterministic_schedule(GraphSize(8)), 3, marked=5)
+        assert_columns_match(program, np.eye(program.dimension, dtype=complex))
+        assert_columns_match(program, random_block(rng, program.dimension, 9))
+
+    def test_random_programs_of_every_gate(self, rng):
+        for num_wires in (1, 2, 3):
+            gates = []
+            for _ in range(40):
+                kind = int(rng.integers(0, 4))
+                wire = int(rng.integers(0, num_wires))
+                if kind == 0:
+                    gates.append(Hadamard(wire))
+                elif kind == 1:
+                    gates.append(TwoPhaseRotation(wire, *rng.uniform(-7.0, 7.0, size=2)))
+                elif kind == 2:
+                    gates.append(NotGate(wire))
+                else:
+                    condition = "".join(rng.choice(list("01-"), size=num_wires))
+                    gates.append(ControlledPhase(float(rng.uniform(-7.0, 7.0)), condition))
+            program = CircuitProgram(num_wires, tuple(gates))
+            assert_columns_match(program, random_block(rng, program.dimension, 6))
+
+    def test_reconstruct_unitary_is_one_call(self, monkeypatch):
+        calls = []
+
+        def counting(program, state):
+            calls.append(np.shape(state))
+            return simulate(program, state)
+
+        monkeypatch.setattr(circuit, "simulate", counting)
+        program = walk_circuit(3, 0.8)
+        unitary = reconstruct_unitary(program)
+        assert calls == [(16, 16)]
+        assert unitary.tobytes() == simulate(program, np.eye(16, dtype=complex)).tobytes()
+
+    def test_block_input_not_modified(self, rng):
+        block = random_block(rng, 8, 3)
+        copy = block.copy()
+        simulate(walk_circuit(2, 0.4), block)
+        assert np.array_equal(block, copy)
+
+    def test_state_shapes(self):
+        program = walk_circuit(2, 0.3)  # 8 amplitudes
+        for shape in [(8,), (8, 1), (8, 3), (8, 0)]:
+            assert simulate(program, np.ones(shape, dtype=complex)).shape == shape
+        for shape in [(), (7,), (16,), (7, 3), (2, 8), (8, 2, 2), (2, 2, 2)]:
+            with pytest.raises(DimensionMismatchError):
+                simulate(program, np.ones(shape, dtype=complex))
 
 
 class TestCompileSchedule:

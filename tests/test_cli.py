@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,23 @@ class TestConfigHandling:
         assert info.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--total-time", "inf"), ("--total-time", "nan"), ("--dt", "inf"),
+        ("--dt", "nan"), ("--gamma", "inf"), ("--gamma", "nan"),
+    ])
+    def test_fig3_refuses_non_finite_flags(self, tmp_path, monkeypatch, capsys, flag, value):
+        code = run_in(tmp_path, monkeypatch, ["fig3-cg", "--n", "64", flag, value])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_fig4_refuses_non_finite_t_max(self, tmp_path, monkeypatch, capsys, value):
+        code = run_in(tmp_path, monkeypatch, ["fig4-walk", f"--t-max={value}"])
+        assert code == 1
+        assert "--t-max must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p", ["0", "-3"])
     def test_odd_path_rejects_nonpositive_p(self, tmp_path, monkeypatch, capsys, p):
@@ -202,3 +220,45 @@ class TestDeterminism:
         argv[-1] = "b.csv"
         assert run_in(tmp_path, monkeypatch, argv) == 0
         assert first == (tmp_path / "b.csv").read_bytes()
+
+
+# SHA-256 of each output file, computed with the sample-by-sample renderer
+# and the column-by-column `reconstruct_unitary` that came before the
+# columnar ones.
+PINNED_OUTPUTS = {
+    ("fig3-cg", "--N", "256", "--total-time", "30"): {
+        "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
+    },
+    ("fig3-cg", "--N", "256", "--total-time", "30", "--format", "json"): {
+        "fig3-cg.json": "d15e513cbee7525094f96d498d15d59c8e109cbb419a01877c4b460ef651a165",
+    },
+    ("fig5-dual", "--n", "64", "--format", "json"): {
+        "fig5-dual.json": "22df57463241369825c5cc7de7cf11a7f5f42ab78931733d2997a444dcc52136",
+    },
+    ("fig6-compare", "--N", "24"): {
+        "fig6-compare-approx.csv":
+            "1a05f69bea42d329564787ad21729c5d36781d3f96139c08088d06cd03795b1a",
+        "fig6-compare-deterministic.csv":
+            "3dea01ab36cd63c6b914bba40246f0e21f3440d99ae6cf882e20b64552190380",
+    },
+    ("fig7-oddpath", "--N", "130"): {
+        "fig7-oddpath.csv": "31f5cbdbe72ce880a913ea4d6ae9d245025c4b6fd677bd1cca02f175cf5a7b9a",
+    },
+    ("verify-circuit", "--m-max", "3", "--trials", "2", "--pipeline-m", "4", "--seed", "7"): {
+        "verify-circuit.csv": "6f73bcf66671aa4f9b17fc8d9aeeb6fe438036902e142a60794bbdfc0c9e2a23",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=" ".join)
+def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, argv):
+    """Identical configurations give byte-identical files, release to release.
+
+    The digests depend on the numpy and LAPACK build of the machine that
+    runs the tests (eigh in fig3-cg, the rounding of numpy's complex loops),
+    so on another build they may need computing afresh.
+    """
+    assert run_in(tmp_path, monkeypatch, list(argv)) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == PINNED_OUTPUTS[argv]

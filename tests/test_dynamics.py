@@ -11,8 +11,11 @@ from ciinwalk import dynamics
 from ciinwalk import schedules as sch
 from ciinwalk.dynamics import (
     FinishingRule,
+    RunReport,
     Schedule,
     StepKind,
+    Trajectory,
+    TrajectorySample,
     apply_schedule,
     entangled_fidelity,
     group_probabilities,
@@ -29,7 +32,15 @@ from ciinwalk.dynamics import (
 from ciinwalk.errors import DimensionMismatchError
 from ciinwalk.graphs import FullAdjacency, GraphSize, WalkBasis, dual_basis, reduced_adjacency
 
-from conftest import apply_stepwise, every_builder, fidelity, random_state, run_stepwise
+from conftest import (
+    apply_stepwise,
+    every_builder,
+    fidelity,
+    random_state,
+    reference_csv,
+    reference_json,
+    run_stepwise,
+)
 
 
 def dense_walk_reduced(size, t):
@@ -716,6 +727,14 @@ class TestMeasureAndCheck:
         assert claimed == 4 and success
 
 
+# floats that stress `.17g` text: signed zeros, non-finite values, the
+# smallest subnormal, huge magnitudes and values that need all 17 digits
+SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1e300,
+                  -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0)
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+COUNTS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(0, 100))
+
+
 class TestRunReportSerialization:
     def test_csv_schema(self):
         size = GraphSize(4)
@@ -733,3 +752,105 @@ class TestRunReportSerialization:
         assert payload["oracle_queries"] == 1
         assert len(payload["trajectory"]) == len(report.trajectory)
         assert abs(sum(payload["trajectory"][0]["probabilities"]) - 1.0) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(COUNTS, st.tuples(FLOATS, FLOATS, FLOATS, FLOATS), COUNTS,
+                                FLOATS), min_size=1, max_size=40),
+        final=FLOATS,
+        queries=COUNTS,
+        walk_time=FLOATS,
+    )
+    def test_renderers_match_the_reference(self, rows, final, queries, walk_time):
+        steps, probabilities, query_counts, walk_times = zip(*rows)
+        report = RunReport(Trajectory(steps, probabilities, query_counts, walk_times),
+                           final, queries, walk_time)
+        assert report.to_csv() == reference_csv(report)
+        assert report.to_json() == reference_json(report)
+
+    def test_renderers_match_the_reference_across_blocks(self, rng):
+        count = 2 * dynamics._CSV_BLOCK + 3
+        values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-320, 300, size=(count, 5))
+        values.flat[rng.integers(0, values.size, size=200)] = rng.choice(SPECIAL_FLOATS, 200)
+        counts = rng.integers(0, 2 ** 63 - 1, size=(count, 2), dtype=np.int64)
+        report = RunReport(Trajectory(counts[:, 0], values[:, :4], counts[:, 1], values[:, 4]),
+                           0.5, 7, 1e300)
+        assert report.to_csv() == reference_csv(report)
+        assert report.to_json() == reference_json(report)
+
+    def test_builder_runs_match_the_reference(self):
+        size = GraphSize(9)
+        for schedule in every_builder(9):
+            for basis in ("walk", "dual"):
+                report = apply_schedule(uniform_state(size), schedule, size, sample_basis=basis)
+                assert report.to_csv() == reference_csv(report)
+                assert report.to_json() == reference_json(report)
+
+
+def sample_bits(sample):
+    """A sample's fields with their types, floats as exact hex (nan-safe)."""
+    return (type(sample.step), sample.step,
+            tuple((type(p), p.hex()) for p in sample.probabilities),
+            type(sample.queries_so_far), sample.queries_so_far,
+            type(sample.walk_time_so_far), sample.walk_time_so_far.hex())
+
+
+class TestTrajectory:
+    COLUMNS = (
+        [0, 3, 2 ** 40],
+        [[1.0, 0.0, -0.0, 0.5], [np.nan, np.inf, 5e-324, 1e300], [0.25, -np.inf, 0.1, 1 / 3]],
+        [0, 7, 2 ** 62],
+        [0.0, 1.5, np.pi],
+    )
+    SAMPLES = (
+        TrajectorySample(0, (1.0, 0.0, -0.0, 0.5), 0, 0.0),
+        TrajectorySample(3, (np.nan, np.inf, 5e-324, 1e300), 7, 1.5),
+        TrajectorySample(2 ** 40, (0.25, -np.inf, 0.1, 1 / 3), 2 ** 62, np.pi),
+    )
+
+    def test_indexing_and_iteration_give_the_samples(self):
+        trajectory = Trajectory(*self.COLUMNS)
+        expected = [sample_bits(s) for s in self.SAMPLES]
+        assert len(trajectory) == 3
+        assert [sample_bits(s) for s in trajectory] == expected
+        assert [sample_bits(trajectory[i]) for i in range(3)] == expected
+        assert [sample_bits(trajectory[i]) for i in range(-3, 0)] == expected
+        with pytest.raises(IndexError):
+            trajectory[3]
+
+    def test_slices_are_trajectories(self):
+        trajectory = Trajectory(*self.COLUMNS)
+        tail = trajectory[1:]
+        assert isinstance(tail, Trajectory) and len(tail) == 2
+        assert [sample_bits(s) for s in tail] == [sample_bits(s) for s in self.SAMPLES[1:]]
+        assert len(trajectory[:0]) == 0 and list(trajectory[:0]) == []
+
+    def test_columns_are_read_only_arrays(self):
+        trajectory = Trajectory(*self.COLUMNS)
+        assert trajectory.step.dtype == trajectory.queries_so_far.dtype == np.int64
+        assert trajectory.probabilities.dtype == trajectory.walk_time_so_far.dtype == np.float64
+        assert trajectory.probabilities.shape == (3, 4)
+        for column in (trajectory.step, trajectory.probabilities,
+                       trajectory.queries_so_far, trajectory.walk_time_so_far):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_refuses_ragged_columns(self):
+        steps, probabilities, queries, times = self.COLUMNS
+        for columns in ((steps[:2], probabilities, queries, times),
+                        (steps, [row[:3] for row in probabilities], queries, times),
+                        (steps, probabilities, queries, times[:2])):
+            with pytest.raises(ValueError):
+                Trajectory(*columns)
+
+    def test_apply_schedule_samples_match_the_columns(self):
+        size = GraphSize(12)
+        report = apply_schedule(uniform_state(size), sch.deterministic_schedule(size), size,
+                                sample_every=3)
+        trajectory = report.trajectory
+        for k, sample in enumerate(trajectory):
+            assert sample.step == trajectory.step[k]
+            assert sample.probabilities == tuple(trajectory.probabilities[k])
+            assert sample.queries_so_far == trajectory.queries_so_far[k]
+            assert sample.walk_time_so_far == trajectory.walk_time_so_far[k]
+        assert sample_bits(trajectory[-1]) == sample_bits(list(trajectory)[-1])
