@@ -50,7 +50,6 @@ class CGPrediction:
     gamma_star: float
     delta_e: float
     peak_time: float
-    predicted_peak_probability: float = 0.5
 
 
 def cg_hamiltonian(size: GraphSize, gamma: float) -> np.ndarray:

@@ -15,7 +15,7 @@ wires 1..m carry the within-side index, most significant first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,14 @@ Gate = Hadamard | TwoPhaseRotation | NotGate | ControlledPhase
 
 @dataclass(frozen=True)
 class CircuitProgram:
-    """An ordered gate list on num_wires wires; metadata is informational
-    (compile provenance, query counts) and excluded from equality."""
+    """An ordered gate list on num_wires >= 1 wires."""
 
     num_wires: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self) -> None:
+        if self.num_wires < 1:
+            raise ValueError(f"a circuit needs at least one wire, got {self.num_wires}")
         for gate in self.gates:
             if isinstance(gate, ControlledPhase):
                 if len(gate.condition) != self.num_wires:
@@ -100,7 +100,7 @@ def walk_circuit(m: int, t: float) -> CircuitProgram:
     gates += [Hadamard(w) for w in range(1, m + 1)]
     gates.append(ControlledPhase(-t * n, "-" + "0" * m))
     gates += [Hadamard(w) for w in range(1, m + 1)]
-    return CircuitProgram(m + 1, tuple(gates), metadata={"n": n, "t": t})
+    return CircuitProgram(m + 1, tuple(gates))
 
 
 def oracle_circuit(m: int, marked: int, theta: float) -> CircuitProgram:
@@ -111,7 +111,7 @@ def oracle_circuit(m: int, marked: int, theta: float) -> CircuitProgram:
     bits = format(marked, f"0{num_wires}b")
     flips = [NotGate(w) for w, bit in enumerate(bits) if bit == "0"]
     gates = flips + [ControlledPhase(-theta, "1" * num_wires)] + flips
-    return CircuitProgram(num_wires, tuple(gates), metadata={"marked": marked, "theta": theta})
+    return CircuitProgram(num_wires, tuple(gates))
 
 
 def _condition_slicer(condition: str):
@@ -207,21 +207,12 @@ def compile_schedule(schedule: Schedule, m: int, marked: int = 0) -> CircuitProg
             "only power-of-two side sizes compile to circuits"
         )
     gates: list[Gate] = []
-    oracle_steps = 0
     for step in schedule.steps:
         if step.kind is StepKind.WALK:
             gates.extend(walk_circuit(m, step.parameter).gates)
         else:
             gates.extend(oracle_circuit(m, marked, step.parameter).gates)
-            oracle_steps += 1
-    metadata = {
-        "n": n,
-        "m": m,
-        "marked": marked,
-        "variant": schedule.variant,
-        "oracle_queries": oracle_steps,
-    }
-    return CircuitProgram(m + 1, tuple(gates), metadata=metadata)
+    return CircuitProgram(m + 1, tuple(gates))
 
 
 def render_circuit(program: CircuitProgram) -> str:
@@ -243,6 +234,13 @@ def render_circuit(program: CircuitProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _angle(text: str, line: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite angle in circuit line: {line!r}")
+    return value
+
+
 def parse_circuit(text: str) -> CircuitProgram:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("WIRES "):
@@ -254,11 +252,12 @@ def parse_circuit(text: str) -> CircuitProgram:
         if parts[0] == "H" and len(parts) == 2:
             gates.append(Hadamard(int(parts[1])))
         elif parts[0] == "R" and len(parts) == 4:
-            gates.append(TwoPhaseRotation(int(parts[1]), float(parts[2]), float(parts[3])))
+            gates.append(TwoPhaseRotation(int(parts[1]), _angle(parts[2], line),
+                                           _angle(parts[3], line)))
         elif parts[0] == "X" and len(parts) == 2:
             gates.append(NotGate(int(parts[1])))
         elif parts[0] == "CPHASE" and len(parts) == 3:
-            gates.append(ControlledPhase(float(parts[1]), parts[2]))
+            gates.append(ControlledPhase(_angle(parts[1], line), parts[2]))
         else:
             raise ValueError(f"malformed circuit line: {line!r}")
     return CircuitProgram(num_wires, tuple(gates))

@@ -15,9 +15,7 @@ runtime check of an expected invariant did not hold).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -94,11 +92,7 @@ def _write_report(report: RunReport, path: Path, fmt: str) -> None:
 
 def _write_table(rows, header, path: Path, fmt: str) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        path.write_text(buf.getvalue())
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
     else:
         payload = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(payload, sort_keys=True, indent=2))
@@ -208,10 +202,8 @@ def _run_fig6(args) -> int:
     _write_report(rep_a, _out_path(args, "approx"), args.format)
     _write_report(rep_d, _out_path(args, "deterministic"), args.format)
     target = 1.0 / size.n
-    hit = next(
-        (k for k, s in enumerate(rep_d.trajectory) if abs(s.probabilities[0] - target) <= 1e-9),
-        None,
-    )
+    hits = np.flatnonzero(np.abs(rep_d.trajectory.probabilities[:, 0] - target) <= 1e-9)
+    hit = int(hits[0]) if hits.size else None
     print(
         f"fig6-compare: N={size.N} p={p} deterministic hits |<psi|b1*>|^2 = 1/n "
         f"at iteration {hit}"

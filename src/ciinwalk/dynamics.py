@@ -136,14 +136,6 @@ class Schedule:
         return float(sum(abs(s.parameter) for s in self.steps if s.kind is StepKind.WALK))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    step: int
-    probabilities: tuple[float, float, float, float]
-    queries_so_far: int
-    walk_time_so_far: float
-
-
 # rows per `.tolist()` block in `RunReport.to_csv`
 _CSV_BLOCK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
@@ -155,10 +147,9 @@ class Trajectory:
 
     `step` and `queries_so_far` are int64 of length k, `probabilities` is
     float64 of shape (k, 4) and `walk_time_so_far` float64 of length k.
-    `len()`, indexing and iteration give `TrajectorySample`s of Python
-    numbers; a slice gives a `Trajectory`.  Arrays handed in of the right
-    dtype become the columns without a copy, so a producer hands over
-    arrays that it no longer writes.
+    `len()` is the sample count.  Arrays handed in of the right dtype
+    become the columns without a copy, so a producer hands over arrays that
+    it no longer writes.
     """
 
     step: np.ndarray
@@ -180,20 +171,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.step)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trajectory(self.step[index], self.probabilities[index],
-                              self.queries_so_far[index], self.walk_time_so_far[index])
-        return TrajectorySample(int(self.step[index]), tuple(self.probabilities[index].tolist()),
-                                int(self.queries_so_far[index]),
-                                float(self.walk_time_so_far[index]))
-
-    def __iter__(self):
-        columns = zip(self.step.tolist(), self.probabilities.tolist(),
-                      self.queries_so_far.tolist(), self.walk_time_so_far.tolist())
-        for step, probabilities, queries, walk_time in columns:
-            yield TrajectorySample(step, tuple(probabilities), queries, walk_time)
 
 
 @dataclass(frozen=True)

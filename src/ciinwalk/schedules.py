@@ -388,7 +388,6 @@ class IterateSpectrum:
     with the corresponding eigenstates as columns (dual coordinates)."""
 
     lambda_plus: float
-    lambda_minus: float
     eigenstates: np.ndarray
 
 
@@ -427,7 +426,7 @@ def iterate_spectrum(kind: str, size: GraphSize, theta: float | None = None) -> 
         states[0, 1] = phase / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown iterate kind {kind!r}")
-    return IterateSpectrum(lambda_plus=lam, lambda_minus=-lam, eigenstates=states)
+    return IterateSpectrum(lambda_plus=lam, eigenstates=states)
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,24 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
                      walk_time)
 
 
+def trajectory_rows(report):
+    """The trajectory one sample at a time, as Python numbers."""
+    t = report.trajectory
+    return zip(t.step.tolist(), t.probabilities.tolist(), t.queries_so_far.tolist(),
+               t.walk_time_so_far.tolist())
+
+
 def reference_csv(report):
     """`RunReport.to_csv` as it was written sample by sample: `csv.writer`
     with `format(x, ".17g")` for every float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.CSV_HEADER)
-    for s in report.trajectory:
+    for step, probabilities, queries, walk_time in trajectory_rows(report):
         writer.writerow(
-            [s.step]
-            + [format(p, ".17g") for p in s.probabilities]
-            + [s.queries_so_far, format(s.walk_time_so_far, ".17g")]
+            [step]
+            + [format(p, ".17g") for p in probabilities]
+            + [queries, format(walk_time, ".17g")]
         )
     return buf.getvalue()
 
@@ -133,12 +140,12 @@ def reference_json(report):
     payload = {
         "trajectory": [
             {
-                "step": s.step,
-                "probabilities": list(s.probabilities),
-                "queries_so_far": s.queries_so_far,
-                "walk_time_so_far": s.walk_time_so_far,
+                "step": step,
+                "probabilities": probabilities,
+                "queries_so_far": queries,
+                "walk_time_so_far": walk_time,
             }
-            for s in report.trajectory
+            for step, probabilities, queries, walk_time in trajectory_rows(report)
         ],
         "final_success_probability": report.final_success_probability,
         "oracle_queries": report.oracle_queries,

@@ -51,8 +51,8 @@ def test_criterion_1_cg_peak():
     size = GraphSize(1024)
     start = time.perf_counter()
     reportio = cg_evolve(CGConfig(size, gamma=1.0 / 1024.0, total_time=60.0, dt=0.01))
-    probs = np.array([s.probabilities[0] for s in reportio.trajectory])
-    times = np.array([s.walk_time_so_far for s in reportio.trajectory])
+    probs = reportio.trajectory.probabilities[:, 0]
+    times = reportio.trajectory.walk_time_so_far
     elapsed = time.perf_counter() - start
     peak = float(probs.max())
     argmax = float(times[probs.argmax()])

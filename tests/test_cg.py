@@ -3,7 +3,6 @@ import pytest
 
 from ciinwalk import cg, dynamics
 from ciinwalk.cg import CGConfig, cg_evolve, cg_hamiltonian, cg_prediction, rotation_pair_gap
-from ciinwalk.dynamics import TrajectorySample
 from ciinwalk.graphs import GraphSize, reduced_adjacency
 
 
@@ -16,45 +15,26 @@ class TestConfig:
             CGConfig(GraphSize(64), **values)
 
 
-def per_sample_trajectory(config):
-    """cg_evolve's samples as it once built them, one object per sample."""
+def reference_columns(config):
+    """cg_evolve's sample times and (k, 4) probabilities, computed afresh
+    from the eigendecomposition."""
     energies, vectors = np.linalg.eigh(cg_hamiltonian(config.size, config.gamma))
     coeffs = vectors.T @ dynamics.uniform_state(config.size)
     times = cg._sample_times(config.total_time, config.dt)
     states = vectors @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
-    probs = np.abs(states) ** 2
-    return tuple(TrajectorySample(k, tuple(probs[:, k]), 0, float(t))
-                 for k, t in enumerate(times))
+    return times, np.abs(states.T) ** 2
 
 
 class TestTrajectoryColumns:
     def test_samples_equal_the_per_sample_form(self):
         config = CGConfig(GraphSize(256), 1.0 / 256, 30.0, 0.01)
         trajectory = cg_evolve(config).trajectory
-        expected = per_sample_trajectory(config)
-        assert len(trajectory) == len(expected) == 3001
-        assert tuple(trajectory) == expected
-        for k in (0, 1, 1500, -1):
-            assert trajectory[k] == expected[k]
-        assert tuple(trajectory[10:20]) == expected[10:20]
-        assert np.array_equal(trajectory.probabilities, [s.probabilities for s in expected])
-        assert np.array_equal(trajectory.walk_time_so_far,
-                              [s.walk_time_so_far for s in expected])
+        times, probabilities = reference_columns(config)
+        assert len(trajectory) == len(times) == 3001
+        assert np.array_equal(trajectory.probabilities, probabilities)
+        assert np.array_equal(trajectory.walk_time_so_far, times)
         assert trajectory.step.tolist() == list(range(3001))
         assert not trajectory.queries_so_far.any()
-
-    def test_builds_no_sample_objects(self, monkeypatch):
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return TrajectorySample(*args)
-
-        monkeypatch.setattr(dynamics, "TrajectorySample", counting)
-        monkeypatch.setattr(cg, "TrajectorySample", counting, raising=False)
-        report = cg_evolve(CGConfig(GraphSize(1024), 1.0 / 1024, 99999.0, 1.0))
-        assert len(report.trajectory) == 100_000
-        assert built == []
 
 
 class TestHamiltonian:
@@ -111,8 +91,8 @@ class TestPrediction:
         pred = cg_prediction(size)
         config = CGConfig(size, pred.gamma_star, 2.0 * pred.peak_time, 0.01)
         report = cg_evolve(config)
-        probs = np.array([s.probabilities[0] for s in report.trajectory])
-        times = np.array([s.walk_time_so_far for s in report.trajectory])
+        probs = report.trajectory.probabilities[:, 0]
+        times = report.trajectory.walk_time_so_far
         peak = probs.max()
         assert 0.48 <= peak <= 0.52
         assert abs(times[probs.argmax()] - pred.peak_time) <= 0.05 * pred.peak_time
@@ -137,8 +117,8 @@ class TestEvolution:
         size = GraphSize(1024)
         config = CGConfig(size, 1.0 / 1024.0, 60.0, 0.01)
         report = cg_evolve(config)
-        probs = np.array([s.probabilities[0] for s in report.trajectory])
-        times = np.array([s.walk_time_so_far for s in report.trajectory])
+        probs = report.trajectory.probabilities[:, 0]
+        times = report.trajectory.walk_time_so_far
         assert 0.48 <= probs.max() <= 0.52
         assert abs(times[probs.argmax()] - 50.27) < 0.05 * 50.27
         # value close to one half right at the predicted time
@@ -150,8 +130,8 @@ class TestEvolution:
         size = GraphSize(1024)
         pred = cg_prediction(size)
         report = cg_evolve(CGConfig(size, pred.gamma_star, pred.peak_time, 0.05))
-        p2 = np.array([s.probabilities[1] for s in report.trajectory])
-        p4 = np.array([s.probabilities[3] for s in report.trajectory])
+        p2 = report.trajectory.probabilities[:, 1]
+        p4 = report.trajectory.probabilities[:, 3]
         assert np.abs(p2 - p2[0]).max() < 0.01
         assert np.abs(p4 - p4[0]).max() < 0.01
 
@@ -177,7 +157,7 @@ class TestEvolution:
 
         def peak(gamma):
             report = cg_evolve(CGConfig(size, gamma, horizon, 0.02))
-            return max(s.probabilities[0] for s in report.trajectory)
+            return report.trajectory.probabilities[:, 0].max()
 
         optimal = peak(pred.gamma_star)
         assert peak(0.8 / 1024.0) < optimal
@@ -188,13 +168,13 @@ class TestEvolution:
             size = GraphSize(n)
             pred = cg_prediction(size)
             report = cg_evolve(CGConfig(size, pred.gamma_star, 2.0 * pred.peak_time, 0.02))
-            peak = max(s.probabilities[0] for s in report.trajectory)
+            peak = report.trajectory.probabilities[:, 0].max()
             band = 5.0 / np.sqrt(n)
             assert 0.5 - band <= peak <= 0.5 + band
 
     def test_sampling_includes_endpoint(self):
         size = GraphSize(16)
         report = cg_evolve(CGConfig(size, 1.0 / 16, 1.05, 0.5))
-        times = [s.walk_time_so_far for s in report.trajectory]
+        times = report.trajectory.walk_time_so_far
         assert times[0] == 0.0
         assert abs(times[-1] - 1.05) < 1e-12

@@ -240,7 +240,6 @@ class TestCompileSchedule:
         program = compile_schedule(schedule, 2, marked=3)
         phases = [g for g in program.gates if isinstance(g, ControlledPhase)]
         assert len(phases) == 1
-        assert program.metadata["oracle_queries"] == 1
 
     def test_rejects_non_power_of_two(self):
         schedule = Schedule((walk_step(0.1),), n=12, variant="unit", p=1)
@@ -288,14 +287,13 @@ class TestCompileSchedule:
         from ciinwalk.dynamics import StepKind
 
         oracle_steps = sum(1 for s in schedule.steps if s.kind is StepKind.ORACLE)
-        assert len(oracle_gates) == oracle_steps == program.metadata["oracle_queries"]
+        assert len(oracle_gates) == oracle_steps == schedule.oracle_queries
 
 
 class TestTextFormat:
     def test_round_trip(self):
         program = compile_schedule(deterministic_schedule(GraphSize(8)), 3, marked=2)
-        parsed = parse_circuit(render_circuit(program))
-        assert parsed == CircuitProgram(program.num_wires, program.gates)
+        assert parse_circuit(render_circuit(program)) == program
 
     def test_header_and_gate_lines(self):
         text = render_circuit(walk_circuit(2, 0.5))
@@ -309,6 +307,20 @@ class TestTextFormat:
             parse_circuit("H 0\n")
         with pytest.raises(ValueError):
             parse_circuit("WIRES 2\nROTATE 0\n")
+
+    @pytest.mark.parametrize("gate", ["R 0 {} 0.5", "R 0 0.5 {}", "CPHASE {} 1-"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite_angles(self, gate, value):
+        line = gate.format(value)
+        with pytest.raises(ValueError, match=f"non-finite angle in circuit line: '{line}'"):
+            parse_circuit(f"WIRES 2\n{line}\n")
+
+    @pytest.mark.parametrize("num_wires", [0, -1])
+    def test_refuses_fewer_than_one_wire(self, num_wires):
+        with pytest.raises(ValueError, match="at least one wire"):
+            CircuitProgram(num_wires, ())
+        with pytest.raises(ValueError, match="at least one wire"):
+            parse_circuit(f"WIRES {num_wires}\n")
 
     def test_condition_validation(self):
         with pytest.raises(ValueError):

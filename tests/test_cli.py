@@ -232,6 +232,12 @@ PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30", "--format", "json"): {
         "fig3-cg.json": "d15e513cbee7525094f96d498d15d59c8e109cbb419a01877c4b460ef651a165",
     },
+    ("fig4-walk", "--n", "9"): {
+        "fig4-walk.csv": "8b492b25f5ef4a666bd4671c2e84ecc532f7888d1c135ce4b5d3ff9dc9e27daa",
+    },
+    ("fig4-walk", "--n", "9", "--format", "json"): {
+        "fig4-walk.json": "97b35609db9377e183f8bdbdd4114ec1a1564726d593d0aa9f7b5a13785093af",
+    },
     ("fig5-dual", "--n", "64", "--format", "json"): {
         "fig5-dual.json": "22df57463241369825c5cc7de7cf11a7f5f42ab78931733d2997a444dcc52136",
     },
@@ -243,6 +249,20 @@ PINNED_OUTPUTS = {
     },
     ("fig7-oddpath", "--N", "130"): {
         "fig7-oddpath.csv": "31f5cbdbe72ce880a913ea4d6ae9d245025c4b6fd677bd1cca02f175cf5a7b9a",
+    },
+    ("sweep-determinism", "--n-list", "8,12,...,64"): {
+        "sweep-determinism.csv":
+            "a0cb186f54975dfa24c16cd684b00786604ab3554f98f1484fd90da47db94a37",
+    },
+    ("sweep-determinism", "--variant", "odd", "--n-list", "9,13,...,63"): {
+        "sweep-determinism.csv":
+            "c9f1f600adf9928c621ba9a1b6aee956d114e4fa74df4f125c3ce752037d70c5",
+    },
+    ("sweep-queries",): {
+        "sweep-queries.csv": "634097cd3e6ff9d9c97380eb6781b2ff38d6dd7810bab3f602d8530f4ac853f1",
+    },
+    ("sweep-queries", "--format", "json"): {
+        "sweep-queries.json": "643f9a53fc5522d57757e2950f0637ab3daa5cc8ce081fe8007da2a6f38223ab",
     },
     ("verify-circuit", "--m-max", "3", "--trials", "2", "--pipeline-m", "4", "--seed", "7"): {
         "verify-circuit.csv": "6f73bcf66671aa4f9b17fc8d9aeeb6fe438036902e142a60794bbdfc0c9e2a23",

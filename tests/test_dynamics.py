@@ -15,7 +15,6 @@ from ciinwalk.dynamics import (
     Schedule,
     StepKind,
     Trajectory,
-    TrajectorySample,
     apply_schedule,
     entangled_fidelity,
     group_probabilities,
@@ -324,8 +323,7 @@ class TestApplySchedule:
         schedule = Schedule(tuple(steps))
         state = random_state(rng, 4)
         report = apply_schedule(state, schedule, size, sample_every=100)
-        for sample in report.trajectory:
-            assert abs(sum(sample.probabilities) - 1.0) < 1e-9
+        assert np.abs(report.trajectory.probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_query_and_time_accounting(self):
         size = GraphSize(8)
@@ -355,13 +353,13 @@ class TestApplySchedule:
         size = GraphSize(4)
         steps = tuple(walk_step(0.1) for _ in range(7))
         report = apply_schedule(uniform_state(size), Schedule(steps), size, sample_every=3)
-        assert [s.step for s in report.trajectory] == [0, 3, 6, 7]
+        assert report.trajectory.step.tolist() == [0, 3, 6, 7]
 
     def test_dual_basis_sampling(self):
         size = GraphSize(6)
         report = apply_schedule(uniform_state(size), Schedule(()), size, sample_basis="dual")
         # |s> is the first dual vector
-        assert abs(report.trajectory[0].probabilities[0] - 1.0) < 1e-12
+        assert abs(report.trajectory.probabilities[0, 0] - 1.0) < 1e-12
         with pytest.raises(ValueError):
             apply_schedule(uniform_state(size, reduced=False), Schedule(()), size,
                            sample_basis="dual")
@@ -388,9 +386,9 @@ BUILDERS = {
 def assert_matches_stepwise(state, schedule, size, marked, every):
     report = apply_schedule(state, schedule, size, sample_every=every, marked=marked)
     final, samples = run_stepwise(state, schedule, size, marked, every)
-    assert [s.step for s in report.trajectory] == [step for step, _ in samples]
-    for sample, (_, probs) in zip(report.trajectory, samples):
-        assert np.abs(np.array(sample.probabilities) - probs).max() <= 1e-12
+    assert report.trajectory.step.tolist() == [step for step, _ in samples]
+    for got, (_, probs) in zip(report.trajectory.probabilities, samples):
+        assert np.abs(got - probs).max() <= 1e-12
     expected = abs(final[marked]) ** 2
     if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
         expected += abs(final[size.opposite(marked)]) ** 2
@@ -607,7 +605,7 @@ class TestEndpointFold:
                        - looped.final_success_probability) <= 1e-12
             assert folded.oracle_queries == looped.oracle_queries == schedule.oracle_queries
             assert folded.total_walk_time == pytest.approx(schedule.total_walk_time, rel=1e-12)
-            assert [s.step for s in folded.trajectory] == [0, every]
+            assert folded.trajectory.step.tolist() == [0, every]
 
     def test_fold_is_taken_only_for_endpoint_runs(self, monkeypatch):
         calls = []
@@ -654,12 +652,11 @@ class TestEndpointFold:
             assert report_bits(folded) == report_bits(apply_schedule(state, looped, size, **kwargs))
             return
         reference = apply_schedule(state, looped, size, **kwargs)
-        assert [s.step for s in folded.trajectory] == [s.step for s in reference.trajectory]
-        for got, want in zip(folded.trajectory, reference.trajectory):
-            assert np.abs(np.subtract(got.probabilities, want.probabilities)).max() <= 1e-12
-            assert got.queries_so_far == want.queries_so_far
-            assert got.walk_time_so_far == pytest.approx(want.walk_time_so_far, rel=1e-12,
-                                                         abs=1e-12)
+        got, want = folded.trajectory, reference.trajectory
+        assert got.step.tolist() == want.step.tolist()
+        assert np.abs(got.probabilities - want.probabilities).max() <= 1e-12
+        assert got.queries_so_far.tolist() == want.queries_so_far.tolist()
+        assert got.walk_time_so_far == pytest.approx(want.walk_time_so_far, rel=1e-12, abs=1e-12)
         assert abs(folded.final_success_probability
                    - reference.final_success_probability) <= 1e-12
         assert folded.oracle_queries == reference.oracle_queries
@@ -787,14 +784,6 @@ class TestRunReportSerialization:
                 assert report.to_json() == reference_json(report)
 
 
-def sample_bits(sample):
-    """A sample's fields with their types, floats as exact hex (nan-safe)."""
-    return (type(sample.step), sample.step,
-            tuple((type(p), p.hex()) for p in sample.probabilities),
-            type(sample.queries_so_far), sample.queries_so_far,
-            type(sample.walk_time_so_far), sample.walk_time_so_far.hex())
-
-
 class TestTrajectory:
     COLUMNS = (
         [0, 3, 2 ** 40],
@@ -802,31 +791,10 @@ class TestTrajectory:
         [0, 7, 2 ** 62],
         [0.0, 1.5, np.pi],
     )
-    SAMPLES = (
-        TrajectorySample(0, (1.0, 0.0, -0.0, 0.5), 0, 0.0),
-        TrajectorySample(3, (np.nan, np.inf, 5e-324, 1e300), 7, 1.5),
-        TrajectorySample(2 ** 40, (0.25, -np.inf, 0.1, 1 / 3), 2 ** 62, np.pi),
-    )
-
-    def test_indexing_and_iteration_give_the_samples(self):
-        trajectory = Trajectory(*self.COLUMNS)
-        expected = [sample_bits(s) for s in self.SAMPLES]
-        assert len(trajectory) == 3
-        assert [sample_bits(s) for s in trajectory] == expected
-        assert [sample_bits(trajectory[i]) for i in range(3)] == expected
-        assert [sample_bits(trajectory[i]) for i in range(-3, 0)] == expected
-        with pytest.raises(IndexError):
-            trajectory[3]
-
-    def test_slices_are_trajectories(self):
-        trajectory = Trajectory(*self.COLUMNS)
-        tail = trajectory[1:]
-        assert isinstance(tail, Trajectory) and len(tail) == 2
-        assert [sample_bits(s) for s in tail] == [sample_bits(s) for s in self.SAMPLES[1:]]
-        assert len(trajectory[:0]) == 0 and list(trajectory[:0]) == []
 
     def test_columns_are_read_only_arrays(self):
         trajectory = Trajectory(*self.COLUMNS)
+        assert len(trajectory) == 3
         assert trajectory.step.dtype == trajectory.queries_so_far.dtype == np.int64
         assert trajectory.probabilities.dtype == trajectory.walk_time_so_far.dtype == np.float64
         assert trajectory.probabilities.shape == (3, 4)
@@ -842,15 +810,3 @@ class TestTrajectory:
                         (steps, probabilities, queries, times[:2])):
             with pytest.raises(ValueError):
                 Trajectory(*columns)
-
-    def test_apply_schedule_samples_match_the_columns(self):
-        size = GraphSize(12)
-        report = apply_schedule(uniform_state(size), sch.deterministic_schedule(size), size,
-                                sample_every=3)
-        trajectory = report.trajectory
-        for k, sample in enumerate(trajectory):
-            assert sample.step == trajectory.step[k]
-            assert sample.probabilities == tuple(trajectory.probabilities[k])
-            assert sample.queries_so_far == trajectory.queries_so_far[k]
-            assert sample.walk_time_so_far == trajectory.walk_time_so_far[k]
-        assert sample_bits(trajectory[-1]) == sample_bits(list(trajectory)[-1])

@@ -320,8 +320,7 @@ class TestApproxSchedule:
         schedule = sch.approx_schedule(size, finishing="none")
         report = run_reduced(size, schedule)
         assert schedule.oracle_queries == 2 * schedule.p
-        for sample in report.trajectory:
-            assert abs(sum(sample.probabilities) - 1.0) < 1e-9
+        assert np.abs(report.trajectory.probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_query_counts_by_finishing_mode(self):
         size = GraphSize(1024)
@@ -563,7 +562,7 @@ class TestOddSchedule:
         schedule = sch.odd_schedule(size, deterministic=False)
         report = apply_schedule(uniform_state(size), schedule, size, sample_every=4,
                                 sample_basis="dual")
-        start_pop = [s.probabilities[0] for s in report.trajectory[:-1]]
+        start_pop = report.trajectory.probabilities[:-1, 0].tolist()
         assert all(b <= a + 1e-12 for a, b in zip(start_pop, start_pop[1:]))
         angle = 2 * np.arcsin(1 / np.sqrt(size.n))
         for j, value in enumerate(start_pop[: schedule.p + 1]):
