@@ -15,6 +15,7 @@ wires 1..m carry the within-side index, most significant first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,9 +244,10 @@ def _angle(text: str, line: str) -> float:
 
 def parse_circuit(text: str) -> CircuitProgram:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("WIRES "):
-        raise ValueError("circuit text must start with a WIRES header")
-    num_wires = int(lines[0].split()[1])
+    header = lines[0] if lines else ""
+    if not re.fullmatch(r"WIRES\s+[+-]?\d+", header):
+        raise ValueError(f"circuit text must start with a 'WIRES <int>' header, not {header!r}")
+    num_wires = int(header.split()[1])
     gates: list[Gate] = []
     for line in lines[1:]:
         parts = line.split()

@@ -8,6 +8,15 @@ a diagonal phase in the dual basis, and the full-space walk combines the four
 spectral projectors with O(N) work.  Times are dimensionless (adjacency
 spectral units); the integer spectrum makes every walk 2*pi-periodic.
 
+`walk_full` builds the side-symmetric and side-antisymmetric halves in the
+two halves of its output array and makes its two passes over them in
+cache-sized blocks of `_WALK_BLOCK` index pairs, with one block-sized buffer
+and no full-length temporary.  The two means in between stay sums over
+whole halves, so they add in the same order as an unblocked evaluation.
+Halving multiplies the float components by 0.5; on finite states that
+matches a complex division by 2 bit for bit, except the sign of an
+exactly-zero component, which no probability sees.
+
 `apply_schedule` runs an L-step schedule on a full-space state in O(N + L),
 not O(N L).  It projects the state once onto the walk basis of the marked
 vertex and runs the same 4-dim step loop as for reduced states.  The
@@ -136,9 +145,20 @@ class Schedule:
         return float(sum(abs(s.parameter) for s in self.steps if s.kind is StepKind.WALK))
 
 
-# rows per `.tolist()` block in `RunReport.to_csv`
+# rows per `.tolist()` block in `RunReport.to_csv` and `RunReport.to_json`
 _CSV_BLOCK = 4096
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+_JSON_SAMPLE = """    {
+      "probabilities": [
+        %s,
+        %s,
+        %s,
+        %s
+      ],
+      "queries_so_far": %d,
+      "step": %d,
+      "walk_time_so_far": %s
+    }"""
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,24 +224,34 @@ class RunReport:
         return "".join(parts)
 
     def to_json(self) -> str:
+        """Render the report as JSON.
+
+        The text is that of `json.dumps(..., sort_keys=True, indent=2)` on
+        the final accounting and one object per sample (probabilities,
+        queries_so_far, step, walk_time_so_far).  With `indent`, `json`
+        encodes in pure Python, so each sample is filled into a fixed
+        template instead, a block of rows at a time; its floats are those
+        of `json`'s C encoder (`float.__repr__`, NaN, Infinity).
+        """
         t = self.trajectory
-        columns = zip(t.step.tolist(), t.probabilities.tolist(),
-                      t.queries_so_far.tolist(), t.walk_time_so_far.tolist())
-        payload = {
-            "trajectory": [
-                {
-                    "step": step,
-                    "probabilities": probabilities,
-                    "queries_so_far": queries,
-                    "walk_time_so_far": walk_time,
-                }
-                for step, probabilities, queries, walk_time in columns
-            ],
-            "final_success_probability": self.final_success_probability,
-            "oracle_queries": self.oracle_queries,
-            "total_walk_time": self.total_walk_time,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        samples = []
+        for start in range(0, len(t), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            probabilities = iter(_json_floats(t.probabilities[block].ravel()))
+            rows = zip(probabilities, probabilities, probabilities, probabilities,
+                       t.queries_so_far[block].tolist(), t.step[block].tolist(),
+                       _json_floats(t.walk_time_so_far[block]))
+            samples.append(",\n".join([_JSON_SAMPLE % row for row in rows]))
+        trajectory = "[\n" + ",\n".join(samples) + "\n  ]" if samples else "[]"
+        return (f'{{\n  "final_success_probability": {json.dumps(self.final_success_probability)},'
+                f'\n  "oracle_queries": {json.dumps(self.oracle_queries)},'
+                f'\n  "total_walk_time": {json.dumps(self.total_walk_time)},'
+                f'\n  "trajectory": {trajectory}\n}}')
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """A non-empty float column's values as `json` writes them."""
+    return json.dumps(column.tolist())[1:-1].split(", ")
 
 
 def _is_reduced(state: np.ndarray) -> bool:
@@ -292,6 +322,11 @@ def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
     return m
 
 
+# index pairs per block in `walk_full`: the 128 KiB blocks that one pass
+# touches (four at most) fit in L2 together
+_WALK_BLOCK = 8192
+
+
 def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     """Apply exp(-i t A_full) matrix-free through the four spectral projectors.
 
@@ -299,7 +334,21 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     side-antisymmetric uniform vector (n-2), side-antisymmetric zero-mean
     vectors (-2), and side-symmetric zero-mean vectors (0).  Splitting the
     state into symmetric/antisymmetric halves and their means applies all
-    four projectors in O(N), writing both halves into one new array.
+    four projectors in O(N).
+
+    The halves are built in the two halves of the output array, and both
+    passes over them run in blocks of `_WALK_BLOCK` index pairs, so each
+    block is still in cache for its next operation and the only temporary
+    is one block-sized buffer.  Pass 1 writes a + b and a - b and halves
+    their float64 components.  On finite states that gives the bits of a
+    complex division by 2 (numpy divides by 2 + 0j with Smith's algorithm)
+    except the sign of an exactly-zero component; no probability sees that
+    sign.  (The division also turns an infinite component's zero partner
+    into NaN; halving does not.)  The two means are taken over whole halves
+    between the passes, because a per-block sum would add in another order
+    and change the bits; each is the sum and division that `ndarray.mean`
+    makes.  Pass 2 applies the projectors in place with the operations,
+    and the operand order, of the unblocked formula.
     """
     n = size.n
     state = np.asarray(state, dtype=complex)
@@ -307,21 +356,38 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected state of length {size.N}, got shape {state.shape}"
         )
-    sym = np.add(state[:n], state[n:])
-    sym /= 2.0
-    asym = np.subtract(state[:n], state[n:])
-    asym /= 2.0
-    mean_sym = sym.mean()
-    mean_asym = asym.mean()
-    sym -= mean_sym
-    sym += np.exp(-1j * t * n) * mean_sym
-    asym -= mean_asym
-    # phase first: complex multiply is not bitwise commutative under FMA
-    np.multiply(np.exp(2j * t), asym, out=asym)
-    asym += np.exp(-1j * t * (n - 2)) * mean_asym
     out = np.empty(size.N, dtype=complex)
-    np.add(sym, asym, out=out[:n])
-    np.subtract(sym, asym, out=out[n:])
+    sym, asym = out[:n], out[n:]
+    # float components, one row per half: one multiply halves a block of each
+    halves = out.view(np.float64).reshape(2, 2 * n)
+    # block starts; the last block runs to n, so it is the longest
+    starts = range(0, max(n - _WALK_BLOCK + 1, 1), _WALK_BLOCK)
+    last = starts[-1]
+    for lo in starts:
+        hi = n if lo == last else lo + _WALK_BLOCK
+        np.add(state[lo:hi], state[n + lo:n + hi], out=sym[lo:hi])
+        np.subtract(state[lo:hi], state[n + lo:n + hi], out=asym[lo:hi])
+        halves[:, 2 * lo:2 * hi] *= 0.5
+    # ndarray.mean's own sum and division, without its Python-level wrapper
+    mean_sym = np.add.reduce(sym) / n
+    mean_asym = np.add.reduce(asym) / n
+    top = np.exp(-1j * t * n) * mean_sym
+    turn = np.exp(2j * t)
+    mid = np.exp(-1j * t * (n - 2)) * mean_asym
+    buffer = np.empty(n - last, dtype=complex)
+    for lo in starts:
+        hi = n if lo == last else lo + _WALK_BLOCK
+        s, d = sym[lo:hi], asym[lo:hi]
+        s -= mean_sym
+        s += top
+        d -= mean_asym
+        # phase first: complex multiply is not bitwise commutative under FMA
+        np.multiply(turn, d, out=d)
+        d += mid
+        difference = buffer[:hi - lo]
+        np.subtract(s, d, out=difference)
+        s += d
+        d[...] = difference
     return out
 
 
@@ -381,7 +447,8 @@ def group_probabilities(state: np.ndarray, size: GraphSize, marked: int = 0) -> 
     _check_vertex(size, marked)
     n = size.n
     opposite = size.opposite(marked)
-    prob = np.abs(state) ** 2
+    prob = np.abs(state)
+    np.square(prob, out=prob)
     side = marked // n
     same = prob[side * n:(side + 1) * n].sum() - prob[marked]
     far = prob[(1 - side) * n:(2 - side) * n].sum() - prob[opposite]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -307,6 +309,12 @@ class TestTextFormat:
             parse_circuit("H 0\n")
         with pytest.raises(ValueError):
             parse_circuit("WIRES 2\nROTATE 0\n")
+
+    @pytest.mark.parametrize("header", ["WIRES 2 junk", "WIRES two", "WIRES 2.0", "WIRES",
+                                        "wires 2"])
+    def test_parse_rejects_malformed_headers(self, header):
+        with pytest.raises(ValueError, match=re.escape(repr(header))):
+            parse_circuit(f"{header}\nH 0\n")
 
     @pytest.mark.parametrize("gate", ["R 0 {} 0.5", "R 0 0.5 {}", "CPHASE {} 1-"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

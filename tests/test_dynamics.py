@@ -42,6 +42,17 @@ from conftest import (
 )
 
 
+def projector_reference(state, t, n):
+    """`walk_full` written out unblocked, halving by complex division."""
+    sym = (state[:n] + state[n:]) / 2.0
+    asym = (state[:n] - state[n:]) / 2.0
+    mean_sym, mean_asym = sym.mean(), asym.mean()
+    out_sym = np.exp(-1j * t * n) * mean_sym + (sym - mean_sym)
+    out_asym = (np.exp(-1j * t * (n - 2)) * mean_asym
+                + np.exp(2j * t) * (asym - mean_asym))
+    return np.concatenate([out_sym + out_asym, out_sym - out_asym])
+
+
 def dense_walk_reduced(size, t):
     """Independent oracle: generic matrix exponential of the reduced adjacency."""
     return scipy.linalg.expm(-1j * t * reduced_adjacency(size))
@@ -141,19 +152,23 @@ class TestWalkFull:
             walk_full(np.zeros(9, dtype=complex), 1.0, GraphSize(5))
 
     def test_bitwise_equal_to_concatenated_projectors(self, rng):
-        # the in-place evaluation keeps every operation and its operand order
-        for n in (2, 9, 1000):
+        # the blocked in-place evaluation keeps every operation and its
+        # operand order: random states at the block edges, and the start
+        # states the CLI passes (fig4-walk's marked vertex, verify-circuit's
+        # basis columns)
+        block = dynamics._WALK_BLOCK
+        cases = [(n, random_state(rng, 2 * n))
+                 for n in (2, 9, 1000, block - 1, block, block + 1, 2 * block - 1,
+                           2 * block + 1, 3 * block + 5, 99_991)]
+        cases += [(n, marked_state(GraphSize(n), reduced=False)) for n in (9, 3 * block + 5)]
+        for n in (2, 4, 8):
+            basis = np.eye(2 * n, dtype=complex)
+            cases += [(n, basis[:, col]) for col in range(2 * n)]
+        for n, state in cases:
             size = GraphSize(n)
-            state = random_state(rng, size.N)
             before = state.copy()
             for t in (0.3, -7.1, 1e5):
-                sym = (state[:n] + state[n:]) / 2.0
-                asym = (state[:n] - state[n:]) / 2.0
-                mean_sym, mean_asym = sym.mean(), asym.mean()
-                out_sym = np.exp(-1j * t * n) * mean_sym + (sym - mean_sym)
-                out_asym = (np.exp(-1j * t * (n - 2)) * mean_asym
-                            + np.exp(2j * t) * (asym - mean_asym))
-                expected = np.concatenate([out_sym + out_asym, out_sym - out_asym])
+                expected = projector_reference(state, t, n)
                 assert walk_full(state, t, size).tobytes() == expected.tobytes()
             assert np.array_equal(state, before)
 
@@ -233,6 +248,30 @@ class TestObservables:
         state = random_state(rng, 16)
         groups = group_probabilities(state, size, marked=3)
         assert abs(groups.sum() - 1.0) < 1e-12
+
+    def test_group_probabilities_bitwise_equal_to_squared_magnitudes(self, rng):
+        # the last two states have -0.0 components; on the all -0.0 one,
+        # `walk_full` differs from a complex division by 2 in the sign of a
+        # zero at t = 0.3, and no probability does
+        signed_zeros = random_state(rng, 2000)
+        signed_zeros.real[::3] = -0.0
+        signed_zeros.imag[::5] = -0.0
+        signed_zeros[::7] = complex(-0.0, -0.0)
+        for n, marked, state in ((9, 4, random_state(rng, 18)),
+                                 (1000, 1500, random_state(rng, 2000)),
+                                 (1000, 7, signed_zeros),
+                                 (9, 0, np.full(18, complex(-0.0, -0.0)))):
+            size = GraphSize(n)
+            side, opposite = marked // n, size.opposite(marked)
+            prob = np.abs(state) ** 2
+            expected = np.array([prob[marked], prob[opposite],
+                                 prob[side * n:(side + 1) * n].sum() - prob[marked],
+                                 prob[(1 - side) * n:(2 - side) * n].sum() - prob[opposite]])
+            assert group_probabilities(state, size, marked).tobytes() == expected.tobytes()
+            for t in (0.3, 1e5):
+                walked = group_probabilities(walk_full(state, t, size), size, marked)
+                reference = group_probabilities(projector_reference(state, t, n), size, marked)
+                assert walked.tobytes() == reference.tobytes()
 
     def test_group_probabilities_out_of_range_marked(self):
         size = GraphSize(8)
@@ -773,6 +812,10 @@ class TestRunReportSerialization:
         report = RunReport(Trajectory(counts[:, 0], values[:, :4], counts[:, 1], values[:, 4]),
                            0.5, 7, 1e300)
         assert report.to_csv() == reference_csv(report)
+        assert report.to_json() == reference_json(report)
+
+    def test_empty_trajectory_matches_the_reference(self):
+        report = RunReport(Trajectory([], np.zeros((0, 4)), [], []), 0.5, 3, np.nan)
         assert report.to_json() == reference_json(report)
 
     def test_builder_runs_match_the_reference(self):
