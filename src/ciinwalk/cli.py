@@ -8,6 +8,12 @@ approximate/deterministic comparison (fig6-compare), the odd-n route
 checks.  Outputs are CSV or JSON files plus a one-line summary on stdout;
 identical configurations (including the seed) produce byte-identical files.
 
+fig4-walk computes every sample in the 4-dim walk subspace, in one batched
+dual-basis call.  `walk_full` runs only for its two full-space checks: the
+drift after one 2*pi period, and the gap to the reduced data at sample
+`samples // 2`.  The tests hold the written values within 1e-15 of a
+40-digit mpmath reference at n = 9, 1024, 99,991 and 2^20.
+
 Exit codes: 0 success, 1 configuration error, 2 verification failure (a
 runtime check of an expected invariant did not hold).
 """
@@ -35,7 +41,7 @@ from .dynamics import (
     uniform_state,
     walk_full,
 )
-from .graphs import GraphSize
+from .graphs import GraphSize, dual_basis
 
 CONFIG_ERROR = 1
 VERIFICATION_FAILURE = 2
@@ -147,6 +153,18 @@ def _run_fig3(args) -> int:
     return 0
 
 
+def _walk_from_marked(size: GraphSize, times: np.ndarray) -> np.ndarray:
+    """Group probabilities of exp(-i t A)|marked> at every time, shape (4, k).
+
+    The walk never leaves the 4-dim walk subspace, where it is a diagonal
+    phase in the dual basis: one (4, k) phase block serves every sample.
+    """
+    dual = dual_basis(size)
+    phases = np.exp(-1j * np.multiply.outer(dual.eigenvalues, times))
+    coeffs = dual.from_dual(phases * dual.to_dual(marked_state(size))[:, np.newaxis])
+    return np.abs(coeffs) ** 2
+
+
 @_experiment("fig4-walk")
 def _run_fig4(args) -> int:
     size = _resolve_size(args, default_n=9)
@@ -155,20 +173,22 @@ def _run_fig4(args) -> int:
     if not np.isfinite(args.t_max):
         raise ValueError(f"--t-max must be finite, got {args.t_max}")
     times = np.linspace(0.0, args.t_max, args.samples)
+    probs = _walk_from_marked(size, times)
+    # the full space checks the reduced data: periodicity at 2 pi, and the
+    # gap at one interior sample; group_probabilities refuses n = 2 here,
+    # before any file is written
     start = marked_state(size, reduced=False)
-    rows = []
-    for index, t in enumerate(times):
-        state = walk_full(start, float(t), size)
-        probs = group_probabilities(state, size)
-        rows.append(
-            [index]
-            + [format(p, ".17g") for p in probs]
-            + [0, format(float(t), ".17g")]
-        )
+    drift = float(np.max(np.abs(
+        group_probabilities(walk_full(start, 2.0 * np.pi, size), size)
+        - group_probabilities(start, size))))
+    check = args.samples // 2
+    full = group_probabilities(walk_full(start, float(times[check]), size), size)
+    gap = float(np.max(np.abs(full - probs[:, check])))
+    rows = [[index, *(format(p, ".17g") for p in column), 0, format(t, ".17g")]
+            for index, (column, t) in enumerate(zip(probs.T.tolist(), times.tolist()))]
     _write_table(rows, RunReport.CSV_HEADER, _out_path(args), args.format)
-    end_probs = group_probabilities(walk_full(start, 2.0 * np.pi, size), size)
-    drift = float(np.max(np.abs(end_probs - group_probabilities(start, size))))
-    print(f"fig4-walk: N={size.N} samples={args.samples} max |p(2pi) - p(0)| = {drift:.3g}")
+    print(f"fig4-walk: N={size.N} samples={args.samples} max |p(2pi) - p(0)| = {drift:.3g}, "
+          f"max |p_full - p_reduced| at sample {check} = {gap:.3g}")
     return 0
 
 
@@ -338,7 +358,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     descriptions = {
         "fig3-cg": "continuous-search baseline trajectory; ~50%% peak near (pi/(2 sqrt 2)) sqrt N",
-        "fig4-walk": "walk from the marked vertex; group populations over one 2*pi period",
+        "fig4-walk": "walk from the marked vertex; group populations over one 2*pi period, "
+                     "computed in the 4-dim walk subspace (within 1e-15 of a 40-digit "
+                     "reference at the tested sizes); walk_full runs only for the 2*pi "
+                     "drift and the full-space gap at sample samples//2",
         "fig5-dual": "approximate route per iterate, dual-basis populations",
         "fig6-compare": "approximate vs deterministic routes on one instance, dual basis",
         "fig7-oddpath": "odd-n route per iterate, dual-basis populations",

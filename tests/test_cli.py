@@ -1,9 +1,17 @@
+import csv
 import hashlib
 import json
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ciinwalk.cli import main
+import ciinwalk.cli
+from ciinwalk.cli import _walk_from_marked, main
+from ciinwalk.dynamics import group_probabilities, marked_state, walk_full
+from ciinwalk.graphs import GraphSize
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -202,6 +210,95 @@ class TestExperiments:
         assert "walk-equivalence" in out and "pipeline-success" in out
 
 
+def reference_walk_probabilities(n, times):
+    """Group probabilities of exp(-i t A)|marked> at 40 digits, one row per time.
+
+    mpmath diagonalises the 4x4 reduced adjacency once; the propagator it
+    gives is spot-checked against `mpmath.expm` at two times.  Each time is
+    taken as the exact value of its double.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(n - 1)
+        adjacency = mpmath.matrix([[0, 1, s, 0], [1, 0, 0, s],
+                                   [s, 0, n - 2, 1], [0, s, 1, n - 2]])
+        energies, vectors = mpmath.eigsy(adjacency)
+        # column 0 of V diag(exp(-i t E)) V^T, as weights on the phases
+        weights = [[vectors[k, j] * vectors[0, j] for j in range(4)] for k in range(4)]
+
+        def column(t):
+            phases = [mpmath.expj(-t * energy) for energy in energies]
+            return [mpmath.fsum(w * phase for w, phase in zip(row, phases))
+                    for row in weights]
+
+        for t in (mpmath.mpf("0.7"), mpmath.mpf(5)):
+            exact = mpmath.expm(-1j * t * adjacency)
+            assert max(abs(c - exact[k, 0]) for k, c in enumerate(column(t))) < 1e-30
+        return [[abs(c) ** 2 for c in column(mpmath.mpf(t))] for t in times]
+
+
+class TestFig4Walk:
+    @pytest.mark.parametrize("argv", [
+        ["--n", "9"],
+        ["--n", "1024"],
+        ["--n", "99991", "--samples", "33"],
+        ["--n", str(2 ** 20), "--samples", "33"],
+    ], ids=" ".join)
+    def test_values_lie_within_the_reference_bound(self, tmp_path, monkeypatch, argv):
+        """Every written p1..p4 lies within 1e-15 of the 40-digit reference.
+
+        The bound holds at these sizes; it is not a property of every n.
+        Both the reduced form and the full-space form round the phase
+        argument lambda t, and at some sizes each reaches about 1.5e-15.
+        """
+        assert run_in(tmp_path, monkeypatch, ["fig4-walk", *argv]) == 0
+        with open(tmp_path / "fig4-walk.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        times = [float(row["walk_time_so_far"]) for row in rows]
+        reference = reference_walk_probabilities(int(argv[1]), times)
+        with mpmath.workdps(40):
+            distance = max(abs(mpmath.mpf(float(row[f"p{k + 1}"])) - expected[k])
+                           for row, expected in zip(rows, reference) for k in range(4))
+        assert distance <= 1e-15, float(distance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 300), t=st.floats(0.0, 4 * np.pi))
+    def test_reduced_column_matches_the_full_space(self, n, t):
+        """The reduced form and the full-space walk agree to a few ulps of a
+        probability near 1: they round differently, and over 31,000 random
+        draws their largest gap was 1.33e-15."""
+        size = GraphSize(n)
+        full = group_probabilities(walk_full(marked_state(size, reduced=False), t, size), size)
+        reduced = _walk_from_marked(size, np.array([t]))[:, 0]
+        assert np.max(np.abs(full - reduced)) <= 2e-15
+
+    def test_full_space_runs_twice_and_prints_the_gap(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return walk_full(*args)
+
+        monkeypatch.setattr(ciinwalk.cli, "walk_full", counted)
+        argv = ["fig4-walk", "--N", str(2 ** 21), "--samples", "33"]
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        assert len(calls) <= 2
+        out = capsys.readouterr().out
+        assert "max |p_full - p_reduced| at sample 16 = " in out
+        assert float(out.rsplit("= ", 1)[1]) < 1e-14
+
+    def test_refuses_n_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        assert run_in(tmp_path, monkeypatch, ["fig4-walk", "--n", "2"]) == 1
+        assert "n = 2 is ambiguous" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_sample_is_t_0(self, tmp_path, monkeypatch, capsys):
+        assert run_in(tmp_path, monkeypatch, ["fig4-walk", "--samples", "1"]) == 0
+        lines = (tmp_path / "fig4-walk.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("0,") and lines[1].endswith(",0,0")
+        assert "at sample 0 = " in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_byte_identical_output_for_same_config(self, tmp_path, monkeypatch):
         argv = ["fig3-cg", "--N", "128", "--total-time", "10", "--dt", "0.05",
@@ -224,7 +321,8 @@ class TestDeterminism:
 
 # SHA-256 of each output file, computed with the sample-by-sample renderer
 # and the column-by-column `reconstruct_unitary` that came before the
-# columnar ones.
+# columnar ones.  The fig4-walk digests are those of its reduced 4-dim
+# form, whose values lie within 1e-15 of the 40-digit reference.
 PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30"): {
         "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
@@ -233,10 +331,10 @@ PINNED_OUTPUTS = {
         "fig3-cg.json": "d15e513cbee7525094f96d498d15d59c8e109cbb419a01877c4b460ef651a165",
     },
     ("fig4-walk", "--n", "9"): {
-        "fig4-walk.csv": "8b492b25f5ef4a666bd4671c2e84ecc532f7888d1c135ce4b5d3ff9dc9e27daa",
+        "fig4-walk.csv": "df316634e2819756d7bd01db26589fc4eaeb492b7c9409bdac3528466c0d115b",
     },
     ("fig4-walk", "--n", "9", "--format", "json"): {
-        "fig4-walk.json": "97b35609db9377e183f8bdbdd4114ec1a1564726d593d0aa9f7b5a13785093af",
+        "fig4-walk.json": "56503949ba565784b8fe96f2fea8455322f9937a7a98d6f408c3a8e89730026b",
     },
     ("fig5-dual", "--n", "64", "--format", "json"): {
         "fig5-dual.json": "22df57463241369825c5cc7de7cf11a7f5f42ab78931733d2997a444dcc52136",
