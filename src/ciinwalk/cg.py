@@ -41,6 +41,9 @@ class CGConfig:
             raise ValueError(f"total_time must be >= 0, got {self.total_time}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(self.total_time / self.dt):
+            raise ValueError(f"total_time / dt must be finite, got "
+                             f"{self.total_time} / {self.dt}")
 
 
 @dataclass(frozen=True)

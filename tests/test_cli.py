@@ -102,6 +102,13 @@ class TestConfigHandling:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fig3_refuses_a_grid_it_cannot_build(self, tmp_path, monkeypatch, capsys):
+        code = run_in(tmp_path, monkeypatch, ["fig3-cg", "--N", "64", "--total-time", "1e300",
+                                              "--dt", "1e-300"])
+        assert code == 1
+        assert "fig3-cg: error: total_time / dt must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_fig4_refuses_non_finite_t_max(self, tmp_path, monkeypatch, capsys, value):
         code = run_in(tmp_path, monkeypatch, ["fig4-walk", f"--t-max={value}"])

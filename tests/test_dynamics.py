@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -768,7 +770,34 @@ class TestMeasureAndCheck:
 SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1e300,
                   -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0)
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
-COUNTS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(0, 100))
+COUNTS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 100),
+                   st.sampled_from((-2 ** 63, -1, 2 ** 63 - 1)))
+
+
+def renderer_edges():
+    """Floats at the edges of the `%.17g` renderer's digits and layout."""
+    powers = 10.0 ** np.arange(-323, 309)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999995e-6,
+                         9.99999999999999995e-5, 9999999999999999.5, 99999999999999995.0])
+    around = [switches]
+    below = above = switches
+    for _ in range(4):
+        below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+        around += [below, above]
+    edges = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        5e-324 * np.arange(1, 200), [2.225073858507201e-308, 2.2250738585072014e-308,
+                                     1e-310, 1.7976931348623157e308],
+        # exact 18-digit ties and other dyadic values with long expansions
+        np.arange(1, 4000) * 2.0 ** -24, np.arange(1, 2000, 2) * 2.0 ** -55,
+        (2.0 ** 52 + np.arange(1, 500, 2)) * 2.0 ** -3,
+        # doubles just below a power of ten; the first eight round up to it
+        # at 17 digits
+        [1e-305, 1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129, 1e220,
+         np.nextafter(1e17, 0), 9.9999999999999999e22],
+        *around,
+    ])
+    return np.concatenate([edges, -edges])
 
 
 class TestRunReportSerialization:
@@ -813,6 +842,27 @@ class TestRunReportSerialization:
                            0.5, 7, 1e300)
         assert report.to_csv() == reference_csv(report)
         assert report.to_json() == reference_json(report)
+
+    def test_renderer_edges_match_the_reference(self):
+        values = renderer_edges()
+        rows = -(-len(values) // 5)
+        floats = np.resize(values, (rows, 5))
+        ints = np.array([-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 1, 0, -1, 1]
+                        + [sign * 10 ** k + d for k in range(19) for d in (-1, 0)
+                           for sign in (1, -1)], dtype=np.int64)
+        report = RunReport(Trajectory(np.resize(ints, rows), floats[:, :4],
+                                      np.resize(ints[::-1], rows), floats[:, 4]), 0.5, 7, 1.0)
+        assert report.to_csv() == reference_csv(report)
+
+    def test_renderer_leaves_only_near_ties_to_the_reference(self):
+        values = np.unique(abs(renderer_edges()))
+        values = values[values > 0]
+        digits, exponents, unsure = dynamics._float_digits(values)
+        for value, e, flagged in zip(values.tolist(), exponents.tolist(), unsure.tolist()):
+            scaled = Fraction(value) * Fraction(10) ** (16 - e)
+            assert 10 ** 16 - 1 <= scaled < 10 ** 17
+            assert flagged == (abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 ** -40)
+        assert 0 < unsure.sum() < len(values) // 10
 
     def test_empty_trajectory_matches_the_reference(self):
         report = RunReport(Trajectory([], np.zeros((0, 4)), [], []), 0.5, 3, np.nan)

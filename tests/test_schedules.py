@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -126,6 +127,16 @@ class TestIterateStructure:
         block = plane.conj().T @ block_full @ plane
         residual = np.linalg.norm(block_full @ plane - plane @ block)
         assert residual < 1e-12
+
+    @pytest.mark.parametrize("n", [9, 64, 4097, 2 ** 20])
+    def test_oracle_queries_match_the_flat_count(self, n):
+        for schedule in every_builder(n):
+            flat = sum(1 for step in schedule.steps if step.kind is StepKind.ORACLE)
+            if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+                flat += 1
+            assert schedule.iterate
+            assert schedule.oracle_queries == flat
+            assert dataclasses.replace(schedule, iterate=()).oracle_queries == flat
 
     def test_approx_block_closed_form_up_to_global_phase(self):
         # the 2x2 rotation block matches its closed form modulo one phase
