@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciinwalk import dynamics
+from ciinwalk import _csvtext, dynamics
 from ciinwalk import schedules as sch
 from ciinwalk.dynamics import (
     FinishingRule,
@@ -857,7 +857,7 @@ class TestRunReportSerialization:
     def test_renderer_leaves_only_near_ties_to_the_reference(self):
         values = np.unique(abs(renderer_edges()))
         values = values[values > 0]
-        digits, exponents, unsure = dynamics._float_digits(values)
+        digits, exponents, unsure = _csvtext.float_digits(values)
         for value, e, flagged in zip(values.tolist(), exponents.tolist(), unsure.tolist()):
             scaled = Fraction(value) * Fraction(10) ** (16 - e)
             assert 10 ** 16 - 1 <= scaled < 10 ** 17
