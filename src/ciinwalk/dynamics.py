@@ -37,13 +37,21 @@ keyed by a float merges 0.0 and -0.0; their phases can differ only in the
 sign of a zero imaginary part, which can change the sign of a zero
 coefficient but no probability.
 
+A `Schedule` stores its repeated block once: `iterate`, its count `p` and
+the `tail` that follows.  Its `steps` are a view of `iterate * p + tail`
+whose length costs O(1) and whose iteration builds no flat tuple, so
+building a schedule, counting its queries and asking for its length cost
+O(len(iterate) + len(tail)), not O(L).  `total_walk_time` stays a
+chronological sum over the view, which a p-fold product would not round
+the same way.
+
 Endpoint-only runs skip the loop for the repeated block.  When a schedule
 records its `iterate` and no sample falls inside the block
 (`sample_every >= len(iterate) * p`), `apply_schedule` folds the iterate
 once into its 4x4 unitary (`schedule_matrix`, O(len(iterate))), applies
 `np.linalg.matrix_power(U, p)` (O(log p) 4x4 products), adds the block's
 queries, walk time and signed time p times over, and steps through the
-tail as usual.  The result agrees with the loop to about 1e-13 at the
+tail only.  The result agrees with the loop to about 1e-13 at the
 tested sizes, not bit for bit: a rerun of an endpoint sweep such as
 `sweep-determinism` can move in its last digits.  Trajectories, and
 schedules without a recorded iterate (parsed ones), take the loop.
@@ -59,8 +67,11 @@ n = 2 rather than guess.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -108,44 +119,117 @@ class FinishingRule(Enum):
     COHERENT = "coherent"
 
 
-@dataclass(frozen=True)
+class ScheduleSteps(Sequence):
+    """Read-only chronological view of `iterate * p + tail`.
+
+    `len()` costs O(1), and iteration walks the block p times and then the
+    tail without building the flat tuple.  An index gives one step, a slice
+    a tuple of steps.  The view equals a tuple, or another view, of the same
+    steps, and hashes like that tuple.
+    """
+
+    __slots__ = ("_iterate", "_p", "_tail", "_block")
+
+    def __init__(self, iterate, p, tail):
+        self._iterate, self._tail = iterate, tail
+        self._p = p if iterate else 0
+        self._block = len(iterate) * self._p
+
+    def __len__(self) -> int:
+        return self._block + len(self._tail)
+
+    def __iter__(self):
+        return chain(chain.from_iterable(repeat(self._iterate, self._p)), self._tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._step, range(len(self))[index]))
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("schedule step index out of range")
+        return self._step(index)
+
+    def _step(self, index):
+        if index < self._block:
+            return self._iterate[index % len(self._iterate)]
+        return self._tail[index - self._block]
+
+    def __eq__(self, other):
+        if not isinstance(other, (ScheduleSteps, tuple)):
+            return NotImplemented
+        # tuple semantics: identical items are equal
+        return len(self) == len(other) and all(
+            a is b or a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ScheduleSteps({self._iterate!r} * {self._p} + {self._tail!r})"
+
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Ordered phase-walk program plus a classical finishing rule.
 
-    Steps are chronological: steps[0] is applied first.  `n`, `variant` and
-    `p` are metadata used by the text serialization and the circuit compiler.
-    A builder also records its `iterate`, the step block that `steps` begins
-    with, repeated p times; its unitary is `schedule_matrix(iterate, size)`.
-    The text form does not carry it, so a parsed schedule has an empty
-    `iterate` and still compares equal.
+    A schedule is a block of steps, `iterate`, repeated p times, then the
+    steps of `tail`.  `steps` is the chronological `ScheduleSteps` view of
+    `iterate * p + tail`: steps[0] is applied first.  A builder records its
+    iterate, whose unitary is `schedule_matrix(iterate, size)`, and puts
+    the tuning walk and the finishing map in the tail.  A hand-built
+    `Schedule(steps, rule, ...)` or a parsed one has no iterate: its steps
+    are all tail, and `p` is metadata only.  `n`, `variant` and `p` are
+    used by the text serialization and the circuit compiler.
+
+    Two schedules are equal when their steps and metadata are, however the
+    steps are split into block and tail; so a parsed schedule equals the
+    built one it was rendered from.
     """
 
-    steps: tuple[ScheduleStep, ...]
+    tail: tuple[ScheduleStep, ...]
     finishing_rule: FinishingRule = FinishingRule.NONE
     n: int | None = None
     variant: str | None = None
     p: int | None = None
-    iterate: tuple[ScheduleStep, ...] = field(default=(), compare=False)
+    iterate: tuple[ScheduleStep, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.iterate and (
-            self.p is None
-            or self.p < 1
-            or self.steps[: len(self.iterate) * self.p] != self.iterate * self.p
-        ):
-            raise ValueError(f"steps do not begin with the iterate repeated p={self.p} times")
+        if self.iterate and (self.p is None or self.p < 1):
+            raise ValueError(f"an iterate needs p >= 1 repetitions, got p={self.p}")
+        object.__setattr__(self, "steps", ScheduleSteps(self.iterate, self.p, self.tail))
+
+    def _key(self):
+        return (self.finishing_rule, self.n, self.variant, self.p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self._key(), self.steps))
 
     @property
     def oracle_queries(self) -> int:
         """Oracle steps, plus one confirmation query for measure-and-check."""
-        count = sum(1 for s in self.steps if s.kind is StepKind.ORACLE)
+        count = _oracle_count(self.tail)
+        if self.iterate:
+            count += self.p * _oracle_count(self.iterate)
         if self.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
             count += 1
         return count
 
     @property
     def total_walk_time(self) -> float:
+        # a chronological sum: a p-fold product of the block's sum rounds
+        # differently
         return float(sum(abs(s.parameter) for s in self.steps if s.kind is StepKind.WALK))
+
+
+def _oracle_count(steps) -> int:
+    return sum(1 for s in steps if s.kind is StepKind.ORACLE)
 
 
 # rows per block in `RunReport.to_csv` and `RunReport.to_json`
@@ -560,7 +644,7 @@ def apply_schedule(
         queries = p * (len(iterate) - len(walks))
         walk_time = p * sum(abs(t) for t in walks)
         tau = (tau + p * sum(walks)) % np.pi
-        done = len(iterate) * p
+        steps, done = schedule.tail, len(iterate) * p
         if done % sample_every == 0 or done == last:
             record(done)
     eigenvalues = dual.eigenvalues
@@ -569,7 +653,7 @@ def apply_schedule(
     from_dual = np.ascontiguousarray(dual.matrix, dtype=complex)
     walk_phases = {}
     oracle_phases = {}
-    for index, step in enumerate(steps[done:], start=done + 1):
+    for index, step in enumerate(steps, start=done + 1):
         parameter = step.parameter
         if step.kind is StepKind.WALK:
             phases = walk_phases.get(parameter)

@@ -3,7 +3,9 @@
 Builders for the three search routes on a CIIN, all expressed as
 chronological step lists (first element acts first; operator products in
 standard notation apply rightmost-first, and the builders own that
-translation):
+translation).  Each builder makes its iterate once and returns a `Schedule`
+of that block, its count p and a tail of at most five steps; no builder
+builds the flat list of steps:
 
 * the approximate route: an oracle-pi iterate rotates |s> toward the fourth
   adjacency eigenvector, reaching the entangled target (|w> + |w~>)/sqrt(2)
@@ -256,11 +258,10 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     fidelity is not monotonic in n: the rounding residual oscillates.
     """
     params = approx_params(size)
-    iterate = _approx_steps(params)
-    steps = iterate * params.p + (walk_step(params.t3),)
+    tail = (walk_step(params.t3),)
     if finishing == "coherent":
         k8 = nint(size.n / 8)
-        steps += (oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n))
+        tail += (oracle_step(PI / 2.0), walk_step(2.0 * PI * k8 / size.n))
         rule = FinishingRule.MEASURE_AND_CHECK
     elif finishing == "measure":
         rule = FinishingRule.MEASURE_AND_CHECK
@@ -268,7 +269,8 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
         rule = FinishingRule.NONE
     else:
         raise ValueError(f"unknown finishing mode {finishing!r}")
-    return Schedule(steps, rule, n=size.n, variant="approx", p=params.p, iterate=iterate)
+    return Schedule(tail, rule, n=size.n, variant="approx", p=params.p,
+                    iterate=_approx_steps(params))
 
 
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -305,11 +307,10 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
     if p is None:
         p = deterministic_p_min(size)
     params = deterministic_params(size, p)
-    finish = entangled_to_marked(size)
     n = size.n
     iterate = _slowed_steps(n, params.theta) + _slowed_steps(n, -params.theta)
     return Schedule(
-        iterate * params.p + (walk_step(params.t3),) + finish,
+        (walk_step(params.t3),) + entangled_to_marked(size),
         FinishingRule.COHERENT,
         n=n,
         variant="deterministic",
@@ -344,7 +345,7 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
             walk_step(-PI),
         )
         return Schedule(
-            iterate * params.p + finish,
+            finish,
             FinishingRule.COHERENT,
             n=n,
             variant="odd-deterministic",
@@ -355,14 +356,13 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
         p = max(1, round(PI / (4.0 * math.asin(1.0 / math.sqrt(n)))))
     elif p < 1:
         raise ValueError(f"p={p}: the approximate odd-n route needs p >= 1")
-    iterate = _half_turn_steps(PI) * 2
     return Schedule(
-        iterate * p + (walk_step(-PI * n / 4.0),),
+        (walk_step(-PI * n / 4.0),),
         FinishingRule.MEASURE_AND_CHECK,
         n=n,
         variant="odd-approx",
         p=p,
-        iterate=iterate,
+        iterate=_half_turn_steps(PI) * 2,
     )
 
 
@@ -454,6 +454,10 @@ def render_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
+    """The schedule of a `render_schedule` text.  The text does not mark
+    the repeated block, so every step goes to the tail (`iterate=()`), and
+    the header's p is kept as metadata; the result equals the schedule
+    that was rendered."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith(_HEADER_TAG):
         raise ValueError(f"schedule text must start with a {_HEADER_TAG} header")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -45,6 +46,12 @@ def every_builder(n):
     if n % 2 == 1:
         schedules += [sch.odd_schedule(size), sch.odd_schedule(size, deterministic=False)]
     return schedules
+
+
+def flat(schedule):
+    """The same steps and metadata with no recorded iterate: every step is
+    in the tail, so `apply_schedule` steps through all of them."""
+    return dataclasses.replace(schedule, tail=tuple(schedule.steps), iterate=())
 
 
 def run_stepwise(state, schedule, size, marked=0, sample_every=1):

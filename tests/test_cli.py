@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ciinwalk.cg
 import ciinwalk.cli
 from ciinwalk.cli import _walk_from_marked, main
 from ciinwalk.dynamics import group_probabilities, marked_state, walk_full
@@ -107,6 +108,19 @@ class TestConfigHandling:
                                               "--dt", "1e-300"])
         assert code == 1
         assert "fig3-cg: error: total_time / dt must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig3_reports_a_failed_allocation(self, tmp_path, monkeypatch, capsys):
+        # a grid that passes the finite check can still be too large to
+        # allocate; the allocation is stubbed, so no huge array is requested
+        def refuse(total_time, dt):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(ciinwalk.cg, "_sample_times", refuse)
+        code = run_in(tmp_path, monkeypatch, ["fig3-cg", "--N", "64", "--total-time", "1e12",
+                                              "--dt", "1"])
+        assert code == 1
+        assert "fig3-cg: error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -215,6 +229,34 @@ class TestExperiments:
         assert code == 0
         out = capsys.readouterr().out
         assert "walk-equivalence" in out and "pipeline-success" in out
+
+
+class TestWalkUnitary:
+    """verify-circuit's dense exp(-i t A) is one `walk_full` column, permuted;
+    it equals the column-by-column build bit for bit."""
+
+    @staticmethod
+    def column_by_column(size, t):
+        exact = np.empty((size.N, size.N), dtype=complex)
+        basis = np.eye(size.N, dtype=complex)
+        for col in range(size.N):
+            exact[:, col] = walk_full(basis[:, col], t, size)
+        return exact
+
+    def assert_same_bits(self, size, t):
+        got = ciinwalk.cli._walk_unitary(size, t)
+        want = self.column_by_column(size, t)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_the_column_by_column_build(self, m):
+        times = [0.0, np.pi, 2.0 * np.pi, *np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, 4)]
+        for t in times:
+            self.assert_same_bits(GraphSize(2 ** m), float(t))
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_odd_sides(self, n):
+        self.assert_same_bits(GraphSize(n), 0.7)
 
 
 def reference_walk_probabilities(n, times):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -37,6 +36,7 @@ from conftest import (
     apply_stepwise,
     every_builder,
     fidelity,
+    flat,
     random_state,
     reference_csv,
     reference_json,
@@ -513,7 +513,7 @@ class TestStepLoopBitwise:
             size = sized(k)
             schedule = build(size)
             # endpoint sampling folds a recorded iterate; without one it steps
-            looped = dataclasses.replace(schedule, iterate=())
+            looped = flat(schedule)
             for every, run in ((1, schedule), (3, schedule), (len(schedule.steps), looped)):
                 assert_bitwise_stepwise(uniform_state(size), run, size, sample_every=every)
                 assert_bitwise_stepwise(random_state(rng, 4), run, size,
@@ -528,7 +528,7 @@ class TestStepLoopBitwise:
             (GraphSize(2 ** 20 + 1), sch.odd_schedule(GraphSize(2 ** 20 + 1))),
             (GraphSize(2 ** 18 - 3), sch.approx_schedule(GraphSize(2 ** 18 - 3))),
         ):
-            assert_bitwise_stepwise(uniform_state(size), dataclasses.replace(schedule, iterate=()),
+            assert_bitwise_stepwise(uniform_state(size), flat(schedule),
                                     size, sample_every=len(schedule.steps))
 
     @settings(max_examples=60, deadline=None)
@@ -610,8 +610,7 @@ def mp_final_probability(schedule, size, digits=40):
             if p & 1:
                 power = base * power
             base, p = base * base, p >> 1
-        block = len(schedule.iterate) * schedule.p
-        state = fold(schedule.steps[block:]) * power * dual.column(0)
+        state = fold(schedule.tail) * power * dual.column(0)
         final = abs(state[0]) ** 2
         if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
             final += abs(state[1]) ** 2
@@ -640,7 +639,7 @@ class TestEndpointFold:
         for schedule in every_builder(n):
             every = len(schedule.steps)
             folded = apply_schedule(uniform_state(size), schedule, size, sample_every=every)
-            looped = apply_schedule(uniform_state(size), dataclasses.replace(schedule, iterate=()),
+            looped = apply_schedule(uniform_state(size), flat(schedule),
                                     size, sample_every=every)
             assert abs(folded.final_success_probability
                        - looped.final_success_probability) <= 1e-12
@@ -657,7 +656,7 @@ class TestEndpointFold:
         block = len(schedule.iterate) * schedule.p
         for every in (block - 1, block, len(schedule.steps)):
             apply_schedule(uniform_state(size), schedule, size, sample_every=every)
-        apply_schedule(uniform_state(size), dataclasses.replace(schedule, iterate=()), size,
+        apply_schedule(uniform_state(size), flat(schedule), size,
                        sample_every=block)
         assert [args[0] for args in calls] == [schedule.iterate, schedule.iterate]
 
@@ -682,8 +681,8 @@ class TestEndpointFold:
         rng = np.random.default_rng(seed)
         iterate, rest = (tuple(walk_step(x) if is_walk else oracle_step(x) for is_walk, x in part)
                          for part in (block, tail))
-        schedule = Schedule(iterate * p + rest, finishing, p=p, iterate=iterate)
-        looped = dataclasses.replace(schedule, iterate=())
+        schedule = Schedule(rest, finishing, p=p, iterate=iterate)
+        looped = flat(schedule)
         state = random_state(rng, size.N if full else 4)
         marked = int(rng.integers(0, size.N)) if full else 0
         every = max(1, len(iterate) * p + offset)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 
@@ -22,7 +21,7 @@ from ciinwalk.errors import MappingUnavailableError, ThetaNotRealError, Unsuppor
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import every_builder, fidelity
+from conftest import every_builder, fidelity, flat
 
 
 def dense_step_matrix(size, step):
@@ -131,12 +130,12 @@ class TestIterateStructure:
     @pytest.mark.parametrize("n", [9, 64, 4097, 2 ** 20])
     def test_oracle_queries_match_the_flat_count(self, n):
         for schedule in every_builder(n):
-            flat = sum(1 for step in schedule.steps if step.kind is StepKind.ORACLE)
+            count = sum(1 for step in schedule.steps if step.kind is StepKind.ORACLE)
             if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
-                flat += 1
+                count += 1
             assert schedule.iterate
-            assert schedule.oracle_queries == flat
-            assert dataclasses.replace(schedule, iterate=()).oracle_queries == flat
+            assert schedule.oracle_queries == count
+            assert flat(schedule).oracle_queries == count
 
     def test_approx_block_closed_form_up_to_global_phase(self):
         # the 2x2 rotation block matches its closed form modulo one phase
@@ -715,17 +714,105 @@ class TestScheduleText:
             sch.parse_schedule(text)
 
     def test_iterate_must_lead_the_steps(self):
+        # the block and the tail are stored apart, so the steps always begin
+        # with the iterate; only a block without p >= 1 repetitions is refused
         iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
-        steps = iterate * 2 + (walk_step(1.0),)
-        assert Schedule(steps, p=2, iterate=iterate).iterate == iterate
-        for p in (3, 0, None):
+        tail = (walk_step(1.0),)
+        schedule = Schedule(tail, p=2, iterate=iterate)
+        assert schedule.iterate == iterate and schedule.steps == iterate * 2 + tail
+        for p in (0, -1, None):
             with pytest.raises(ValueError):
-                Schedule(steps, p=p, iterate=iterate)
-        with pytest.raises(ValueError):
-            Schedule(steps[1:], p=1, iterate=iterate)
+                Schedule(tail, p=p, iterate=iterate)
 
     def test_seventeen_digit_round_trip_of_parameters(self):
         schedule = sch.approx_schedule(GraphSize(13), finishing="none")
         parsed = sch.parse_schedule(sch.render_schedule(schedule))
         for a, b in zip(schedule.steps, parsed.steps):
             assert a.parameter == b.parameter
+
+
+class TestScheduleShape:
+    """A schedule stores its repeated block once: `iterate`, p and a short
+    `tail`; `steps` is a view of `iterate * p + tail`."""
+
+    # builder, side size n, and the documented query count for p iterations
+    LARGE = {
+        "det": (sch.deterministic_schedule, 2 ** 40, lambda p: 4 * p + 2),
+        "odd": (sch.odd_schedule, 2 ** 40 + 1, lambda p: 4 * p + 2),
+        "odd-approx": (lambda size: sch.odd_schedule(size, deterministic=False), 2 ** 40 + 1,
+                       lambda p: 2 * p + 1),
+        "approx": (sch.approx_schedule, 2 ** 36, lambda p: 2 * p + 2),
+        "approx-measure": (lambda size: sch.approx_schedule(size, finishing="measure"), 2 ** 36,
+                           lambda p: 2 * p + 1),
+        "approx-none": (lambda size: sch.approx_schedule(size, finishing="none"), 2 ** 36,
+                        lambda p: 2 * p),
+    }
+
+    @pytest.mark.parametrize("route", sorted(LARGE))
+    def test_builders_store_the_block_once_at_large_n(self, route):
+        build, n, queries = self.LARGE[route]
+        schedule = build(GraphSize(n))
+        assert schedule.iterate and schedule.p > 10 ** 5
+        assert len(schedule.tail) <= 5
+        assert len(schedule.steps) == len(schedule.iterate) * schedule.p + len(schedule.tail)
+        assert schedule.oracle_queries == queries(schedule.p)
+
+    @pytest.mark.parametrize("n", [9, 12, 64])
+    def test_view_behaves_like_the_flat_tuple(self, n):
+        for schedule in every_builder(n):
+            steps, unrolled = schedule.steps, schedule.iterate * schedule.p + schedule.tail
+            length = len(unrolled)
+            assert len(steps) == length
+            assert list(steps) == list(unrolled)
+            assert list(reversed(steps)) == list(reversed(unrolled))
+            assert steps == unrolled and unrolled == steps
+            assert not steps != unrolled
+            assert steps != unrolled[:-1] and unrolled[1:] != steps
+            assert steps != unrolled[:-1] + (walk_step(123.0),)
+            assert steps != list(unrolled)
+            for index in (0, 1, length - 1, -1, -2, -length):
+                assert steps[index] == unrolled[index]
+            block = len(schedule.iterate) * schedule.p
+            for part in (slice(None, 5), slice(-3, None), slice(block - 2, None),
+                         slice(1, None, 3), slice(None, None, -1), slice(length, None)):
+                assert steps[part] == unrolled[part]
+            for index in (length, -length - 1):
+                with pytest.raises(IndexError):
+                    steps[index]
+            assert hash(steps) == hash(unrolled)
+            assert steps.index(schedule.tail[0]) <= block
+            assert unrolled[-1] in steps
+
+    @pytest.mark.parametrize("n", [9, 12, 64])
+    def test_parsed_text_equals_and_hashes_like_the_built_schedule(self, n):
+        for schedule in every_builder(n):
+            parsed = sch.parse_schedule(sch.render_schedule(schedule))
+            assert parsed.iterate == () and parsed.tail == tuple(schedule.steps)
+            assert parsed.p == schedule.p
+            assert parsed == schedule and schedule == parsed
+            assert hash(parsed) == hash(schedule)
+            assert flat(schedule) == schedule and hash(flat(schedule)) == hash(schedule)
+            assert len({schedule, parsed, flat(schedule)}) == 1
+
+    def test_metadata_and_steps_both_count_for_equality(self):
+        iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
+        schedule = Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3,
+                            iterate=iterate)
+        assert schedule == Schedule(iterate * 3 + (walk_step(1.0),), FinishingRule.COHERENT,
+                                    n=8, p=3)
+        for other in (Schedule((walk_step(1.0),), FinishingRule.NONE, n=8, p=3, iterate=iterate),
+                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=12, p=3,
+                               iterate=iterate),
+                      Schedule((walk_step(1.5),), FinishingRule.COHERENT, n=8, p=3,
+                               iterate=iterate),
+                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=2,
+                               iterate=iterate)):
+            assert schedule != other
+        assert schedule != tuple(schedule.steps)
+
+    def test_hand_built_steps_are_all_tail(self):
+        steps = (walk_step(0.5), oracle_step(1.0))
+        schedule = Schedule(steps, p=7)
+        assert schedule.tail == steps and schedule.iterate == ()
+        assert schedule.steps == steps and len(schedule.steps) == 2
+        assert schedule.oracle_queries == 1
