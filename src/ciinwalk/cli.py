@@ -9,7 +9,8 @@ checks.  Outputs are CSV or JSON files plus a one-line summary on stdout;
 identical configurations (including the seed) produce byte-identical files.
 
 fig4-walk computes every sample in the 4-dim walk subspace, in one batched
-dual-basis call.  `walk_full` runs only for its two full-space checks: the
+dual-basis call, and writes its CSV as a trajectory, through
+`RunReport.to_csv`.  `walk_full` runs only for its two full-space checks: the
 drift after one 2*pi period, and the gap to the reduced data at sample
 `samples // 2`.  The tests hold the written values within 1e-15 of a
 40-digit mpmath reference at n = 9, 1024, 99,991 and 2^20.
@@ -38,6 +39,7 @@ from .cg import CGConfig, cg_evolve, cg_prediction
 from .dynamics import (
     FinishingRule,
     RunReport,
+    Trajectory,
     apply_schedule,
     entangled_fidelity,
     group_probabilities,
@@ -187,9 +189,16 @@ def _run_fig4(args) -> int:
     check = args.samples // 2
     full = group_probabilities(walk_full(start, float(times[check]), size), size)
     gap = float(np.max(np.abs(full - probs[:, check])))
-    rows = [[index, *(format(p, ".17g") for p in column), 0, format(t, ".17g")]
-            for index, (column, t) in enumerate(zip(probs.T.tolist(), times.tolist()))]
-    _write_table(rows, RunReport.CSV_HEADER, _out_path(args), args.format)
+    if args.format == "csv":
+        # the trajectory CSV's columns, with no queries
+        trajectory = Trajectory(np.arange(args.samples), probs.T,
+                                np.zeros(args.samples, dtype=np.int64), times)
+        _write_report(RunReport(trajectory, float(probs[0, -1]), 0, float(args.t_max)),
+                      _out_path(args), "csv")
+    else:  # the table's JSON, whose floats are strings
+        rows = [[index, *(format(p, ".17g") for p in column), 0, format(t, ".17g")]
+                for index, (column, t) in enumerate(zip(probs.T.tolist(), times.tolist()))]
+        _write_table(rows, RunReport.CSV_HEADER, _out_path(args), args.format)
     print(f"fig4-walk: N={size.N} samples={args.samples} max |p(2pi) - p(0)| = {drift:.3g}, "
           f"max |p_full - p_reduced| at sample {check} = {gap:.3g}")
     return 0

@@ -41,20 +41,27 @@ A `Schedule` stores its repeated block once: `iterate`, its count `p` and
 the `tail` that follows.  Its `steps` are a view of `iterate * p + tail`
 whose length costs O(1) and whose iteration builds no flat tuple, so
 building a schedule, counting its queries and asking for its length cost
-O(len(iterate) + len(tail)), not O(L).  `total_walk_time` stays a
-chronological sum over the view, which a p-fold product would not round
-the same way.
+O(len(iterate) + len(tail)), not O(L).  `total_walk_time` is the
+chronological sum of the walk times, the one the step loop adds, which a
+p-fold product would not round the same way; `_running_total` adds the
+block's p repeats in O(log p) with those bits, and adds with no builtin
+`sum`, which compensates from Python 3.12 on.
 
-Endpoint-only runs skip the loop for the repeated block.  When a schedule
-records its `iterate` and no sample falls inside the block
-(`sample_every >= len(iterate) * p`), `apply_schedule` folds the iterate
-once into its 4x4 unitary (`schedule_matrix`, O(len(iterate))), applies
-`np.linalg.matrix_power(U, p)` (O(log p) 4x4 products), adds the block's
-queries, walk time and signed time p times over, and steps through the
-tail only.  The result agrees with the loop to about 1e-13 at the
-tested sizes, not bit for bit: a rerun of an endpoint sweep such as
-`sweep-determinism` can move in its last digits.  Trajectories, and
-schedules without a recorded iterate (parsed ones), take the loop.
+A recorded iterate is never stepped.  `apply_schedule` folds it once into
+its 4x4 unitary U (`schedule_matrix`, O(len(iterate))), and the state
+after the block is `np.linalg.matrix_power(U, p)` applied to the start
+(O(log p) 4x4 products).  A sample inside the block, at step
+s = j len(iterate) + r, is the state P_r U^j c, with P_r the fold of the
+iterate's first r steps.  At most len(iterate) offsets r occur, and the
+j of each run in an arithmetic progression, whose states come as one block
+by doubling; so a run costs O(len(iterate) + log p) numpy calls, not
+O(len(iterate) p), and memory in proportion to its samples.  Each
+sample's step and query count are exact, and its walk time is the step
+loop's chronological sum, bit for bit (`np.cumsum` adds in that order).
+Its probabilities agree with the loop to about 1e-13 at the tested sizes,
+not bit for bit, and so does the final state.  Only the tail, at most
+five steps for every builder, goes through the step loop, and so do
+schedules without a recorded iterate (parsed ones), bit for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -67,6 +74,7 @@ n = 2 rather than guess.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -225,11 +233,73 @@ class Schedule:
     def total_walk_time(self) -> float:
         # a chronological sum: a p-fold product of the block's sum rounds
         # differently
-        return float(sum(abs(s.parameter) for s in self.steps if s.kind is StepKind.WALK))
+        block = _running_total(0.0, _walk_lengths(self.iterate), self.p if self.iterate else 0)
+        return _running_total(block, _walk_lengths(self.tail))
 
 
 def _oracle_count(steps) -> int:
     return sum(1 for s in steps if s.kind is StepKind.ORACLE)
+
+
+def _walk_lengths(steps) -> list[float]:
+    return [abs(s.parameter) for s in steps if s.kind is StepKind.WALK]
+
+
+def _running_total(total: float, values, repeats: int = 1) -> float:
+    """`total` plus `values` repeated `repeats` times, added one at a time
+    from left to right, as a loop of `+=` adds them, bit for bit.
+
+    The values must not be negative.  Stepping costs O(len(values)) per
+    repeat; this costs that per binade [2^(e-1), 2^e) the total passes
+    through, O(log) in `repeats`.  Inside one binade every double is a
+    multiple of one ulp u, so x + v rounds to x plus v rounded to a multiple
+    of u: a constant, unless v is a tie (an odd multiple of u/2), which
+    rounds to even and so depends on the parity of x/u.  So once one repeat
+    has run inside the binade, the increment per repeat is constant, or,
+    with a tie, the increment per two repeats is; each such increment is
+    measured by stepping, and the repeats that stay below 2^e are added in
+    one multiplication, which is exact there.
+    """
+    values = tuple(values)
+    ties = set()  # binade exponents at which some value is a tie
+    for value in values:
+        num, den = value.as_integer_ratio() if math.isfinite(value) else (0, 1)
+        if num:
+            ties.add((num & -num).bit_length() - den.bit_length() + 54)
+    floor = limit = 0.0  # the binade [floor, limit) of the total, once measured
+    while repeats:
+        start = total
+        for value in values:
+            total += value
+        repeats -= 1
+        if total == start:
+            break  # a repeat that adds nothing adds nothing again
+        if not floor <= start <= total < limit:
+            # a new binade: measure it on the next repeat; subnormal totals
+            # and the top binade are only stepped
+            exponent = math.frexp(total)[1]
+            floor = limit = 0.0
+            if -1021 <= exponent <= 1023:
+                limit = math.ldexp(1.0, exponent)
+                floor, tie = 0.5 * limit, exponent in ties
+            continue
+        if tie:
+            later = total
+            for value in values * 2:
+                later += value
+            if later == total:
+                break  # so does the repeat after total, and every later one
+            if repeats < 2 or not later < limit:
+                continue
+            increment, period = later - total, 2
+        else:
+            increment, period = total - start, 1
+        # the repeats that keep the total below limit; every term is a
+        # multiple of the binade's ulp, limit 2^-53, so `//` is exact
+        count = min(repeats // period, int((limit - total - limit * 2.0 ** -53) // increment))
+        total += count * increment
+        repeats -= count * period
+    return total
 
 
 # rows per block in `RunReport.to_csv` and `RunReport.to_json`
@@ -574,6 +644,62 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
     return coeffs, np.vdot(sym, sym).real + np.vdot(asym, asym).real, np.vdot(sym, asym)
 
 
+def _orbit(matrix: np.ndarray, vector: np.ndarray, first: int, stride: int,
+           count: int) -> np.ndarray:
+    """The 4 x count block of columns matrix^(first + i stride) @ vector,
+    built by doubling: O(log first + log stride + log count) products."""
+    columns = (np.linalg.matrix_power(matrix, first) @ vector)[:, np.newaxis]
+    power = np.linalg.matrix_power(matrix, stride) if count > 1 else None
+    while columns.shape[1] < count:
+        columns = np.hstack([columns, power @ columns[:, :count - columns.shape[1]]])
+        power = power @ power
+    return columns
+
+
+def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis):
+    """Run a repeated block without stepping it.
+
+    With L = len(iterate) and e = `sample_every`, the block is sampled at
+    steps s = e, 2e, ... below L p.  With s = j L + r, the state there is
+    P_r U^j c, where U = `schedule_matrix(iterate)` and P_r folds the first
+    r steps of the iterate.  At most L offsets r occur, and for each the
+    iterates j run in steps of e / gcd(e, L), so `_orbit` builds their
+    states as one block.  Returns the samples (steps, the 4 x k block of
+    states, queries, walk times, signed walk times mod pi; None when no
+    sample falls inside the block) and the state, queries, walk time and
+    signed walk time mod pi after the block.
+    """
+    width = len(iterate)
+    unitary = schedule_matrix(iterate, dual)
+    # one iterate's accounting after each of its first r steps, r = 0..L
+    oracles, lengths, taus = [0], [], [0.0]
+    for step in iterate:
+        walk = step.kind is StepKind.WALK
+        oracles.append(oracles[-1] + (not walk))
+        lengths.append(abs(step.parameter) if walk else 0.0)
+        taus.append((taus[-1] + step.parameter) % np.pi if walk else taus[-1])
+    after = (np.linalg.matrix_power(unitary, p) @ coeffs, p * oracles[-1],
+             _running_total(0.0, _walk_lengths(iterate), p), (p * taus[-1]) % np.pi)
+    if sample_every >= width * p:
+        return None, after
+    stops = np.arange(sample_every, width * p, sample_every)
+    turns, offsets = np.divmod(stops, width)
+    common = math.gcd(sample_every, width)
+    # one cycle of the offsets spans `period` samples and `stride` iterates
+    period, stride = width // common, sample_every // common
+    states = np.empty((4, len(stops)), dtype=complex)
+    for first in range(min(period, len(stops))):
+        at = slice(first, None, period)
+        states[:, at] = _orbit(unitary, coeffs, int(turns[first]), stride, len(stops[at]))
+        if offsets[first]:
+            states[:, at] = schedule_matrix(iterate[:offsets[first]], dual) @ states[:, at]
+    # chronological sums of walk times, added in the step loop's order
+    elapsed = np.cumsum(np.tile(lengths, int(turns[-1]) + 1))
+    samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
+               elapsed[stops - 1], (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
+    return samples, after
+
+
 def apply_schedule(
     state: np.ndarray,
     schedule: Schedule,
@@ -592,9 +718,11 @@ def apply_schedule(
 
     A full-space state is projected once onto the walk basis of `marked`;
     its complement enters the samples through three scalars (see the module
-    docstring), so a run costs O(N + L) for L steps.  When no sample falls
-    inside the schedule's repeated iterate, the iterate is folded once and
-    raised to p instead of stepped (see the module docstring).
+    docstring), so a full-space run costs O(N) once plus its 4-dim run,
+    not O(N) a step.  A recorded iterate is never stepped: it is folded
+    once, raised to p for the state after the block, and sampled inside
+    the block from its powers (see the module docstring); only the tail
+    runs through the step loop.
     """
     _check_unambiguous(size)
     if sample_every < 1:
@@ -614,36 +742,37 @@ def apply_schedule(
     else:
         coeffs, rest_norm, rest_cross = _split_full(coeffs, size, marked)
     dual = dual_basis(size)
-    # trajectory columns, one entry per sample
+
+    def probabilities(coeffs, tau):
+        """Sample probabilities of a 4-vector at one tau, or of the columns
+        of a 4 x k block at a vector of k taus."""
+        if sample_basis == "dual":
+            return np.abs(dual.to_dual(coeffs)) ** 2
+        probs = np.abs(coeffs) ** 2
+        swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
+        probs[2] += rest_norm + swing
+        probs[3] += rest_norm - swing
+        return probs
+
+    # step-loop samples, one entry per sample
     sampled, rows, query_counts, walk_times = [], [], [], []
     queries = 0
     walk_time = 0.0
     tau = 0.0  # signed total walk time mod pi: the complement's period
 
     def record(step_index):
-        if sample_basis == "dual":
-            probs = np.abs(dual.to_dual(coeffs)) ** 2
-        else:
-            probs = group_probabilities(coeffs, size)
-            swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
-            probs[2] += rest_norm + swing
-            probs[3] += rest_norm - swing
         sampled.append(step_index)
-        rows.append(probs)
+        rows.append(probabilities(coeffs, tau))
         query_counts.append(queries)
         walk_times.append(walk_time)
 
     record(0)
     steps, last = schedule.steps, len(schedule.steps)
-    done = 0
     iterate, p = schedule.iterate, schedule.p
-    if iterate and sample_every >= len(iterate) * p:
-        # no sample inside the repeated block: fold it once, raise it to p
-        coeffs = np.linalg.matrix_power(schedule_matrix(iterate, dual), p) @ coeffs
-        walks = [s.parameter for s in iterate if s.kind is StepKind.WALK]
-        queries = p * (len(iterate) - len(walks))
-        walk_time = p * sum(abs(t) for t in walks)
-        tau = (tau + p * sum(walks)) % np.pi
+    done, inside = 0, None
+    if iterate:
+        inside, (coeffs, queries, walk_time, tau) = _run_block(coeffs, iterate, p, sample_every,
+                                                               dual)
         steps, done = schedule.tail, len(iterate) * p
         if done % sample_every == 0 or done == last:
             record(done)
@@ -675,8 +804,15 @@ def apply_schedule(
     if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
         queries += 1
         final += float(group_probabilities(coeffs, size)[1])
+    columns = (sampled, rows, query_counts, walk_times)
+    if inside is not None:
+        # the samples inside the block go between step 0 and the rest
+        stops, states, block_queries, block_times, taus = inside
+        columns = [np.concatenate((column[:1], values, column[1:])) for column, values in
+                   zip(map(np.asarray, columns), (stops, probabilities(states, taus).T,
+                                                  block_queries, block_times))]
     return RunReport(
-        trajectory=Trajectory(sampled, rows, query_counts, walk_times),
+        trajectory=Trajectory(*columns),
         final_success_probability=final,
         oracle_queries=queries,
         total_walk_time=walk_time,

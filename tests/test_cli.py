@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ciinwalk.cg
 import ciinwalk.cli
+from ciinwalk import dynamics
 from ciinwalk.cli import _walk_from_marked, main
 from ciinwalk.dynamics import group_probabilities, marked_state, walk_full
 from ciinwalk.graphs import GraphSize
@@ -371,7 +372,11 @@ class TestDeterminism:
 # SHA-256 of each output file, computed with the sample-by-sample renderer
 # and the column-by-column `reconstruct_unitary` that came before the
 # columnar ones.  The fig4-walk digests are those of its reduced 4-dim
-# form, whose values lie within 1e-15 of the 40-digit reference.
+# form, whose values lie within 1e-15 of the 40-digit reference.  The
+# fig5-dual, fig6-compare and fig7-oddpath digests are those of samples
+# taken from powers of the folded iterate, not by stepping it; their
+# probabilities lie within 1e-13 of a 40-digit stepping
+# (`tests/test_dynamics.py`, `TestBlockSamples`).
 PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30"): {
         "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
@@ -386,16 +391,16 @@ PINNED_OUTPUTS = {
         "fig4-walk.json": "56503949ba565784b8fe96f2fea8455322f9937a7a98d6f408c3a8e89730026b",
     },
     ("fig5-dual", "--n", "64", "--format", "json"): {
-        "fig5-dual.json": "22df57463241369825c5cc7de7cf11a7f5f42ab78931733d2997a444dcc52136",
+        "fig5-dual.json": "2786c1816289b42bb87cd13a0b581a0d21b5b4a2a023ca035ac46532a6a87dd3",
     },
     ("fig6-compare", "--N", "24"): {
         "fig6-compare-approx.csv":
-            "1a05f69bea42d329564787ad21729c5d36781d3f96139c08088d06cd03795b1a",
+            "7f751a0655e04562cb8fb66e0579521f7ef6751fd8d163c1e7db801e469f1007",
         "fig6-compare-deterministic.csv":
-            "3dea01ab36cd63c6b914bba40246f0e21f3440d99ae6cf882e20b64552190380",
+            "aeb5deb50b5a251056cf2c0f4425c08debe42d7b283b661fe8e6c0e64dee8876",
     },
     ("fig7-oddpath", "--N", "130"): {
-        "fig7-oddpath.csv": "31f5cbdbe72ce880a913ea4d6ae9d245025c4b6fd677bd1cca02f175cf5a7b9a",
+        "fig7-oddpath.csv": "8d72627f11a09e569142d83ac7d77b7a85440b9488df6531dd1ed4dbf0431511",
     },
     ("sweep-determinism", "--n-list", "8,12,...,64"): {
         "sweep-determinism.csv":
@@ -429,3 +434,26 @@ def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, argv):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == PINNED_OUTPUTS[argv]
+
+
+def neumaier_sum(values, start=0):
+    """The builtin `sum` of CPython 3.12 and later: floats are added with
+    Neumaier's compensation; ints stay exact."""
+    total, compensation = start, 0
+    for value in values:
+        partial = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - partial) + value
+        else:
+            compensation += (value - partial) + total
+        total = partial
+    return total + compensation
+
+
+@pytest.mark.parametrize("argv", [("sweep-queries",), ("sweep-queries", "--format", "json")],
+                         ids=" ".join)
+def test_walk_time_sums_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, argv):
+    # a compensated `sum`, as from Python 3.12 on, must not move a digit
+    monkeypatch.setattr(dynamics, "sum", neumaier_sum, raising=False)
+    assert dynamics.sum is neumaier_sum
+    test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, argv)

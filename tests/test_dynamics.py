@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ciinwalk import _csvtext, dynamics
 from ciinwalk import schedules as sch
+from ciinwalk.cli import _bare, main
 from ciinwalk.dynamics import (
     FinishingRule,
     RunReport,
@@ -511,15 +513,15 @@ class TestStepLoopBitwise:
         sized, build = BUILDERS[route]
         for k in range(4):
             size = sized(k)
-            schedule = build(size)
-            # endpoint sampling folds a recorded iterate; without one it steps
-            looped = flat(schedule)
-            for every, run in ((1, schedule), (3, schedule), (len(schedule.steps), looped)):
-                assert_bitwise_stepwise(uniform_state(size), run, size, sample_every=every)
-                assert_bitwise_stepwise(random_state(rng, 4), run, size,
+            # a recorded iterate is folded, never stepped; without one, the
+            # loop steps through every step
+            looped = flat(build(size))
+            for every in (1, 3, len(looped.steps)):
+                assert_bitwise_stepwise(uniform_state(size), looped, size, sample_every=every)
+                assert_bitwise_stepwise(random_state(rng, 4), looped, size,
                                         sample_every=every, sample_basis="dual")
                 marked = int(rng.integers(0, size.N))
-                assert_bitwise_stepwise(random_state(rng, size.N), run, size,
+                assert_bitwise_stepwise(random_state(rng, size.N), looped, size,
                                         sample_every=every, marked=marked)
 
     def test_large_sizes_reduced(self):
@@ -585,14 +587,19 @@ class TestStepLoopBitwise:
         assert state.tobytes() == before.tobytes()
 
 
+def mp_dual_matrix(n):
+    """`DualBasis.matrix` in the working precision of mpmath."""
+    s = mpmath.sqrt(n - 1)
+    return mpmath.matrix([[1, -1, s, -s], [1, 1, -s, -s], [s, -s, -1, 1],
+                          [s, s, 1, 1]]) / mpmath.sqrt(2 * n)
+
+
 def mp_final_probability(schedule, size, digits=40):
     """Reference for endpoint runs: the schedule's float steps folded in
     `digits`-digit arithmetic, the iterate raised to p by squaring."""
     with mpmath.workdps(digits):
         n = size.n
-        s = mpmath.sqrt(n - 1)
-        dual = mpmath.matrix([[1, -1, s, -s], [1, 1, -s, -s], [s, -s, -1, 1],
-                              [s, s, 1, 1]]) / mpmath.sqrt(2 * n)
+        dual = mp_dual_matrix(n)
 
         def fold(steps):
             matrix = mpmath.eye(4)
@@ -617,9 +624,31 @@ def mp_final_probability(schedule, size, digits=40):
         return float(final)
 
 
+def assert_agrees_with_the_loop(report, looped):
+    """A folded run against the step loop: the probabilities within 1e-12,
+    the steps, queries and walk times bit for bit."""
+    got, want = report.trajectory, looped.trajectory
+    assert got.step.tolist() == want.step.tolist()
+    assert np.abs(got.probabilities - want.probabilities).max() <= 1e-12
+    assert got.queries_so_far.tolist() == want.queries_so_far.tolist()
+    assert [t.hex() for t in got.walk_time_so_far.tolist()] == \
+        [t.hex() for t in want.walk_time_so_far.tolist()]
+    assert abs(report.final_success_probability - looped.final_success_probability) <= 1e-12
+    assert report.oracle_queries == looped.oracle_queries
+    assert report.total_walk_time.hex() == looped.total_walk_time.hex()
+
+
+# sample cadences around the iterate length L and the block length L p:
+# (a, b, c) stands for a + b L + c L p
+CADENCES = {"1": (1, 0, 0), "2": (2, 0, 0), "3": (3, 0, 0), "L-1": (-1, 1, 0), "L": (0, 1, 0),
+            "L+1": (1, 1, 0), "2L": (0, 2, 0), "Lp-3": (-3, 0, 1), "Lp-1": (-1, 0, 1),
+            "Lp": (0, 0, 1), "Lp+1": (1, 0, 1), "Lp+3": (3, 0, 1)}
+
+
 class TestEndpointFold:
-    """Endpoint-only runs fold the recorded iterate and raise it to p; the
-    step loop and a high-precision fold of the same steps are references."""
+    """A recorded iterate is folded and raised to p, and sampled inside the
+    block from its powers; the step loop and a high-precision fold of the
+    same steps are references."""
 
     @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 101, 1024, 1025, 4096, 4097])
     def test_matches_high_precision_fold(self, n):
@@ -644,23 +673,10 @@ class TestEndpointFold:
             assert abs(folded.final_success_probability
                        - looped.final_success_probability) <= 1e-12
             assert folded.oracle_queries == looped.oracle_queries == schedule.oracle_queries
-            assert folded.total_walk_time == pytest.approx(schedule.total_walk_time, rel=1e-12)
+            assert folded.total_walk_time == looped.total_walk_time == schedule.total_walk_time
             assert folded.trajectory.step.tolist() == [0, every]
 
-    def test_fold_is_taken_only_for_endpoint_runs(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(dynamics, "schedule_matrix",
-                            lambda *args: calls.append(args) or sch.schedule_matrix(*args))
-        size = GraphSize(64)
-        schedule = sch.deterministic_schedule(size)
-        block = len(schedule.iterate) * schedule.p
-        for every in (block - 1, block, len(schedule.steps)):
-            apply_schedule(uniform_state(size), schedule, size, sample_every=every)
-        apply_schedule(uniform_state(size), flat(schedule), size,
-                       sample_every=block)
-        assert [args[0] for args in calls] == [schedule.iterate, schedule.iterate]
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         n=st.integers(3, 40),
         block=st.lists(
@@ -670,12 +686,12 @@ class TestEndpointFold:
         ),
         tail=st.lists(st.tuples(st.booleans(), st.floats(-2 * np.pi, 2 * np.pi)), max_size=5),
         p=st.integers(1, 20),
-        full=st.booleans(),
-        offset=st.integers(-3, 3),
+        space=st.sampled_from(["reduced walk", "reduced dual", "full walk"]),
+        cadence=st.sampled_from(sorted(CADENCES)),
         finishing=st.sampled_from(list(FinishingRule)),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_random_blocks_agree_with_the_loop(self, n, block, tail, p, full, offset,
+    def test_random_blocks_agree_with_the_loop(self, n, block, tail, p, space, cadence,
                                                finishing, seed):
         size = GraphSize(n)
         rng = np.random.default_rng(seed)
@@ -683,23 +699,148 @@ class TestEndpointFold:
                          for part in (block, tail))
         schedule = Schedule(rest, finishing, p=p, iterate=iterate)
         looped = flat(schedule)
+        full = space.startswith("full")
         state = random_state(rng, size.N if full else 4)
-        marked = int(rng.integers(0, size.N)) if full else 0
-        every = max(1, len(iterate) * p + offset)
-        kwargs = dict(sample_every=every, marked=marked)
-        folded = apply_schedule(state, schedule, size, **kwargs)
-        if every < len(iterate) * p:  # a sample inside the block: the loop runs
-            assert report_bits(folded) == report_bits(apply_schedule(state, looped, size, **kwargs))
-            return
+        a, b, c = CADENCES[cadence]
+        kwargs = dict(sample_every=max(1, a + b * len(iterate) + c * len(iterate) * p),
+                      marked=int(rng.integers(0, size.N)) if full else 0,
+                      sample_basis=space.split()[1])
         reference = apply_schedule(state, looped, size, **kwargs)
-        got, want = folded.trajectory, reference.trajectory
-        assert got.step.tolist() == want.step.tolist()
-        assert np.abs(got.probabilities - want.probabilities).max() <= 1e-12
-        assert got.queries_so_far.tolist() == want.queries_so_far.tolist()
-        assert got.walk_time_so_far == pytest.approx(want.walk_time_so_far, rel=1e-12, abs=1e-12)
-        assert abs(folded.final_success_probability
-                   - reference.final_success_probability) <= 1e-12
-        assert folded.oracle_queries == reference.oracle_queries
+        # the loop itself is bit for bit the public per-step functions
+        assert report_bits(reference) == report_bits(apply_stepwise(state, looped, size, **kwargs))
+        assert_agrees_with_the_loop(apply_schedule(state, schedule, size, **kwargs), reference)
+
+
+def mp_stepped_dual_probabilities(schedule, size, sample_every, digits=40):
+    """Reference for sampled runs: the uniform state stepped through the
+    schedule's float steps in `digits`-digit arithmetic, with its dual-basis
+    populations at the samples `apply_schedule` takes.  Returns the sample
+    steps and their rows."""
+    with mpmath.workdps(digits):
+        n = size.n
+        dual = mp_dual_matrix(n)
+        eigenvalues = (n, n - 2, -2, 0)
+        state = dual.column(0)
+        phases = {}
+        steps, rows = [], []
+
+        def sample(index):
+            steps.append(index)
+            rows.append([float(abs(x) ** 2) for x in dual.T * state])
+
+        sample(0)
+        last = len(schedule.steps)
+        for index, step in enumerate(schedule.steps, start=1):
+            t = step.parameter
+            if step.kind is StepKind.WALK:
+                if t not in phases:
+                    phases[t] = mpmath.diag([mpmath.expj(-mpmath.mpf(t) * lam)
+                                             for lam in eigenvalues])
+                state = dual * (phases[t] * (dual.T * state))
+            else:
+                state[0] *= mpmath.expj(-mpmath.mpf(t))
+            if index % sample_every == 0 or index == last:
+                sample(index)
+        return steps, rows
+
+
+def cli_runs(argv):
+    """The size of a fig5, fig6 or fig7 command, and the output file,
+    schedule and cadence of each of its runs, as `ciinwalk.cli` makes them."""
+    value = int(argv[2])
+    size = GraphSize.from_vertex_count(value) if argv[1] == "--N" else GraphSize(value)
+    if argv[0] == "fig5-dual":
+        return size, [("fig5-dual.csv", _bare(sch.approx_schedule(size, finishing="none")), 4)]
+    if argv[0] == "fig6-compare":
+        return size, [
+            ("fig6-compare-approx.csv", _bare(sch.approx_schedule(size, finishing="none")), 4),
+            ("fig6-compare-deterministic.csv", _bare(sch.deterministic_schedule(size, 2)), 8),
+        ]
+    return size, [("fig7-oddpath.csv", sch.odd_schedule(size, deterministic=False), 2)]
+
+
+class TestBlockSamples:
+    """A recorded iterate is never stepped: samples inside the block come
+    from powers of its folded unitary.  The step loop and a 40-digit
+    stepping are the references."""
+
+    @pytest.mark.parametrize("argv", [
+        ("fig5-dual", "--n", "64"), ("fig5-dual", "--n", "1024"), ("fig6-compare", "--N", "24"),
+        ("fig7-oddpath", "--N", "130"), ("fig7-oddpath", "--N", "2050"),
+    ], ids=" ".join)
+    def test_written_probabilities_match_a_high_precision_stepping(self, tmp_path,
+                                                                   monkeypatch, argv):
+        # fig7 samples every 2 steps of a 4-step iterate: offsets 0 and 2
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 0
+        size, runs = cli_runs(argv)
+        for name, schedule, every in runs:
+            with open(tmp_path / name) as handle:
+                written = list(csv.DictReader(handle))
+            steps, rows = mp_stepped_dual_probabilities(schedule, size, every)
+            assert [int(row["step"]) for row in written] == steps
+            got = np.array([[float(row[f"p{k}"]) for k in range(1, 5)] for row in written])
+            assert np.abs(got - np.array(rows)).max() <= 1e-13
+
+    def test_loop_steps_only_the_tail(self, monkeypatch):
+        walked = []  # 4-vectors walked: one per walk step of the step loop
+        walk = dynamics._walk
+
+        def counting_walk(coeffs, *args, **kwargs):
+            if coeffs.ndim == 1:
+                walked.append(coeffs)
+            return walk(coeffs, *args, **kwargs)
+
+        def forbidden(self):
+            raise AssertionError("the steps view was iterated")
+
+        monkeypatch.setattr(dynamics, "_walk", counting_walk)
+        for n, build in ((64, sch.deterministic_schedule),
+                         (65, lambda size: sch.odd_schedule(size, deterministic=False)),
+                         (64, sch.approx_schedule)):
+            size = GraphSize(n)
+            schedule = build(size)
+            looped = flat(schedule)
+            width, p = len(schedule.iterate), schedule.p
+            for every in (1, 3, width, width * p):
+                walked.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(dynamics.ScheduleSteps, "__iter__", forbidden)
+                    apply_schedule(uniform_state(size), schedule, size, sample_every=every)
+                assert len(walked) == sum(s.kind is StepKind.WALK for s in schedule.tail)
+                walked.clear()
+                apply_schedule(uniform_state(size), looped, size, sample_every=every)
+                assert len(walked) == sum(s.kind is StepKind.WALK for s in schedule.steps)
+
+
+class TestRunningTotal:
+    """`_running_total` jumps through each binade; `np.cumsum`, which adds
+    left to right, is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        start=st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -52, 17.3, 2.0 ** 40 + 0.5,
+                                         5e-324, 1e300]),
+                        st.floats(0.0, 1e6)),
+        values=st.lists(st.one_of(
+            # ties: pi/2 is an odd multiple of half an ulp in [16, 32), and
+            # 2^-53 of half an ulp in [1, 2)
+            st.sampled_from([np.pi / 2, np.pi, 0.5, 1.5, 0.1, 1e-17, 2.0 ** -53, 2.0 ** -60,
+                             0.0, 2 * np.pi / 7, 1.0 + 2.0 ** -52, 1e-300, 5e-324]),
+            st.floats(0.0, 100.0)), max_size=6),
+        repeats=st.integers(0, 5000),
+    )
+    def test_matches_a_left_to_right_sum(self, start, values, repeats):
+        added = np.cumsum(np.concatenate(([start], np.tile(values, repeats))))[-1]
+        assert dynamics._running_total(start, values, repeats).hex() == float(added).hex()
+
+    def test_builder_walk_times(self):
+        # total_walk_time against the flat chronological sum, at sizes whose
+        # p reaches 10^4
+        for n in (12, 1024, 2 ** 20, 2 ** 28, 2 ** 28 + 1):
+            for schedule in every_builder(n):
+                lengths = [abs(s.parameter) for s in schedule.steps if s.kind is StepKind.WALK]
+                assert schedule.total_walk_time.hex() == float(np.cumsum(lengths)[-1]).hex()
 
 
 class TestSizeTwoRefused:
