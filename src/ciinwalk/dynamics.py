@@ -281,6 +281,7 @@ def _running_total(total: float, values, repeats: int = 1) -> float:
             floor = limit = 0.0
             if -1021 <= exponent <= 1023:
                 limit = math.ldexp(1.0, exponent)
+                room = limit - limit * 2.0 ** -53  # the largest double below limit
                 floor, tie = 0.5 * limit, exponent in ties
             continue
         if tie:
@@ -294,9 +295,11 @@ def _running_total(total: float, values, repeats: int = 1) -> float:
             increment, period = later - total, 2
         else:
             increment, period = total - start, 1
-        # the repeats that keep the total below limit; every term is a
-        # multiple of the binade's ulp, limit 2^-53, so `//` is exact
-        count = min(repeats // period, int((limit - total - limit * 2.0 ** -53) // increment))
+        # the repeats that keep the total below limit; both terms are
+        # multiples of the binade's ulp, so `//` is exact
+        count = int((room - total) // increment)
+        if count * period > repeats:
+            count = repeats // period
         total += count * increment
         repeats -= count * period
     return total
