@@ -211,8 +211,10 @@ def _run_fig5(args) -> int:
     report = apply_schedule(uniform_state(size), _bare(schedule), size, sample_every=4,
                             sample_basis="dual")
     _write_report(report, _out_path(args), args.format)
-    # fidelity with the entangled target after the tuning walk
-    state = sch.schedule_matrix(schedule.steps, size) @ uniform_state(size)
+    # fidelity with the entangled target after the tuning walk: the iterate
+    # folded once and raised to p, then the tail's fold
+    block = np.linalg.matrix_power(sch.schedule_matrix(schedule.iterate, size), schedule.p)
+    state = sch.schedule_matrix(schedule.tail, size) @ (block @ uniform_state(size))
     print(
         f"fig5-dual: N={size.N} p={schedule.p} "
         f"entangled fidelity={entangled_fidelity(state):.6f} "

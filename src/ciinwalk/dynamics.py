@@ -26,7 +26,13 @@ every oracle leaves it alone, and it lies in the adjacency eigenspaces 0
 total walk time tau it is therefore sym + e^{2i tau} asym, per side, and its
 mass on each side needs three scalars only: ||sym||^2 + ||asym||^2 and the
 complex <sym, asym>.  Full runs thus carry the same walk phases, and the
-same phase precision, as reduced runs.
+same phase precision, as reduced runs.  The projection (`_split_full`)
+takes the four coefficients from whole-half sums, then makes one pass, in
+the blocks of `walk_full`, over the residual halves a (marked side) and b
+(far side) with two block-sized buffers.  It accumulates ||a||^2, ||b||^2
+and <b, a> and returns (||a||^2 + ||b||^2)/2 and
+(||a||^2 - ||b||^2)/4 + i Im<b, a>/2, which equal the three scalars for
+sym = (a + b)/2 and asym = (a - b)/2; so it builds no full-length array.
 
 The step loop computes exp(-i t lambda) once per distinct walk time and
 exp(-i theta) once per distinct oracle angle, and updates its own copy of
@@ -487,9 +493,17 @@ def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
     return m
 
 
-# index pairs per block in `walk_full`: the 128 KiB blocks that one pass
-# touches (four at most) fit in L2 together
+# index pairs per block in `walk_full` and `_split_full`: the 128 KiB blocks
+# that one pass touches (four at most) fit in L2 together
 _WALK_BLOCK = 8192
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges that cover [0, n) in blocks of `_WALK_BLOCK` index
+    pairs.  The last block runs to n, so it is the longest, and no block is
+    short: elementwise numpy loops can round a short tail differently."""
+    starts = range(0, max(n - _WALK_BLOCK + 1, 1), _WALK_BLOCK)
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
@@ -525,11 +539,8 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     sym, asym = out[:n], out[n:]
     # float components, one row per half: one multiply halves a block of each
     halves = out.view(np.float64).reshape(2, 2 * n)
-    # block starts; the last block runs to n, so it is the longest
-    starts = range(0, max(n - _WALK_BLOCK + 1, 1), _WALK_BLOCK)
-    last = starts[-1]
-    for lo in starts:
-        hi = n if lo == last else lo + _WALK_BLOCK
+    blocks = _blocks(n)
+    for lo, hi in blocks:
         np.add(state[lo:hi], state[n + lo:n + hi], out=sym[lo:hi])
         np.subtract(state[lo:hi], state[n + lo:n + hi], out=asym[lo:hi])
         halves[:, 2 * lo:2 * hi] *= 0.5
@@ -539,9 +550,8 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     top = np.exp(-1j * t * n) * mean_sym
     turn = np.exp(2j * t)
     mid = np.exp(-1j * t * (n - 2)) * mean_asym
-    buffer = np.empty(n - last, dtype=complex)
-    for lo in starts:
-        hi = n if lo == last else lo + _WALK_BLOCK
+    buffer = np.empty(blocks[-1][1] - blocks[-1][0], dtype=complex)
+    for lo, hi in blocks:
         s, d = sym[lo:hi], asym[lo:hi]
         s -= mean_sym
         s += top
@@ -627,6 +637,15 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
     index (vertex j against its opposite), sym + asym on the marked side and
     sym - asym on the far side.  Returns the 4 walk-basis coefficients,
     ||sym||^2 + ||asym||^2 and <sym, asym>.
+
+    The coefficients come from the whole-half sums of an unblocked
+    projection, so they keep its bits.  The three scalars come from one pass
+    over the two residual halves a (marked side) and b (far side) in the
+    blocks of `_blocks`, through two buffers as long as the longest block.
+    With sym = (a + b)/2 and asym = (a - b)/2,
+    ||sym||^2 + ||asym||^2 = (||a||^2 + ||b||^2)/2 and
+    <sym, asym> = (||a||^2 - ||b||^2)/4 + i Im<b, a>/2,
+    so neither sym nor asym is built and no complex number is divided.
     """
     n = size.n
     side, local = divmod(_check_vertex(size, marked), n)
@@ -639,23 +658,38 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
         (same.sum() - same[local]) / scale,
         (far.sum() - far[local]) / scale,
     ])
-    rest_same = same - coeffs[2] / scale
-    rest_far = far - coeffs[3] / scale
-    rest_same[local] = rest_far[local] = 0.0
-    sym = (rest_same + rest_far) / 2.0
-    asym = (rest_same - rest_far) / 2.0
-    return coeffs, np.vdot(sym, sym).real + np.vdot(asym, asym).real, np.vdot(sym, asym)
+    mean_same, mean_far = coeffs[2] / scale, coeffs[3] / scale
+    blocks = _blocks(n)
+    longest = blocks[-1][1] - blocks[-1][0]
+    buffer_a, buffer_b = np.empty(longest, dtype=complex), np.empty(longest, dtype=complex)
+    norm_a = norm_b = 0.0
+    cross = 0j  # <b, a>
+    for lo, hi in blocks:
+        a = np.subtract(same[lo:hi], mean_same, out=buffer_a[:hi - lo])
+        b = np.subtract(far[lo:hi], mean_far, out=buffer_b[:hi - lo])
+        if lo <= local < hi:
+            a[local - lo] = b[local - lo] = 0.0
+        norm_a += np.vdot(a, a).real
+        norm_b += np.vdot(b, b).real
+        cross += np.vdot(b, a)
+    return coeffs, (norm_a + norm_b) / 2.0, complex((norm_a - norm_b) / 4.0, cross.imag / 2.0)
 
 
 def _orbit(matrix: np.ndarray, vector: np.ndarray, first: int, stride: int,
            count: int) -> np.ndarray:
     """The 4 x count block of columns matrix^(first + i stride) @ vector,
-    built by doubling: O(log first + log stride + log count) products."""
-    columns = (np.linalg.matrix_power(matrix, first) @ vector)[:, np.newaxis]
+    built by doubling: O(log first + log stride + log count) products, each
+    written into its place in the block."""
+    columns = np.empty((4, count), dtype=complex)
+    columns[:, 0] = np.linalg.matrix_power(matrix, first) @ vector
     power = np.linalg.matrix_power(matrix, stride) if count > 1 else None
-    while columns.shape[1] < count:
-        columns = np.hstack([columns, power @ columns[:, :count - columns.shape[1]]])
-        power = power @ power
+    done = 1
+    while done < count:
+        k = min(done, count - done)
+        np.matmul(power, columns[:, :k], out=columns[:, done:done + k])
+        done += k
+        if done < count:
+            power = power @ power
     return columns
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ciinwalk.cg
 import ciinwalk.cli
-from ciinwalk import dynamics
+from ciinwalk import dynamics, schedules
 from ciinwalk.cli import _walk_from_marked, main
 from ciinwalk.dynamics import group_probabilities, marked_state, walk_full
 from ciinwalk.graphs import GraphSize
@@ -180,6 +180,17 @@ class TestExperiments:
         payload = json.loads((tmp_path / "dual.json").read_text())
         assert payload["trajectory"][0]["probabilities"][0] == pytest.approx(1.0)
         assert "entangled fidelity" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [9, 1024])
+    def test_fig5_fidelity_is_that_of_every_step_folded(self, tmp_path, monkeypatch, capsys, n):
+        # the block is folded once and raised to p, then the tail (a nonzero
+        # tuning walk at n = 9); the reference folds all L steps one by one
+        assert run_in(tmp_path, monkeypatch, ["fig5-dual", "--n", str(n)]) == 0
+        size = GraphSize(n)
+        schedule = schedules.approx_schedule(size, finishing="none")
+        state = schedules.schedule_matrix(schedule.steps, size) @ dynamics.uniform_state(size)
+        assert f"entangled fidelity={dynamics.entangled_fidelity(state):.6f} " in \
+            capsys.readouterr().out
 
     def test_fig6_two_files_and_exact_hit(self, tmp_path, monkeypatch, capsys):
         code = run_in(tmp_path, monkeypatch, ["fig6-compare", "--N", "24"])

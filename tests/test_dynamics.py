@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -477,6 +478,45 @@ class TestFullSpaceSplit:
         state = random_state(np.random.default_rng(seed), size.N)
         assert_matches_stepwise(state, Schedule(steps), size, marked, every)
 
+    @pytest.mark.parametrize("far_side", [False, True])
+    def test_blocked_projection_matches_the_sym_asym_formula(self, rng, far_side):
+        # three blocks, the last one longer than the others (it runs to n),
+        # with the marked vertex at both ends of a block and of the half
+        block = dynamics._WALK_BLOCK
+        n = 3 * block + 5
+        size = GraphSize(n)
+        assert len(dynamics._blocks(n)) == 3
+        for local in (0, block - 1, block, n - 1):
+            marked = local + (n if far_side else 0)
+            state = random_state(rng, size.N)
+            coeffs, rest_norm, rest_cross = dynamics._split_full(state, size, marked)
+            ref_coeffs, ref_norm, ref_cross = split_reference(state, size, marked)
+            assert coeffs.tobytes() == ref_coeffs.tobytes()
+            # sums of about 2n terms of size 1/N in another order: a few
+            # ulps of the unit norm apart
+            assert abs(rest_norm - ref_norm) <= 1e-14
+            assert abs(rest_cross - ref_cross) <= 1e-14
+            # the walk basis and the two residual halves split the norm
+            total = np.vdot(coeffs, coeffs).real + 2.0 * rest_norm
+            assert abs(total - np.vdot(state, state).real) <= 1e-14
+
+    def test_projection_allocates_only_block_sized_buffers(self, rng):
+        block = dynamics._WALK_BLOCK
+        n = 16 * block + 3
+        size = GraphSize(n)
+        state = random_state(rng, size.N)
+        longest = max(hi - lo for lo, hi in dynamics._blocks(n))
+        assert longest < 2 * block
+        tracemalloc.start()
+        try:
+            dynamics._split_full(state, size, marked=n + 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two complex buffers of the longest block, plus a few small objects;
+        # one half alone takes n * 16 bytes, eight times as much
+        assert peak <= 2 * 16 * longest + 4096
+
     def test_no_full_space_pass_per_step(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("walk_full called inside apply_schedule")
@@ -486,6 +526,28 @@ class TestFullSpaceSplit:
         schedule = sch.deterministic_schedule(size)
         report = apply_schedule(random_state(rng, size.N), schedule, size, marked=70)
         assert len(report.trajectory) == len(schedule.steps) + 1
+
+
+def split_reference(state, size, marked):
+    """`_split_full` written out with full-length residuals and the explicit
+    sym and asym halves, halving by complex division."""
+    n = size.n
+    side, local = divmod(marked, n)
+    same = state[side * n:(side + 1) * n]
+    far = state[(1 - side) * n:(2 - side) * n]
+    scale = np.sqrt(n - 1.0)
+    coeffs = np.array([
+        same[local],
+        far[local],
+        (same.sum() - same[local]) / scale,
+        (far.sum() - far[local]) / scale,
+    ])
+    rest_same = same - coeffs[2] / scale
+    rest_far = far - coeffs[3] / scale
+    rest_same[local] = rest_far[local] = 0.0
+    sym = (rest_same + rest_far) / 2.0
+    asym = (rest_same - rest_far) / 2.0
+    return coeffs, np.vdot(sym, sym).real + np.vdot(asym, asym).real, np.vdot(sym, asym)
 
 
 def report_bits(report):
@@ -781,6 +843,23 @@ class TestBlockSamples:
             assert [int(row["step"]) for row in written] == steps
             got = np.array([[float(row[f"p{k}"]) for k in range(1, 5)] for row in written])
             assert np.abs(got - np.array(rows)).max() <= 1e-13
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 64, 100])
+    def test_orbit_matches_one_power_per_column(self, rng, first, count):
+        size = GraphSize(1024)
+        unitary = sch.schedule_matrix(sch.deterministic_schedule(size).iterate, size)
+        vector = random_state(rng, 4)
+        for stride in (1, 3):
+            columns = dynamics._orbit(unitary, vector, first, stride, count)
+            assert columns.shape == (4, count)
+            expected = np.column_stack([
+                np.linalg.matrix_power(unitary, first + i * stride) @ vector
+                for i in range(count)])
+            assert columns[:, 0].tobytes() == expected[:, 0].tobytes()
+            # doubling and repeated squaring round differently from one
+            # power per column; both stay within 1e-13 of each other
+            assert np.abs(columns - expected).max() <= 1e-13
 
     def test_loop_steps_only_the_tail(self, monkeypatch):
         walked = []  # 4-vectors walked: one per walk step of the step loop
