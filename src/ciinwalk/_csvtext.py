@@ -1,85 +1,122 @@
 """CSV text of trajectory columns for `RunReport.to_csv`.
 
-The text of `'%.17g'` for a block of floats is rendered in numpy, byte
-for byte.  Each value's 17 significant digits are the floor of
-|v| 10^(16-e), e = floor(log10 |v|), rounded by its fraction.  The power of
-ten is a double-double (hi + lo) 2^a computed exactly from Python ints for
-the decades in the block, and Dekker's two-product forms m hi exactly, so
-the integer plus fraction errs by less than 2^-46.  A value whose fraction
-lies within 2^-40 of 1/2 (an exact 18-digit tie such as 3 * 2^-24, or a
-near one) is left to `'%.17g'` itself, as are inf and nan; every other
-fraction rounds the way the exact value does.  log10 can miss the decade
-next to a power of ten; those values are redone one decade over.  The
-digits become text through base-10^4 digits and a 4-byte table, laid out
-positional for -4 <= e < 17 and scientific otherwise, with trailing zeros
-and a bare point dropped; the NUL bytes of unused slots are masked out of
-the block's (rows, width) uint8 matrix.  Ints use the same table, without
-their leading zeros.
+The text of `'%.17g'` for a block of floats, and of `'%d'` for its ints, is
+rendered in numpy, byte for byte, as uint64 words: one contiguous plane per
+word of a field, eight bytes each, NUL where a field has no character.
+
+Digits.  Each value's 17 significant digits are the floor of
+|v| 10^(16-e), e = floor(log10 |v|), rounded by its fraction
+(`float_digits`).  The power of ten is a double-double (hi + lo) 2^a
+computed exactly from Python ints for the decades in the block, and
+Dekker's two-product forms m hi exactly, so the integer plus fraction errs
+by less than 2^-46.  A value whose fraction lies within 2^-40 of 1/2 (an
+exact 18-digit tie such as 3 * 2^-24, or a near one) is left to `'%.17g'`
+itself, as are inf and nan; every other fraction rounds the way the exact
+value does.  log10 can miss the decade next to a power of ten; those values
+are redone one decade over.
+
+Words.  The 17 digits are a first digit and two groups of 8, split by
+integer division.  `_bcd8` turns a group into one word with a digit per
+byte, the first in the low byte, by three reciprocal multiplies, each exact
+over the range it is used on (its docstring states the ranges); OR-ing '0'
+into every byte makes the digits ASCII.  A group's trailing zero digits are
+its high zero bytes.  No byte exceeds 9, so the double nearest the word
+never carries into the byte above its highest set bit, and frexp's exponent
+finds the highest nonzero byte exactly.
+
+Layout.  A float's 24-byte string holds its sign, the chars '0000' and its
+17 digits; the text of `'%.17g'` is a run of these chars with a point after
+one of them.  Beside a copy shifted up one byte, three masks picked by the
+point's column and the last nonzero digit's (`_MASKS`) keep the run, drop
+the zeros before and after it, and put the point in.  A fourth word holds
+the exponent (`e-05`, `e+17`, `e-308`, none where `'%.17g'` is positional)
+and the separator.  A zero is written as its one digit 0.  An int takes
+three words: its sign, then its digits right-aligned before the comma, the
+leading zeros left NUL.  A row of 2 ints and 5 floats is 26 words, copied
+from the planes into one (rows, 26) array; `bytes.translate` then drops the
+NUL bytes.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-# Each value is one row of a uint8 matrix, with
-# NUL bytes where it has no character, then a comma.
-
-# ASCII digits of 0..9999 as 4-byte rows, viewed as one uint32 per number:
-# indexing with base-10^4 digits gives their text, bytes in order.  Built
-# on a (10, 10, 10, 10) grid, the number abcd at [a, b, c, d], with the
-# count of its trailing zero digits: a place that is 0 adds one to the
-# count of the places before it, any other place resets it.
-_DIGITS4 = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-_TRAILING4 = np.uint8(0)
-for _place in range(4):
-    _axis = (10,) + (1,) * (3 - _place)
-    _DIGITS4[..., _place] = (np.arange(10, dtype=np.uint8) + ord("0")).reshape(_axis)
-    _TRAILING4 = (np.arange(10) == 0).reshape(_axis) * (_TRAILING4 + 1)
-_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_TRAILING4 = _TRAILING4.ravel()
 _E16, _E17 = 10 ** 16, 10 ** 17
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for 53-bit significands
 _TIE = 2.0 ** -40  # fractions this close to 1/2 are left to `%.17g`
-# A float's row: its sign, then 21 (char, point) slot pairs, then its
-# exponent.  The chars are four zeros and the 17 significant digits, and
-# `%.17g` text is a run of them with a point after one.
-_FLOAT_WIDTH = 1 + 42 + 5 + 1
-_INT_WIDTH = 1 + 20 + 1
-# the longest CSV row: two ints of 20 chars (-2^63), five floats of 24
-# (-1.2345678901234567e-308) and seven separators
-CSV_ROW_MAX = 2 * 20 + 5 * 24 + 7
-# slots kept, by point column * 21 + last nonzero column: the chars from
-# the first the text needs to max(point, last), and the point after its
-# column when a digit follows
-_column = np.arange(21)
-_point, _last = _column[:, None, None], _column[None, :, None]
-_KEEP = np.empty((21, 21, 21, 2), dtype=np.uint8)
-_KEEP[..., 0] = (_column >= np.minimum(_point, 4)) & (_column <= np.maximum(_point, _last))
-_KEEP[..., 1] = (_column == _point) & (_last > _point)
-_KEEP = _KEEP.reshape(21 * 21, 42)
-# the exponent's text (`e-05`, `e+17`, `e-308`) by exponent + 400, empty
-# where `%.17g` is positional
+_ZEROS = 0x3030303030303030  # '0' in every byte of a word
+
+
+def _table(texts) -> np.ndarray:
+    """(words, len(texts)) uint64: each text NUL-padded to words * 8 bytes,
+    one column per text."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in texts),
+                         dtype=np.uint64).reshape(len(texts), -1).T.copy()
+
+
+# A float's text is cut from 24 bytes: its sign, the chars '0000' and its 17
+# digits, one per column 0..20.  _MASKS[kind, word, p * 21 + l], by point
+# column p (after which `%.17g` puts the point) and last nonzero digit
+# column l: which of the 24 bytes to keep (kind 0), which to keep from the
+# copy shifted up one byte (kind 1), and the point (kind 2).
+_byte = np.arange(24)
+_p, _l = np.arange(21)[:, None, None], np.arange(21)[None, :, None]
+_MASKS = np.zeros((3, 21, 21, 24), dtype=np.uint8)
+_MASKS[0] = ((_byte == 0) | ((_byte > np.minimum(_p, 4)) & (_byte <= _p + 1))) * 0xFF
+_MASKS[1] = ((_l > _p) & (_byte >= _p + 3) & (_byte <= _l + 2)) * 0xFF
+_MASKS[2] = ((_l > _p) & (_byte == _p + 2)) * ord(".")
+_MASKS = _MASKS.view(np.uint64).reshape(3, 441, 3).transpose(0, 2, 1).copy()
+# by decimal exponent + 400: the point column * 21, and one word of the
+# exponent text (`e-05`, `e+17`, `e-308`, none where `%.17g` is
+# positional) and a comma, or a newline at exponent + 1200
 _exponent = np.arange(-400, 400)
-_EXPONENT = np.zeros((800, 5), dtype=np.uint8)
-_EXPONENT[:, 0] = ord("e")
-_EXPONENT[:, 1] = np.where(_exponent < 0, ord("-"), ord("+"))
-_EXPONENT[:, 2:] = _DIGITS4[abs(_exponent)].view(np.uint8).reshape(800, 4)[:, 1:]
-_EXPONENT[:, 2] *= abs(_exponent) >= 100
-_EXPONENT[(_exponent >= -4) & (_exponent < 17)] = 0
-del _place, _axis, _column, _point, _last, _exponent
+_positional = (_exponent >= -4) & (_exponent < 17)
+_POINT = 21 * np.where(_positional, _exponent + 4, 4)
+_EXPONENT = _table([b"," if pos else b"e%+03d," % e
+                    for e, pos in zip(range(-400, 400), _positional.tolist())])[0]
+_newline = _EXPONENT.view(np.uint8).copy()
+_newline[_newline == ord(",")] = ord("\n")
+_EXPONENT = np.concatenate((_EXPONENT, _newline.view(np.uint64)))
+# by digit count - 1: the '0' to OR into each byte of an int's
+# right-aligned digits, then its comma
+_INT_ZEROS = _table([b"\0" * (23 - d) + b"0" * d + b"," for d in range(1, 20)])
 # 10^1 .. 10^19: an int's digit count less one is how many it reaches
 _POWERS_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
+del _byte, _p, _l, _exponent, _positional, _newline
+# (multiplier, shift, quotient mask, divisor, lane width) of each step of
+# `_bcd8`: 8 digits to two 4-digit lanes, to four 2-digit, to eight 1-digit
+_BCD_STEPS = ((109951163, 40, 0x00000000FFFFFFFF, 10_000, 32),
+              (10486, 20, 0x0000007F0000007F, 100, 16),
+              (103, 10, 0x000F000F000F000F, 10, 8))
 
 
-def _digit_groups(values: np.ndarray) -> np.ndarray:
-    """(k, 5) base-10^4 digits of nonnegative integers below 10^20."""
-    groups = np.empty((len(values), 5), dtype=np.int64)
-    for g in range(4, 0, -1):
-        values, groups[:, g] = np.divmod(values, 10_000)
-    groups[:, 0] = values
-    return groups
+def _bcd8(x: np.ndarray) -> None:
+    """Replace each uint64 x < 10^8 with its 8 decimal digits, one per byte,
+    the first in the low byte (so the text's order in memory).
+
+    Each step of `_BCD_STEPS` splits every lane of a word in two by a
+    reciprocal multiply, exact over these ranges: floor(x 109951163 / 2^40)
+    = floor(x / 10^4) for x < 494,389,999, then in 32-bit lanes
+    floor(a 10486 / 2^20) = floor(a / 100) for a < 43,699, then in 16-bit
+    lanes floor(b 103 / 2^10) = floor(b / 10) for b < 179.  The quotient q
+    stays in the low half of the lane and the remainder moves to the high
+    half, as (v << w) - q (d 2^w - 1).  No lane's product reaches the next
+    lane, whose bits the mask drops from the quotients.
+    """
+    for multiplier, shift, lanes, divisor, width in _BCD_STEPS:
+        q = x * multiplier
+        q >>= shift
+        q &= lanes
+        q *= divisor * 2 ** width - 1
+        x <<= width
+        x -= q
 
 
+# cached: s = 16 - e takes one value per decade of the doubles, about 635
+@functools.cache
 def _pow10(s: int) -> tuple[float, float, int]:
     """10^s as (hi + lo) 2^a, hi in [1, 2] and lo the rest, both correctly
     rounded (int true division is)."""
@@ -162,67 +199,93 @@ def float_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return whole + (frac > 0.5), e10, unsure
 
 
-def _float_text(values: np.ndarray) -> np.ndarray:
-    """(k, _FLOAT_WIDTH) uint8: `'%.17g,' % v` for each float64 v, NUL-padded.
+def _float_words(values: np.ndarray) -> np.ndarray:
+    """(4, 5, k) uint64: `'%.17g'` of each float64 of the (5, k) values,
+    then a comma, or a newline after the last column, NUL-padded; the sign,
+    digits and point in words 0-2, the exponent and separator in word 3.
 
     Zeros are written directly; non-finite values, and those whose digits
     are unsure, through `'%.17g'` itself.
     """
-    magnitude = abs(values)
-    zero = magnitude == 0.0
-    finite = np.isfinite(magnitude)
-    magnitude[zero | ~finite] = 1.0
+    rows = values.shape[1]
+    flat = values.ravel()
+    special = ~np.isfinite(flat)
+    zero = flat == 0.0
+    magnitude = abs(flat)
+    magnitude[zero | special] = 1.0
     digits, e10, unsure = float_digits(magnitude)
-    text = np.empty((len(values), _FLOAT_WIDTH), dtype=np.uint8)
-    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    groups = _digit_groups(digits)
-    slots = text[:, 1:43].reshape(-1, 21, 2)
-    slots[:, 0, 0] = ord("0")
-    slots[:, 1:, 0] = _DIGITS4[groups].view(np.uint8)
-    slots[:, :, 1] = ord(".")
-    # trailing zeros of the 16 digits after the first, which is nonzero
-    trailing = np.zeros(len(values), dtype=np.int64)
-    for g in range(1, 5):
-        trailing = np.where(groups[:, g] == 0, trailing + 4, _TRAILING4[groups[:, g]])
-    point = np.where((e10 >= -4) & (e10 < 17), e10 + 4, 4)
-    text[:, 1:43] *= _KEEP.take(point * 21 + 20 - trailing, axis=0)
-    text[zero, 9] = ord("0")  # zeros went in as 1.0: their one digit
-    text[:, 43:48] = _EXPONENT.take(e10 + 400, axis=0)
-    text[:, 48] = ord(",")
-    for i in np.flatnonzero(unsure | ~finite):
-        raw = np.frombuffer(b"%.17g" % values[i], dtype=np.uint8)
-        text[i, :len(raw)] = raw
-        text[i, len(raw):-1] = 0
-    return text
+    digits[zero] = 0  # a zero's one digit is written as '0'
+    first, rest = np.divmod(digits.view(np.uint64), 10 ** 16)
+    bcd = np.empty((2, len(flat)), dtype=np.uint64)
+    np.divmod(rest, 10 ** 8, out=(bcd[0], bcd[1]))
+    _bcd8(bcd)
+    # the trailing zero digits of an 8-digit group are its top zero bytes;
+    # each byte is below 16, so the double nearest the word has the word's
+    # bit length as its frexp exponent
+    count = (np.frexp(bcd.astype(np.float64))[1] + 7) >> 3
+    e10 += 400
+    layout = _POINT.take(e10) + np.where(count[1], count[1] + 12, count[0] + 4)
+    e10[-rows:] += 800  # the last column's separator is the newline
+    bcd |= _ZEROS
+    words = np.empty((4, len(flat)), dtype=np.uint64)
+    # the 24 bytes: sign, '0000', the first digit, two groups of eight
+    # digits and two NULs; bytes 1-5 of the first word are '0' before the
+    # first digit goes into byte 5
+    text = words[:3]
+    sign = (flat.view(np.uint64) >> 63) * ord("-")
+    text[0] = sign | 0x0000303030303000 | first << 40 | bcd[0] << 48
+    text[1] = bcd[0] >> 16 | bcd[1] << 48
+    text[2] = bcd[1] >> 16
+    shifted = text << 8
+    shifted[1:] |= text[:-1] >> 56
+    mask = np.empty_like(shifted)
+    text &= _MASKS[0].take(layout, axis=1, out=mask, mode="clip")
+    shifted &= _MASKS[1].take(layout, axis=1, out=mask, mode="clip")
+    text |= shifted
+    text |= _MASKS[2].take(layout, axis=1, out=mask, mode="clip")
+    _EXPONENT.take(e10, out=words[3], mode="clip")
+    for i in (unsure | special).nonzero()[0]:
+        raw = b"%.17g" % flat[i] + (b"\n" if i >= len(flat) - rows else b",")
+        words[:, i] = np.frombuffer(raw.ljust(32, b"\0"), dtype=np.uint64)
+    return words.reshape(4, 5, rows)
 
 
-def _int_text(values: np.ndarray) -> np.ndarray:
-    """(k, _INT_WIDTH) uint8: `'%d,' % v` for each int64 v, NUL-padded."""
-    text = np.empty((len(values), _INT_WIDTH), dtype=np.uint8)
-    negative = values < 0
-    text[:, 0] = negative * np.uint8(ord("-"))
-    magnitude = values.view(np.uint64)
-    magnitude = np.where(negative, np.uint64(0) - magnitude, magnitude)
-    chars = _DIGITS4[_digit_groups(magnitude)].view(np.uint8)
-    width = np.searchsorted(_POWERS_U64, magnitude, side="right")
-    text[:, 1:21] = chars * (np.arange(20) >= 19 - width[:, None])
-    text[:, 21] = ord(",")
-    return text
+def _int_words(values: np.ndarray) -> np.ndarray:
+    """(3, k) uint64: `'%d,' % v` of each int64 v, NUL-padded; the sign in
+    the first byte, the digits right-aligned before the comma in the last.
+
+    The digits are those of a 24-digit number, three groups of 8, shifted
+    down one byte; |v| <= 2^63 has at most 19 digits, so the byte shifted
+    out is a zero.  When every |v| is below 10^8, the two upper groups are
+    zero and only the lowest is converted.
+    """
+    negative = values.view(np.uint64) >> 63
+    magnitude = np.abs(values).view(np.uint64)  # -2^63 wraps to 2^63 unsigned
+    groups = np.zeros((3, len(values)), dtype=np.uint64)
+    if magnitude.max() < 10 ** 8:
+        groups[2] = magnitude
+        _bcd8(groups[2])
+    else:
+        rest, groups[2] = np.divmod(magnitude, 10 ** 8)
+        np.divmod(rest, 10 ** 8, out=(groups[0], groups[1]))
+        _bcd8(groups)
+    words = groups >> 8
+    words[:2] |= groups[1:] << 56
+    words |= _INT_ZEROS.take(np.searchsorted(_POWERS_U64, magnitude, side="right"), axis=1)
+    words[0] |= negative * ord("-")
+    return words
 
 
-def csv_rows(t, block: slice, out: np.ndarray) -> int:
-    """Write the CSV rows of a block of samples of the `Trajectory` t to
-    the start of `out` and return their length in bytes."""
+def csv_lines(t, block: slice) -> bytes:
+    """The CSV rows of a block of samples of the `Trajectory` t, as ASCII."""
     rows = len(t.step[block])
-    floats = _float_text(np.column_stack(
-        (t.probabilities[block], t.walk_time_so_far[block])).ravel()).reshape(rows, 5, -1)
-    ints = _int_text(np.column_stack(
-        (t.step[block], t.queries_so_far[block])).ravel()).reshape(rows, 2, -1)
-    text = np.concatenate((ints[:, 0], floats[:, :4].reshape(rows, -1), ints[:, 1],
-                           floats[:, 4]), axis=1)
-    text[:, -1] = ord("\n")
-    text = text.ravel()
-    kept = text != 0
-    length = np.count_nonzero(kept)
-    text.compress(kept, out=out[:length])
-    return length
+    floats = _float_words(np.concatenate((t.probabilities[block].T,
+                                          t.walk_time_so_far[None, block])))
+    ints = _int_words(np.concatenate((t.step[block], t.queries_so_far[block]))).reshape(3, 2, rows)
+    # one row of 26 words: step, p1..p4, queries_so_far, walk_time_so_far
+    line = np.empty((rows, 26), dtype=np.uint64)
+    line[:, 0:3] = ints[:, 0].T
+    line[:, 3:19].reshape(rows, 4, 4)[...] = floats[:, :4].transpose(2, 1, 0)
+    line[:, 19:22] = ints[:, 1].T
+    line[:, 22:26] = floats[:, 4].T
+    return line.tobytes().translate(None, b"\0")

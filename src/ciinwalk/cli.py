@@ -97,8 +97,11 @@ def _out_path(args, suffix=""):
 
 
 def _write_report(report: RunReport, path: Path, fmt: str) -> None:
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    path.write_text(text)
+    if fmt == "csv":
+        with path.open("wb") as file:
+            report.to_csv(file)
+    else:
+        path.write_text(report.to_json())
 
 
 def _write_table(rows, header, path: Path, fmt: str) -> None:

@@ -71,6 +71,9 @@ schedules without a recorded iterate (parsed ones), bit for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
+Given a binary file, it writes each block's bytes there as it goes, so a
+run holds the text of one block, not of the whole trajectory; the CLI
+writes its CSV files that way.  The text is the same either way.
 
 At n = 2 a full state (N = 4) has the shape of a reduced one, so
 `apply_schedule`, `group_probabilities` and `measure_and_check` refuse
@@ -86,6 +89,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
+from typing import BinaryIO
 
 import numpy as np
 
@@ -369,8 +373,9 @@ class RunReport:
 
     CSV_HEADER = ("step", "p1", "p2", "p3", "p4", "queries_so_far", "walk_time_so_far")
 
-    def to_csv(self) -> str:
-        """Render the trajectory as CSV.
+    def to_csv(self, file: BinaryIO | None = None) -> str | None:
+        """Render the trajectory as CSV: return it as a `str`, or write it
+        to the binary `file` as ASCII bytes and return None.
 
         Columns: step, p1..p4, queries_so_far, walk_time_so_far.  p1..p4 are
         the probabilities of the four vertex groups (marked, opposite,
@@ -378,21 +383,20 @@ class RunReport:
         sampled in the dual basis.  The text is that of `'%.17g'` for each
         float, which round-trips a double, and `'%d'` for each int.  Each
         block of `_CSV_BLOCK` rows is rendered in numpy by `_csvtext`, whose
-        docstring gives the method.
+        docstring gives the method.  Written to a file, each block goes out
+        as soon as it is rendered, so memory stays in proportion to one
+        block; the bytes are those of the returned text.
         """
-        from ._csvtext import CSV_ROW_MAX, csv_rows
+        from ._csvtext import csv_lines
 
         t = self.trajectory
-        parts = [",".join(self.CSV_HEADER) + "\n"]
-        # Each block's text goes through one reused buffer, so the block's
-        # temporaries are freed before the text that is kept is made; made
-        # while they lived, it left them as holes in the heap, and the peak
-        # RSS of a large run varied by about 20 MB from process to process.
-        buffer = np.empty(min(len(t), _CSV_BLOCK) * CSV_ROW_MAX, dtype=np.uint8)
-        for start in range(0, len(t), _CSV_BLOCK):
-            length = csv_rows(t, slice(start, start + _CSV_BLOCK), buffer)
-            parts.append(str(buffer[:length], "ascii"))
-        return "".join(parts)
+        text = chain([",".join(self.CSV_HEADER).encode("ascii") + b"\n"],
+                     (csv_lines(t, slice(start, start + _CSV_BLOCK))
+                      for start in range(0, len(t), _CSV_BLOCK)))
+        if file is None:
+            return b"".join(text).decode("ascii")
+        file.writelines(text)
+        return None
 
     def to_json(self) -> str:
         """Render the report as JSON.
@@ -621,13 +625,16 @@ def group_probabilities(state: np.ndarray, size: GraphSize, marked: int = 0) -> 
         return np.abs(state) ** 2
     _check_vertex(size, marked)
     n = size.n
-    opposite = size.opposite(marked)
-    prob = np.abs(state)
-    np.square(prob, out=prob)
     side = marked // n
-    same = prob[side * n:(side + 1) * n].sum() - prob[marked]
-    far = prob[(1 - side) * n:(2 - side) * n].sum() - prob[opposite]
-    return np.array([prob[marked], prob[opposite], same, far])
+    # one half at a time through one n-length buffer: the same values,
+    # summed in the same order, as squaring the whole state at once
+    prob = np.empty(n, dtype=state.real.dtype)
+    groups = np.empty(4, dtype=prob.dtype)
+    for slot, half, vertex in ((0, side, marked), (1, 1 - side, size.opposite(marked))):
+        np.square(np.abs(state[half * n:(half + 1) * n], out=prob), out=prob)
+        groups[slot] = prob[vertex - half * n]
+        groups[slot + 2] = prob.sum() - groups[slot]
+    return groups
 
 
 def _split_full(state: np.ndarray, size: GraphSize, marked: int):

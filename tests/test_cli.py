@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -137,6 +138,25 @@ class TestConfigHandling:
         assert code == 1
         assert f"p={p}" in capsys.readouterr().err
         assert not (tmp_path / "fig7-oddpath.csv").exists()
+
+
+class TestWriteReport:
+    def test_csv_is_written_one_block_at_a_time(self, tmp_path, rng):
+        rows = 150_000
+        values = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-30, -5, size=(rows, 5))
+        counts = rng.integers(0, 2 ** 62, size=(rows, 2))
+        report = dynamics.RunReport(dynamics.Trajectory(counts[:, 0], values[:, :4],
+                                                        counts[:, 1], values[:, 4]), 0.5, 7, 1.0)
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            ciinwalk.cli._write_report(report, path, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the text of one block at a time, not of the whole file
+        assert peak < path.stat().st_size / 4
+        assert path.read_bytes() == report.to_csv().encode("ascii")
 
 
 class TestExperiments:

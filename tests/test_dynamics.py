@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -277,6 +278,19 @@ class TestObservables:
                 walked = group_probabilities(walk_full(state, t, size), size, marked)
                 reference = group_probabilities(projector_reference(state, t, n), size, marked)
                 assert walked.tobytes() == reference.tobytes()
+
+    def test_group_probabilities_square_one_half_at_a_time(self, rng):
+        size = GraphSize(2 ** 14)
+        state = random_state(rng, size.N)
+        tracemalloc.start()
+        try:
+            group_probabilities(state, size, marked=size.n + 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float buffer as long as a half; squaring the whole state at
+        # once takes twice that
+        assert peak <= 8 * size.n + 4096
 
     def test_group_probabilities_out_of_range_marked(self):
         size = GraphSize(8)
@@ -1019,6 +1033,25 @@ def renderer_edges():
     return np.concatenate([edges, -edges])
 
 
+def streamed_csv(report):
+    """The bytes `RunReport.to_csv` writes to a binary file."""
+    buffer = io.BytesIO()
+    assert report.to_csv(buffer) is None
+    return buffer.getvalue()
+
+
+def assert_csv_matches_the_reference(report):
+    expected = reference_csv(report)
+    assert report.to_csv() == expected
+    assert streamed_csv(report) == expected.encode("ascii")
+
+
+def int_text(values):
+    """`_csvtext._int_words` of an int64 array, NULs dropped."""
+    words = _csvtext._int_words(np.asarray(values, dtype=np.int64))
+    return words.T.tobytes().translate(None, b"\0")
+
+
 class TestRunReportSerialization:
     def test_csv_schema(self):
         size = GraphSize(4)
@@ -1082,6 +1115,68 @@ class TestRunReportSerialization:
             assert 10 ** 16 - 1 <= scaled < 10 ** 17
             assert flagged == (abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 ** -40)
         assert 0 < unsure.sum() < len(values) // 10
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_streamed_and_returned_text_match_at_block_edges(self, rng, extra):
+        count = dynamics._CSV_BLOCK + extra
+        values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-30, 30, size=(count, 5))
+        counts = rng.integers(-2 ** 40, 2 ** 40, size=(count, 2))
+        assert_csv_matches_the_reference(RunReport(
+            Trajectory(counts[:, 0], values[:, :4], counts[:, 1], values[:, 4]), 0.5, 7, 1.0))
+
+    def test_special_values_end_their_rows(self):
+        # the last column's separator is the newline, also for the values
+        # written through `%.17g` itself (non-finite ones and near ties)
+        specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 3 * 2.0 ** -24, -3 * 2.0 ** -24, 1.0]
+        count = len(specials)
+        probabilities = np.resize(specials[::-1], (count, 4))
+        report = RunReport(Trajectory(np.arange(count), probabilities, np.arange(count),
+                                      specials), 0.5, 7, 1.0)
+        assert _csvtext.float_digits(np.array([3 * 2.0 ** -24]))[2].all()  # a near tie
+        assert_csv_matches_the_reference(report)
+        for line, value in zip(report.to_csv().splitlines()[1:], specials):
+            assert line.endswith("," + format(value, ".17g"))
+
+    def test_int_blocks_either_side_of_1e8(self):
+        powers = [sign * (10 ** k + d) for k in range(8) for d in (-1, 0) for sign in (1, -1)]
+        below = powers + [10 ** 8 - 1, -(10 ** 8 - 1)]
+        above = below + [10 ** 8, -10 ** 8, 10 ** 8 + 1]
+        for values in (below, above, above + [2 ** 63 - 1, -2 ** 63]):
+            assert int_text(values) == b"".join(b"%d," % v for v in values)
+        # blocks below, above and below 10^8 in one trajectory
+        block = dynamics._CSV_BLOCK
+        steps = np.resize(below, 2 * block + 1)
+        steps[block:2 * block] = np.resize(above, block)
+        floats = np.linspace(-1.0, 1.0, 4 * len(steps)).reshape(-1, 4)
+        assert_csv_matches_the_reference(RunReport(
+            Trajectory(steps, floats, abs(steps), floats[:, 0]), 0.5, 7, 1.0))
+
+    def test_digit_words_are_exact(self):
+        # every x below 10^6, the top of the range, and each side of every
+        # multiple of 10^4 up to 10^8 (where the first split is least exact)
+        x = np.concatenate([np.arange(10 ** 6), np.arange(10 ** 8 - 10 ** 4, 10 ** 8),
+                            (np.arange(1, 10 ** 4)[:, None] * 10 ** 4 + [-1, 0, 1]).ravel()])
+        words = x.astype(np.uint64)
+        _csvtext._bcd8(words)
+        digits = words.view(np.uint8).reshape(-1, 8)
+        for place in range(8):
+            assert np.array_equal(digits[:, place], (x // 10 ** (7 - place)) % 10)
+
+    def test_digit_word_reciprocals_hold_over_their_stated_ranges(self):
+        # the first failure of each step's reciprocal, as `_bcd8` states
+        # them, and the largest input each step sees
+        bounds = (494_389_999, 43_699, 179)
+        largest = (10 ** 8 - 1, 10 ** 4 - 1, 10 ** 2 - 1)
+        for (multiplier, shift, _, divisor, _), bound, top in zip(_csvtext._BCD_STEPS, bounds,
+                                                                 largest):
+            assert top < bound
+            # the multiplier is above 2^shift / divisor, so the quotient is
+            # never low, and is highest relative to a / divisor at the top
+            # of each quotient's range
+            assert multiplier * divisor > 2 ** shift
+            tops = np.arange(divisor - 1, bound, divisor, dtype=np.uint64)
+            assert np.array_equal((tops * multiplier) >> shift, tops // divisor)
+            assert (bound * multiplier) >> shift != bound // divisor
 
     def test_empty_trajectory_matches_the_reference(self):
         report = RunReport(Trajectory([], np.zeros((0, 4)), [], []), 0.5, 3, np.nan)
