@@ -35,13 +35,21 @@ three words: its sign, then its digits right-aligned before the comma, the
 leading zeros left NUL.  A row of 2 ints and 5 floats is 26 words, copied
 from the planes into one (rows, 26) array; `bytes.translate` then drops the
 NUL bytes.
+
+Byte order.  A word's first text byte is its low byte, and the tables are
+read back from bytes as native words, so the layout holds on little-endian
+machines only; importing the module elsewhere raises.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
+
+if sys.byteorder != "little":
+    raise ImportError("the CSV word layout assumes a little-endian machine")
 
 _E16, _E17 = 10 ** 16, 10 ** 17
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for 53-bit significands
@@ -256,19 +264,14 @@ def _int_words(values: np.ndarray) -> np.ndarray:
 
     The digits are those of a 24-digit number, three groups of 8, shifted
     down one byte; |v| <= 2^63 has at most 19 digits, so the byte shifted
-    out is a zero.  When every |v| is below 10^8, the two upper groups are
-    zero and only the lowest is converted.
+    out is a zero.
     """
     negative = values.view(np.uint64) >> 63
     magnitude = np.abs(values).view(np.uint64)  # -2^63 wraps to 2^63 unsigned
-    groups = np.zeros((3, len(values)), dtype=np.uint64)
-    if magnitude.max() < 10 ** 8:
-        groups[2] = magnitude
-        _bcd8(groups[2])
-    else:
-        rest, groups[2] = np.divmod(magnitude, 10 ** 8)
-        np.divmod(rest, 10 ** 8, out=(groups[0], groups[1]))
-        _bcd8(groups)
+    groups = np.empty((3, len(values)), dtype=np.uint64)
+    rest, groups[2] = np.divmod(magnitude, 10 ** 8)
+    np.divmod(rest, 10 ** 8, out=(groups[0], groups[1]))
+    _bcd8(groups)
     words = groups >> 8
     words[:2] |= groups[1:] << 56
     words |= _INT_ZEROS.take(np.searchsorted(_POWERS_U64, magnitude, side="right"), axis=1)

@@ -1046,12 +1046,6 @@ def assert_csv_matches_the_reference(report):
     assert streamed_csv(report) == expected.encode("ascii")
 
 
-def int_text(values):
-    """`_csvtext._int_words` of an int64 array, NULs dropped."""
-    words = _csvtext._int_words(np.asarray(values, dtype=np.int64))
-    return words.T.tobytes().translate(None, b"\0")
-
-
 class TestRunReportSerialization:
     def test_csv_schema(self):
         size = GraphSize(4)
@@ -1136,20 +1130,6 @@ class TestRunReportSerialization:
         assert_csv_matches_the_reference(report)
         for line, value in zip(report.to_csv().splitlines()[1:], specials):
             assert line.endswith("," + format(value, ".17g"))
-
-    def test_int_blocks_either_side_of_1e8(self):
-        powers = [sign * (10 ** k + d) for k in range(8) for d in (-1, 0) for sign in (1, -1)]
-        below = powers + [10 ** 8 - 1, -(10 ** 8 - 1)]
-        above = below + [10 ** 8, -10 ** 8, 10 ** 8 + 1]
-        for values in (below, above, above + [2 ** 63 - 1, -2 ** 63]):
-            assert int_text(values) == b"".join(b"%d," % v for v in values)
-        # blocks below, above and below 10^8 in one trajectory
-        block = dynamics._CSV_BLOCK
-        steps = np.resize(below, 2 * block + 1)
-        steps[block:2 * block] = np.resize(above, block)
-        floats = np.linspace(-1.0, 1.0, 4 * len(steps)).reshape(-1, 4)
-        assert_csv_matches_the_reference(RunReport(
-            Trajectory(steps, floats, abs(steps), floats[:, 0]), 0.5, 7, 1.0))
 
     def test_digit_words_are_exact(self):
         # every x below 10^6, the top of the range, and each side of every
