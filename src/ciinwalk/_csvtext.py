@@ -160,7 +160,7 @@ def _scaled(m: np.ndarray, e2: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray,
     table = np.zeros((3, int(s.max()) - first + 1))
     for k in np.flatnonzero(np.bincount(s - first)):
         table[:, k] = _pow10(first + int(k))
-    hi, lo, a = table[:, s - first]
+    hi, lo, a = table.take(s - first, axis=1)
     p = m * hi
     m1, m2 = _split(m)
     h1, h2 = _split(hi)

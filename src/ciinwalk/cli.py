@@ -18,6 +18,9 @@ drift after one 2*pi period, and the gap to the reduced data at sample
 verify-circuit compares each walk circuit with the dense exp(-i t A), which
 it builds from one `walk_full` column through the graph's automorphisms.
 
+`main` builds its argument parser once per process, on the first call, and
+parses every later `argv` with that same parser.
+
 Exit codes: 0 success, 1 configuration error (also a run too large to
 allocate), 2 verification failure (a runtime check of an expected invariant
 did not hold).
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -184,11 +188,12 @@ def _run_fig4(args) -> int:
     probs = _walk_from_marked(size, times)
     # the full space checks the reduced data: periodicity at 2 pi, and the
     # gap at one interior sample; group_probabilities refuses n = 2 here,
-    # before any file is written
+    # before any file is written.  The reduced marked state has the full
+    # one's group probabilities, [1, 0, 0, 0], with no O(N) pass.
     start = marked_state(size, reduced=False)
     drift = float(np.max(np.abs(
         group_probabilities(walk_full(start, 2.0 * np.pi, size), size)
-        - group_probabilities(start, size))))
+        - group_probabilities(marked_state(size), size))))
     check = args.samples // 2
     full = group_probabilities(walk_full(start, float(times[check]), size), size)
     gap = float(np.max(np.abs(full - probs[:, check])))
@@ -374,6 +379,9 @@ def _run_verify_circuit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# one parser per process: it depends on no argument, and building it costs
+# about 2 ms, more than many small experiments take to run
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ciinwalk",
@@ -434,8 +442,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return EXPERIMENTS[args.experiment](args)
     except (ValueError, IndexError, MemoryError) as exc:

@@ -1,14 +1,22 @@
-import csv
-import dataclasses
-import io
-import json
+import os
 
-import numpy as np
-import pytest
+# one BLAS thread, set before numpy loads its BLAS: threaded OpenBLAS on a
+# small host makes the tests' many small expm and vdot calls several times
+# slower; a value set in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from ciinwalk import dynamics
-from ciinwalk import schedules as sch
-from ciinwalk.dynamics import (
+import csv  # noqa: E402
+import dataclasses  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ciinwalk import dynamics  # noqa: E402
+from ciinwalk import schedules as sch  # noqa: E402
+from ciinwalk.dynamics import (  # noqa: E402
     FinishingRule,
     RunReport,
     StepKind,
@@ -19,7 +27,7 @@ from ciinwalk.dynamics import (
     walk_full,
     walk_reduced,
 )
-from ciinwalk.graphs import GraphSize, dual_basis
+from ciinwalk.graphs import GraphSize, dual_basis  # noqa: E402
 
 
 @pytest.fixture

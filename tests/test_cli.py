@@ -353,16 +353,25 @@ class TestFig4Walk:
         assert np.max(np.abs(full - reduced)) <= 2e-15
 
     def test_full_space_runs_twice_and_prints_the_gap(self, tmp_path, monkeypatch, capsys):
-        calls = []
+        calls, full_lengths = [], []
 
         def counted(*args):
             calls.append(args[1])
             return walk_full(*args)
 
+        def measured(state, size):
+            if len(state) > 4:
+                full_lengths.append(len(state))
+            return group_probabilities(state, size)
+
         monkeypatch.setattr(ciinwalk.cli, "walk_full", counted)
+        monkeypatch.setattr(ciinwalk.cli, "group_probabilities", measured)
         argv = ["fig4-walk", "--N", str(2 ** 21), "--samples", "33"]
         assert run_in(tmp_path, monkeypatch, argv) == 0
         assert len(calls) <= 2
+        # one full-length pass per walk_full result; the drift's reference
+        # comes from the reduced marked state
+        assert full_lengths == [2 ** 21] * len(calls)
         out = capsys.readouterr().out
         assert "max |p_full - p_reduced| at sample 16 = " in out
         assert float(out.rsplit("= ", 1)[1]) < 1e-14
@@ -398,6 +407,29 @@ class TestDeterminism:
         argv[-1] = "b.csv"
         assert run_in(tmp_path, monkeypatch, argv) == 0
         assert first == (tmp_path / "b.csv").read_bytes()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert ciinwalk.cli._build_parser() is ciinwalk.cli._build_parser()
+
+    def test_no_option_carries_into_the_next_call(self, tmp_path, monkeypatch):
+        plain = ("fig3-cg", "--N", "256", "--total-time", "30")
+        given = [*plain, "--gamma", "0.01", "--dt", "0.05", "--format", "json",
+                 "--out", "given.json"]
+        assert run_in(tmp_path, monkeypatch, given) == 0
+        assert run_in(tmp_path, monkeypatch, list(plain)) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fig3-cg.csv", "given.json"]
+        digest = hashlib.sha256((tmp_path / "fig3-cg.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_OUTPUTS[plain]["fig3-cg.csv"]
+
+    def test_usage_error_after_a_run_exits_one(self, tmp_path, monkeypatch, capsys):
+        assert run_in(tmp_path, monkeypatch, ["sweep-queries", "--n-list", "64"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["sweep-queries", "--n-list", "64", "--gamma", "1"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+        assert run_in(tmp_path, monkeypatch, ["sweep-queries", "--n-list", "64"]) == 0
 
 
 # SHA-256 of each output file, computed with the sample-by-sample renderer
