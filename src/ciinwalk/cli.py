@@ -380,7 +380,7 @@ def _run_verify_circuit(args) -> int:
 
 
 # one parser per process: it depends on no argument, and building it costs
-# about 2 ms, more than many small experiments take to run
+# about 2 ms, as much as the whole work of a small experiment
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
