@@ -53,21 +53,28 @@ p-fold product would not round the same way; `_running_total` adds the
 block's p repeats in O(log p) with those bits, and adds with no builtin
 `sum`, which compensates from Python 3.12 on.
 
-A recorded iterate is never stepped.  `apply_schedule` folds it once into
-its 4x4 unitary U (`schedule_matrix`, O(len(iterate))), and the state
-after the block is `np.linalg.matrix_power(U, p)` applied to the start
-(O(log p) 4x4 products).  A sample inside the block, at step
-s = j len(iterate) + r, is the state P_r U^j c, with P_r the fold of the
-iterate's first r steps.  At most len(iterate) offsets r occur, and the
-j of each run in an arithmetic progression, whose states come as one block
-by doubling; so a run costs O(len(iterate) + log p) numpy calls, not
-O(len(iterate) p), and memory in proportion to its samples.  Each
-sample's step and query count are exact, and its walk time is the step
-loop's chronological sum, bit for bit (`np.cumsum` adds in that order).
-Its probabilities agree with the loop to about 1e-13 at the tested sizes,
-not bit for bit, and so does the final state.  Only the tail, at most
-five steps for every builder, goes through the step loop, and so do
-schedules without a recorded iterate (parsed ones), bit for bit as before.
+A recorded iterate is never stepped.  A builder records its iterate's
+closed-form spectrum (`IterateSpectrum`: eigenstates V and eigenphases phi
+in dual coordinates), and the state after the block is
+V e^{i p phi} V^dagger c.  A sample inside the block, at step
+s = j len(iterate) + r, is P_r V e^{i j phi} V^dagger c, with P_r the fold
+of the iterate's first r steps; one array of exponents serves every j.  So
+a run costs O(len(iterate)) numpy calls, not O(len(iterate) p), and memory
+in proportion to its samples.  Each p phi is one rounded product, so the
+block's error does not grow with p; its walk phases take their multiples
+of pi exactly, where a fold of the float steps carries fl(pi) n in each.
+A block with no spectrum (a hand-built one) is folded once into its 4x4
+unitary U (`schedule_matrix`), the state after it is
+`np.linalg.matrix_power(U, p)` applied to the start, and the j of each
+offset r, an arithmetic progression, come as one block by doubling
+(`_orbit`); raising the rounded U to p makes that path good to about
+p |dU|.  Each sample's step and query count are exact, and its walk time
+is the step loop's chronological sum, bit for bit (`np.cumsum` adds in
+that order).  Its probabilities are not the loop's bit for bit, and the
+loop's fl(pi) n makes them differ by up to about 1e-11 at n near 4096.
+Only the tail, at most five steps for every builder, goes through the step
+loop, and so do schedules without a recorded iterate (parsed ones), bit
+for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -188,6 +195,36 @@ class ScheduleSteps(Sequence):
         return f"ScheduleSteps({self._iterate!r} * {self._p} + {self._tail!r})"
 
 
+@dataclass(frozen=True)
+class IterateSpectrum:
+    """Closed-form eigendecomposition of an iterate, in dual coordinates.
+
+    The iterate's unitary is V diag(e^{i phases}) V^dagger, with V the
+    unitary `eigenstates` (one eigenvector per column).  The columns come
+    in two pairs, (0, 1) and (2, 3), and each pair spans a plane that the
+    iterate keeps, where it is a rotation times a phase: `angles` holds, per
+    column, the centre of its pair (row 0) and its split (row 1), opposite
+    within a pair, and the eigenphases are their sums.  Kept apart, j times
+    a centre and j times a split round apart, so the phase between the
+    states of a pair after j iterates, 2 j split, keeps the relative
+    precision of the split.  Columns 0 and 1 are the +- states of the
+    rotation that the search route makes, whose split is `lambda_plus`.
+    """
+
+    lambda_plus: float
+    eigenstates: np.ndarray
+    angles: np.ndarray
+
+    @property
+    def phases(self) -> np.ndarray:
+        return self.angles[0] + self.angles[1]
+
+    def powers(self, turns) -> np.ndarray:
+        """e^{i j phases}: shape (4,) for one j, (4, k) for k of them."""
+        centre, split = np.exp(1j * np.multiply.outer(self.angles, turns))
+        return centre * split
+
+
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """Ordered phase-walk program plus a classical finishing rule.
@@ -195,15 +232,17 @@ class Schedule:
     A schedule is a block of steps, `iterate`, repeated p times, then the
     steps of `tail`.  `steps` is the chronological `ScheduleSteps` view of
     `iterate * p + tail`: steps[0] is applied first.  A builder records its
-    iterate, whose unitary is `schedule_matrix(iterate, size)`, and puts
-    the tuning walk and the finishing map in the tail.  A hand-built
-    `Schedule(steps, rule, ...)` or a parsed one has no iterate: its steps
-    are all tail, and `p` is metadata only.  `n`, `variant` and `p` are
-    used by the text serialization and the circuit compiler.
+    iterate, whose unitary is `schedule_matrix(iterate, size)`, with that
+    unitary's closed-form `spectrum`, and puts the tuning walk and the
+    finishing map in the tail.  A hand-built `Schedule(steps, rule, ...)`
+    or a parsed one has no iterate: its steps are all tail, and `p` is
+    metadata only.  `n`, `variant` and `p` are used by the text
+    serialization and the circuit compiler.
 
     Two schedules are equal when their steps and metadata are, however the
     steps are split into block and tail; so a parsed schedule equals the
-    built one it was rendered from.
+    built one it was rendered from.  The spectrum is a function of the
+    iterate, so it takes no part in equality or the hash.
     """
 
     tail: tuple[ScheduleStep, ...]
@@ -212,10 +251,13 @@ class Schedule:
     variant: str | None = None
     p: int | None = None
     iterate: tuple[ScheduleStep, ...] = ()
+    spectrum: IterateSpectrum | None = None
 
     def __post_init__(self) -> None:
         if self.iterate and (self.p is None or self.p < 1):
             raise ValueError(f"an iterate needs p >= 1 repetitions, got p={self.p}")
+        if self.spectrum is not None and not self.iterate:
+            raise ValueError("a spectrum needs the iterate it decomposes")
         object.__setattr__(self, "steps", ScheduleSteps(self.iterate, self.p, self.tail))
 
     def _key(self):
@@ -700,21 +742,27 @@ def _orbit(matrix: np.ndarray, vector: np.ndarray, first: int, stride: int,
     return columns
 
 
-def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis):
+def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis,
+               spectrum: IterateSpectrum | None, dual_samples: bool):
     """Run a repeated block without stepping it.
 
     With L = len(iterate) and e = `sample_every`, the block is sampled at
     steps s = e, 2e, ... below L p.  With s = j L + r, the state there is
-    P_r U^j c, where U = `schedule_matrix(iterate)` and P_r folds the first
-    r steps of the iterate.  At most L offsets r occur, and for each the
-    iterates j run in steps of e / gcd(e, L), so `_orbit` builds their
-    states as one block.  Returns the samples (steps, the 4 x k block of
-    states, queries, walk times, signed walk times mod pi; None when no
+    P_r U^j c, where U is the iterate's unitary and P_r folds the first r
+    steps of the iterate.  With a `spectrum` V, phi, U^j c is
+    V e^{i j phi} V^dagger c in dual coordinates, one column per sample
+    from one array of exponents.  Without one, U = `schedule_matrix(iterate)`,
+    raised to p by `matrix_power`; at most L offsets r occur, and for each
+    the iterates j run in steps of e / gcd(e, L), so `_orbit` builds their
+    states as one block.  That fallback raises the rounding dU of the fold
+    to the power, so it is good to about p |dU|, where the spectrum's error
+    does not grow with p.  Returns the samples (steps, the 4 x k block of
+    states, in dual coordinates when `dual_samples` and in walk coordinates
+    otherwise, queries, walk times, signed walk times mod pi; None when no
     sample falls inside the block) and the state, queries, walk time and
     signed walk time mod pi after the block.
     """
     width = len(iterate)
-    unitary = schedule_matrix(iterate, dual)
     # one iterate's accounting after each of its first r steps, r = 0..L
     oracles, lengths, taus = [0], [], [0.0]
     for step in iterate:
@@ -722,8 +770,18 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
         oracles.append(oracles[-1] + (not walk))
         lengths.append(abs(step.parameter) if walk else 0.0)
         taus.append((taus[-1] + step.parameter) % np.pi if walk else taus[-1])
-    after = (np.linalg.matrix_power(unitary, p) @ coeffs, p * oracles[-1],
-             _running_total(0.0, _walk_lengths(iterate), p), (p * taus[-1]) % np.pi)
+    if spectrum is None:
+        unitary = schedule_matrix(iterate, dual)
+        end = np.linalg.matrix_power(unitary, p) @ coeffs
+    else:
+        eigenstates, matrix = spectrum.eigenstates, dual.matrix
+        left = eigenstates.conj().T
+        # projections onto the columns as rounded: a column whose norm
+        # rounds off 1 would scale its share of the state
+        weights = left @ (matrix.T @ coeffs) / (left @ eigenstates).diagonal().real
+        end = matrix @ (eigenstates @ (spectrum.powers(p) * weights))
+    after = (end, p * oracles[-1], _running_total(0.0, _walk_lengths(iterate), p),
+             (p * taus[-1]) % np.pi)
     if sample_every >= width * p:
         return None, after
     stops = np.arange(sample_every, width * p, sample_every)
@@ -731,12 +789,25 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
     common = math.gcd(sample_every, width)
     # one cycle of the offsets spans `period` samples and `stride` iterates
     period, stride = width // common, sample_every // common
-    states = np.empty((4, len(stops)), dtype=complex)
-    for first in range(min(period, len(stops))):
-        at = slice(first, None, period)
-        states[:, at] = _orbit(unitary, coeffs, int(turns[first]), stride, len(stops[at]))
-        if offsets[first]:
-            states[:, at] = schedule_matrix(iterate[:offsets[first]], dual) @ states[:, at]
+    if spectrum is None:
+        states = np.empty((4, len(stops)), dtype=complex)
+        for first in range(min(period, len(stops))):
+            at = slice(first, None, period)
+            states[:, at] = _orbit(unitary, coeffs, int(turns[first]), stride, len(stops[at]))
+            if offsets[first]:
+                states[:, at] = schedule_matrix(iterate[:offsets[first]], dual) @ states[:, at]
+        if dual_samples:
+            states = dual.to_dual(states)
+    else:
+        # in dual coordinates, where the eigenstates are given
+        states = eigenstates @ (spectrum.powers(turns) * weights[:, np.newaxis])
+        for first in range(min(period, len(stops))):
+            if offsets[first]:
+                at = slice(first, None, period)
+                prefix = schedule_matrix(iterate[:offsets[first]], dual)
+                states[:, at] = matrix.T @ (prefix @ (matrix @ states[:, at]))
+        if not dual_samples:
+            states = matrix @ states
     # chronological sums of walk times, added in the step loop's order
     elapsed = np.cumsum(np.tile(lengths, int(turns[-1]) + 1))
     samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
@@ -763,9 +834,10 @@ def apply_schedule(
     A full-space state is projected once onto the walk basis of `marked`;
     its complement enters the samples through three scalars (see the module
     docstring), so a full-space run costs O(N) once plus its 4-dim run,
-    not O(N) a step.  A recorded iterate is never stepped: it is folded
-    once, raised to p for the state after the block, and sampled inside
-    the block from its powers (see the module docstring); only the tail
+    not O(N) a step.  A recorded iterate is never stepped: the state after
+    the block and the samples inside it come from powers of the iterate,
+    through its closed-form spectrum where the schedule has one and
+    through its fold otherwise (see the module docstring); only the tail
     runs through the step loop.
     """
     _check_unambiguous(size)
@@ -787,11 +859,12 @@ def apply_schedule(
         coeffs, rest_norm, rest_cross = _split_full(coeffs, size, marked)
     dual = dual_basis(size)
 
-    def probabilities(coeffs, tau):
+    def probabilities(coeffs, tau, in_dual=False):
         """Sample probabilities of a 4-vector at one tau, or of the columns
-        of a 4 x k block at a vector of k taus."""
+        of a 4 x k block at a vector of k taus; dual-basis samples may come
+        in dual coordinates already (`in_dual`)."""
         if sample_basis == "dual":
-            return np.abs(dual.to_dual(coeffs)) ** 2
+            return np.abs(coeffs if in_dual else dual.to_dual(coeffs)) ** 2
         probs = np.abs(coeffs) ** 2
         swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
         probs[2] += rest_norm + swing
@@ -815,8 +888,8 @@ def apply_schedule(
     iterate, p = schedule.iterate, schedule.p
     done, inside = 0, None
     if iterate:
-        inside, (coeffs, queries, walk_time, tau) = _run_block(coeffs, iterate, p, sample_every,
-                                                               dual)
+        inside, (coeffs, queries, walk_time, tau) = _run_block(
+            coeffs, iterate, p, sample_every, dual, schedule.spectrum, sample_basis == "dual")
         steps, done = schedule.tail, len(iterate) * p
         if done % sample_every == 0 or done == last:
             record(done)
@@ -853,7 +926,7 @@ def apply_schedule(
         # the samples inside the block go between step 0 and the rest
         stops, states, block_queries, block_times, taus = inside
         columns = [np.concatenate((column[:1], values, column[1:])) for column, values in
-                   zip(map(np.asarray, columns), (stops, probabilities(states, taus).T,
+                   zip(map(np.asarray, columns), (stops, probabilities(states, taus, True).T,
                                                   block_queries, block_times))]
     return RunReport(
         trajectory=Trajectory(*columns),

@@ -4,8 +4,8 @@ Builders for the three search routes on a CIIN, all expressed as
 chronological step lists (first element acts first; operator products in
 standard notation apply rightmost-first, and the builders own that
 translation).  Each builder makes its iterate once and returns a `Schedule`
-of that block, its count p and a tail of at most five steps; no builder
-builds the flat list of steps:
+of that block, its count p, its closed-form spectrum and a tail of at most
+five steps; no builder builds the flat list of steps:
 
 * the approximate route: an oracle-pi iterate rotates |s> toward the fourth
   adjacency eigenvector, reaching the entangled target (|w> + |w~>)/sqrt(2)
@@ -25,14 +25,17 @@ commented where they occur.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# schedule_matrix lives beside the walk it folds, and stays public here
+# schedule_matrix lives beside the walk it folds and IterateSpectrum beside the
+# Schedule that carries it; both stay public here
 from .dynamics import (
     FinishingRule,
+    IterateSpectrum,
     Schedule,
     ScheduleStep,
     StepKind,
@@ -270,7 +273,7 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     else:
         raise ValueError(f"unknown finishing mode {finishing!r}")
     return Schedule(tail, rule, n=size.n, variant="approx", p=params.p,
-                    iterate=_approx_steps(params))
+                    iterate=_approx_steps(params), spectrum=_approx_spectrum(params))
 
 
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -316,6 +319,7 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
         variant="deterministic",
         p=params.p,
         iterate=iterate,
+        spectrum=_slowed_spectrum(n, params.theta),
     )
 
 
@@ -351,11 +355,18 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
             variant="odd-deterministic",
             p=p,
             iterate=iterate,
+            spectrum=_odd_spectrum(n, params.theta),
         )
     if p is None:
         p = max(1, round(PI / (4.0 * math.asin(1.0 / math.sqrt(n)))))
     elif p < 1:
         raise ValueError(f"p={p}: the approximate odd-n route needs p >= 1")
+    # this iterate is H(pi)^2 = W(pi/2)^2 R(pi) (see `_odd_spectrum`), whose
+    # square is the theta = pi iterate: the same eigenstates, and its trace,
+    # -4 (n-2)/n = -4 cos(lambda/2), puts the +-lambda states at
+    # -+(pi - lambda/2) = -pi +- lambda/2
+    spectrum = _odd_spectrum(n, PI)
+    half = spectrum.lambda_plus / 2.0
     return Schedule(
         (walk_step(-PI * n / 4.0),),
         FinishingRule.MEASURE_AND_CHECK,
@@ -363,6 +374,8 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
         variant="odd-approx",
         p=p,
         iterate=_half_turn_steps(PI) * 2,
+        spectrum=IterateSpectrum(half, spectrum.eigenstates,
+                                 np.array([[-PI] * 4, [half, -half, half, -half]])),
     )
 
 
@@ -382,51 +395,124 @@ def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:
     return dual_basis(size).from_dual(coeffs)
 
 
-@dataclass(frozen=True)
-class IterateSpectrum:
-    """Closed-form eigenphases +-lambda_plus of an iterate's rotation block,
-    with the corresponding eigenstates as columns (dual coordinates)."""
+# 1/sqrt(2): the weight of each dual coordinate in a balanced eigenstate
+_HALF = math.sqrt(0.5)
 
-    lambda_plus: float
-    eigenstates: np.ndarray
+
+def _slowed_spectrum(n: int, theta: float) -> IterateSpectrum:
+    """Spectrum of the deterministic iterate, U = W(pi/n) O(-theta) W(pi/2)
+    O(-theta) W(pi/n) O(theta) W(pi/2) O(theta) as an operator product.
+
+    At n = 0 mod 4, W(pi/2) is Z = diag(1, -1, -1, 1) in dual coordinates,
+    which swaps the marked vertex and its opposite, so O(theta) Z O(theta) =
+    Z R(theta), where R(theta) puts the phase e^{-i theta} on both.  The
+    marked vertex is (a + b)/sqrt(2), with a = (1, -sqrt(n-1))/sqrt(n) on
+    the dual pair (0, 3) and -a on (1, 2), so R, Z and W(pi/n) all keep the
+    two pairs, and U = W(pi/n) R(-theta) W(pi/n) R(theta).  W(pi/n) is
+    diag(-1, 1) on (0, 3) and e^{2i pi/n} diag(-1, 1) on (1, 2), so the
+    (1, 2) block is e^{4i pi/n} times the (0, 3) block: eigenphases
+    +-lambda and 4 pi/n +- lambda, with the same eigenstates on each pair.
+    """
+    lam = 2.0 * math.asin(2.0 * math.sqrt(n - 1.0) / n * math.sin(theta / 2.0))
+    gamma = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
+    lead = cmath.exp(-1j * gamma) * _HALF
+    spin = 4.0 * PI / n
+    states = [[lead, -lead, 0, 0], [0, 0, lead, -lead], [0, 0, _HALF, _HALF],
+              [_HALF, _HALF, 0, 0]]
+    return IterateSpectrum(lam, np.array(states, dtype=complex),
+                           np.array([[0.0, 0.0, spin, spin], [lam, -lam, lam, -lam]]))
+
+
+def _approx_spectrum(params: ApproxParams) -> IterateSpectrum:
+    """Spectrum of the approximate iterate, W(t2) O(pi) W(t1) O(pi).
+
+    W(t1) is diag(1, w, w, 1) in dual coordinates, w = e^{2i t1}, because
+    n t1 = 2 pi k.  With the marked vertex (a + b)/sqrt(2) as in
+    `_slowed_spectrum`, O(pi) W(t1) O(pi) is the phase w on a in the pair
+    (0, 3) and w times the phase 1/w on b in the pair (1, 2); W(t2) is
+    diag(e^{-i tau}, 1) on (0, 3) and e^{2i t2} diag(e^{-i tau}, 1) on
+    (1, 2), tau = n t2.  So each block is a global phase, e^{i(t1 - tau/2)}
+    on (0, 3) and e^{2i t2} times that on (1, 2), times
+    S = diag(e^{-i tau/2}, e^{i tau/2}) (cos t I + i sin t N), with t = t1 on
+    (0, 3) and -t1 on (1, 2), and N = [[-g, -r], [-r, g]] the reflection
+    through a, g = (n-2)/n, r = 2 sqrt(n-1)/n.
+
+    For S = [[x, -conj(y)], [y, conj(x)]] the eigenphases are +-mu with
+    sin mu = |(Im x, |y|)| and cos mu = Re x, and the e^{+i mu} and
+    e^{-i mu} eigenvectors are (sin mu + Im x, -i y) and
+    (-i conj(y), sin mu + Im x), over sqrt(2 sin mu (sin mu + Im x)).
+    On (0, 3), t2 makes Im x = 0: the eigenstates are (-+e^{-i tau/2},
+    1)/sqrt(2) and cos mu = sign(cos t1) sqrt(1 - r^2 sin^2 t1), so mu is
+    lambda_+ where t1 < pi/2 (4k < n) and pi - lambda_+ elsewhere.  That
+    decides which eigenstate carries +lambda_+.  On (1, 2),
+    Im x = 2 g sin t1 cos(tau/2) >= 0 and |y| = r sin t1 > 0, so the
+    formulas divide by no small number; mu is not lambda_+ unless
+    n = 0 mod 4.
+    """
+    n, t1, lam = params.n, params.t1, params.lambda_plus
+    half = n * params.t2 / 2.0
+    turn = cmath.exp(-1j * half)
+    below = 4 * nint(n / 4.0) < n
+    lead = (-turn if below else turn) * _HALF
+    # the (0, 3) eigenphases t1 - tau/2 +- mu, where -+(pi - lambda) is
+    # -pi +- lambda mod 2 pi
+    base = t1 - half - (0.0 if below else PI)
+    # the (1, 2) block: S with t = -t1
+    x = turn * complex(math.cos(t1), (n - 2.0) / n * math.sin(t1))
+    y = 2j * math.sqrt(n - 1.0) / n * math.sin(t1) / turn
+    sine = math.hypot(x.imag, abs(y))
+    mu = math.atan2(sine, x.real)
+    top = sine + x.imag
+    norm = math.sqrt(2.0 * sine * top)
+    states = [[lead, -lead, 0, 0], [0, 0, top / norm, -1j * y.conjugate() / norm],
+              [0, 0, -1j * y / norm, top / norm], [_HALF, _HALF, 0, 0]]
+    side = t1 - half + 2.0 * params.t2
+    return IterateSpectrum(lam, np.array(states, dtype=complex),
+                           np.array([[base, base, side, side], [lam, -lam, mu, -mu]]))
+
+
+def _odd_spectrum(n: int, theta: float) -> IterateSpectrum:
+    """Spectrum of the odd-n iterate, H(-theta)^2 H(theta)^2 with
+    H(theta) = W(pi/2) O(theta) as an operator product.
+
+    W(pi/2) is diag(c, -c, -1, 1) in dual coordinates, c = (-i)^n, so the
+    marked vertex m and W(pi/2)^dagger m are orthogonal, and H(theta)^2 =
+    W(pi/2)^2 R(theta), where R(theta) puts the phase e^{-i theta} on their
+    plane.  The unitary G = [[0, c], [-c, 0]] (+) diag(-1, 1) swaps m and
+    W(pi/2)^dagger m, so it keeps that plane and commutes
+    with W(pi/2)^2 = diag(-1, -1, 1, 1), hence with the iterate.  It maps
+    the +-lambda eigenstates in the plane of the first dual vector and xi
+    to eigenstates in the orthogonal plane, with the same eigenphases:
+    each of e^{+-i lambda} is an eigenvalue twice.
+    """
+    lam = 2.0 * math.asin(2.0 * math.sqrt(n - 1.0) / n * math.sin(theta / 2.0))
+    delta = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
+    lead = cmath.exp(-1j * delta) * _HALF
+    i_n = 1j ** (n % 4)
+    c = (-1j) ** (n % 4)
+    x2 = (1.0 + i_n) / 2.0 * _HALF  # xi / sqrt(2), coordinates 2 and 3
+    x3 = x2 * i_n
+    states = [[-lead, lead, 0, 0], [0, 0, c * lead, -c * lead], [x2, x2, -x2, -x2],
+              [x3, x3, x3, x3]]
+    return IterateSpectrum(lam, np.array(states, dtype=complex),
+                           np.array([[0.0, 0.0, 0.0, 0.0], [lam, -lam, lam, -lam]]))
 
 
 def iterate_spectrum(kind: str, size: GraphSize, theta: float | None = None) -> IterateSpectrum:
-    n = size.n
-    root = 2.0 * math.sqrt(n - 1.0) / n
-    states = np.zeros((4, 2), dtype=complex)
+    """The closed-form spectrum of a route's iterate (see `IterateSpectrum`):
+    "approx" for `approx_schedule`'s, "deterministic" for the slowed double
+    iterate at angle `theta`, "odd" for the odd-n iterate at angle `theta`
+    (pi by default).  Columns 0 and 1 hold the +-lambda_plus rotation
+    states of the search."""
     if kind == "approx":
-        params = approx_params(size)
-        lam = params.lambda_plus
-        phase = np.exp(-1j * n * params.t2 / 2.0)
-        # The +lambda eigenstate carries -phase on the first dual coordinate
-        # when t1 sits below pi/2 (4 * nint(n/4) < n) and +phase otherwise;
-        # same parity split as the t3 correction, pinned numerically.
-        sign = -1.0 if 4 * nint(n / 4.0) < n else 1.0
-        states[0, 0], states[3, 0] = sign * phase / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-        states[0, 1], states[3, 1] = -sign * phase / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    elif kind == "deterministic":
+        return _approx_spectrum(approx_params(size))
+    if kind == "deterministic":
         if theta is None:
             raise ValueError("deterministic spectrum requires theta")
-        lam = 2.0 * math.asin(root * math.sin(theta / 2.0))
-        gamma = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
-        phase = np.exp(-1j * gamma)
-        states[0, 0], states[3, 0] = phase / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-        states[0, 1], states[3, 1] = -phase / np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-    elif kind == "odd":
-        if theta is None:
-            theta = PI
-        lam = 2.0 * math.asin(root * math.sin(theta / 2.0))
-        delta = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
-        phase = np.exp(-1j * delta)
-        xi = xi_state(size, dual_coords=True)
-        states[:, 0] = xi / np.sqrt(2.0)
-        states[0, 0] = -phase / np.sqrt(2.0)
-        states[:, 1] = xi / np.sqrt(2.0)
-        states[0, 1] = phase / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown iterate kind {kind!r}")
-    return IterateSpectrum(lambda_plus=lam, eigenstates=states)
+        return _slowed_spectrum(size.n, theta)
+    if kind == "odd":
+        return _odd_spectrum(size.n, PI if theta is None else theta)
+    raise ValueError(f"unknown iterate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

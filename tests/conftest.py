@@ -10,6 +10,8 @@ import csv  # noqa: E402
 import dataclasses  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
+from fractions import Fraction  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -57,9 +59,49 @@ def every_builder(n):
 
 
 def flat(schedule):
-    """The same steps and metadata with no recorded iterate: every step is
-    in the tail, so `apply_schedule` steps through all of them."""
-    return dataclasses.replace(schedule, tail=tuple(schedule.steps), iterate=())
+    """The same steps and metadata with no recorded iterate (and so no
+    spectrum): every step is in the tail, so `apply_schedule` steps through
+    all of them."""
+    return dataclasses.replace(schedule, tail=tuple(schedule.steps), iterate=(), spectrum=None)
+
+
+def exact_multiple(t, n):
+    """The multiple q pi that the walk time t stands for, as a `Fraction` q
+    of denominator 1, 2, 4, n, 2n or 4n, or None where t is no such multiple.
+
+    Builders write their times as doubles: pi/2, pi/n, 2 pi k/n, -pi n/4 and
+    so on.  A time counts as q pi when q pi, rounded, lies within four ulps
+    of it; the smallest denominator that does is taken.
+    """
+    for denominator in (1, 2, 4, n, 2 * n, 4 * n):
+        q = Fraction(round(t / math.pi * denominator), denominator)
+        if abs(float(q) * math.pi - t) <= 4 * math.ulp(t):
+            return q
+    return None
+
+
+def exact_phases(t, size):
+    """exp(-i t lambda) over the dual eigenvalues (n, n-2, -2, 0), with a
+    walk time that stands for q pi (`exact_multiple`) reduced exactly:
+    exp(-i pi (q lambda mod 2))."""
+    n = size.n
+    q = exact_multiple(t, n)
+    if q is None:
+        return np.exp(-1j * t * dual_basis(size).eigenvalues)
+    return np.exp(-1j * np.pi * np.array([float(q * lam % 2) for lam in (n, n - 2, -2, 0)]))
+
+
+def exact_fold(steps, size):
+    """`schedule_matrix` with `exact_phases`: the 4x4 unitary of the steps
+    with every multiple of pi in a walk time exact."""
+    dual = dual_basis(size).matrix
+    matrix = np.eye(4, dtype=complex)
+    for step in steps:
+        if step.kind is StepKind.WALK:
+            matrix = dual @ (exact_phases(step.parameter, size)[:, np.newaxis] * (dual.T @ matrix))
+        else:
+            matrix[0] *= np.exp(-1j * step.parameter)
+    return matrix
 
 
 def run_stepwise(state, schedule, size, marked=0, sample_every=1):

@@ -436,10 +436,13 @@ class TestParserReuse:
 # and the column-by-column `reconstruct_unitary` that came before the
 # columnar ones.  The fig4-walk digests are those of its reduced 4-dim
 # form, whose values lie within 1e-15 of the 40-digit reference.  The
-# fig5-dual, fig6-compare and fig7-oddpath digests are those of samples
-# taken from powers of the folded iterate, not by stepping it; their
+# fig5-dual, fig6-compare, fig7-oddpath and sweep-determinism digests are
+# those of runs whose iterate goes through its closed-form spectrum, not a
+# fold of its steps: samples at whole iterates are V e^{i j phi} V^dagger c,
+# and the sweeps' final states V e^{i p phi} V^dagger c.  Their
 # probabilities lie within 1e-13 of a 40-digit stepping
-# (`tests/test_dynamics.py`, `TestBlockSamples`).
+# (`tests/test_dynamics.py`, `TestBlockSamples`), and within 3e-15 of one
+# whose iterate takes its multiples of pi exactly.
 PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30"): {
         "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
@@ -454,24 +457,24 @@ PINNED_OUTPUTS = {
         "fig4-walk.json": "56503949ba565784b8fe96f2fea8455322f9937a7a98d6f408c3a8e89730026b",
     },
     ("fig5-dual", "--n", "64", "--format", "json"): {
-        "fig5-dual.json": "2786c1816289b42bb87cd13a0b581a0d21b5b4a2a023ca035ac46532a6a87dd3",
+        "fig5-dual.json": "b48aea5b7efc340f5f76ad8981b23a8ac473b5538519e316f30313834d317d78",
     },
     ("fig6-compare", "--N", "24"): {
         "fig6-compare-approx.csv":
-            "7f751a0655e04562cb8fb66e0579521f7ef6751fd8d163c1e7db801e469f1007",
+            "17373dc17885283c9710fd3e1e71200ab5ad037da05dc622418031ee8bed18b5",
         "fig6-compare-deterministic.csv":
-            "aeb5deb50b5a251056cf2c0f4425c08debe42d7b283b661fe8e6c0e64dee8876",
+            "f5250a0d1eeb07f335e10167e2992f8f8f241e8e818229de7c74771f698991ca",
     },
     ("fig7-oddpath", "--N", "130"): {
-        "fig7-oddpath.csv": "8d72627f11a09e569142d83ac7d77b7a85440b9488df6531dd1ed4dbf0431511",
+        "fig7-oddpath.csv": "3d5be7e69c8ab405ce621b4e69ef1bf9f594926ad78afce0968d572ac331b2f1",
     },
     ("sweep-determinism", "--n-list", "8,12,...,64"): {
         "sweep-determinism.csv":
-            "a0cb186f54975dfa24c16cd684b00786604ab3554f98f1484fd90da47db94a37",
+            "e14febda83e646b2d2bb24ce9017b26e740224abf0ca209eac0060acc2598763",
     },
     ("sweep-determinism", "--variant", "odd", "--n-list", "9,13,...,63"): {
         "sweep-determinism.csv":
-            "c9f1f600adf9928c621ba9a1b6aee956d114e4fa74df4f125c3ce752037d70c5",
+            "b0c578acc14d163831b50a238a0821f3deae57c722f6ad1195ef71dcbcc2e3cd",
     },
     ("sweep-queries",): {
         "sweep-queries.csv": "634097cd3e6ff9d9c97380eb6781b2ff38d6dd7810bab3f602d8530f4ac853f1",

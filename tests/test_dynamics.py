@@ -39,6 +39,8 @@ from ciinwalk.graphs import FullAdjacency, GraphSize, WalkBasis, dual_basis, red
 from conftest import (
     apply_stepwise,
     every_builder,
+    exact_multiple,
+    exact_phases,
     fidelity,
     flat,
     random_state,
@@ -670,25 +672,42 @@ def mp_dual_matrix(n):
                           [s, s, 1, 1]]) / mpmath.sqrt(2 * n)
 
 
+def mp_walk_time(t, n):
+    """A walk time in the working precision: the exact multiple of pi that
+    it stands for (`exact_multiple`), else the double itself."""
+    q = exact_multiple(t, n)
+    return mpmath.mpf(t) if q is None else mpmath.pi * q.numerator / q.denominator
+
+
 def mp_final_probability(schedule, size, digits=40):
-    """Reference for endpoint runs: the schedule's float steps folded in
-    `digits`-digit arithmetic, the iterate raised to p by squaring."""
+    """Reference for endpoint runs: the schedule's steps folded in
+    `digits`-digit arithmetic, the iterate raised to p by squaring.  Oracle
+    angles are the schedule's doubles.  In the iterate, a walk time that
+    stands for a multiple of pi is that multiple (`mp_walk_time`), as in
+    its closed-form spectrum, so the reference carries none of the error
+    of a rounded pi times n there.  The tail's walk phases are the doubles
+    exp(-i t lambda) that the step loop computes, rounding of t lambda
+    included, since the tail runs through that loop."""
     with mpmath.workdps(digits):
         n = size.n
         dual = mp_dual_matrix(n)
+        eigenvalues = dual_basis(size).eigenvalues
 
-        def fold(steps):
+        def fold(steps, exact=False):
             matrix = mpmath.eye(4)
             for step in steps:
-                t = mpmath.mpf(step.parameter)
-                if step.kind is StepKind.WALK:
+                if step.kind is StepKind.ORACLE:
+                    matrix[0, :] *= mpmath.expj(-mpmath.mpf(step.parameter))
+                    continue
+                if exact:
+                    t = mp_walk_time(step.parameter, n)
                     phases = [mpmath.expj(-t * lam) for lam in (n, n - 2, -2, 0)]
-                    matrix = dual * mpmath.diag(phases) * dual.T * matrix
                 else:
-                    matrix[0, :] *= mpmath.expj(-t)
+                    phases = [mpmath.mpc(z) for z in np.exp(-1j * step.parameter * eigenvalues)]
+                matrix = dual * mpmath.diag(phases) * dual.T * matrix
             return matrix
 
-        power, base, p = mpmath.eye(4), fold(schedule.iterate), schedule.p
+        power, base, p = mpmath.eye(4), fold(schedule.iterate, exact=True), schedule.p
         while p:
             if p & 1:
                 power = base * power
@@ -722,13 +741,17 @@ CADENCES = {"1": (1, 0, 0), "2": (2, 0, 0), "3": (3, 0, 0), "L-1": (-1, 1, 0), "
 
 
 class TestEndpointFold:
-    """A recorded iterate is folded and raised to p, and sampled inside the
-    block from its powers; the step loop and a high-precision fold of the
-    same steps are references."""
+    """A built iterate runs through its closed-form spectrum, a hand-built
+    one is folded and raised to p; both are sampled inside the block from
+    their powers.  The step loop and a high-precision fold of the same
+    steps are references."""
 
-    @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 101, 1024, 1025, 4096, 4097])
+    @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 101, 1024, 1025, 4096, 4097,
+                                   2 ** 28, 2 ** 30, 2 ** 28 + 1])
     def test_matches_high_precision_fold(self, n):
-        # each builder with its defaults; both paths stay within 6e-14 here
+        # each builder with its defaults: within 3e-15 of the reference at
+        # every size here, where folding the float iterate was 4.5e-9 off
+        # at det 2^28, 2.9e-7 at det 2^30 and 7.0e-8 at odd 2^28 + 1
         size = GraphSize(n)
         schedules = [sch.approx_schedule(size)]
         schedules.append(sch.odd_schedule(size) if n % 2 else sch.deterministic_schedule(size))
@@ -740,6 +763,8 @@ class TestEndpointFold:
 
     @pytest.mark.parametrize("n", [2 ** 20, 2 ** 20 + 1])
     def test_matches_the_loop_and_the_accounting(self, n):
+        # the loop's probabilities carry its rounded pi times n, up to 9e-11
+        # here, so the high-precision fold is the reference for them
         size = GraphSize(n)
         for schedule in every_builder(n):
             every = len(schedule.steps)
@@ -747,7 +772,7 @@ class TestEndpointFold:
             looped = apply_schedule(uniform_state(size), flat(schedule),
                                     size, sample_every=every)
             assert abs(folded.final_success_probability
-                       - looped.final_success_probability) <= 1e-12
+                       - mp_final_probability(schedule, size)) <= 1e-12
             assert folded.oracle_queries == looped.oracle_queries == schedule.oracle_queries
             assert folded.total_walk_time == looped.total_walk_time == schedule.total_walk_time
             assert folded.trajectory.step.tolist() == [0, every]
@@ -785,6 +810,99 @@ class TestEndpointFold:
         # the loop itself is bit for bit the public per-step functions
         assert report_bits(reference) == report_bits(apply_stepwise(state, looped, size, **kwargs))
         assert_agrees_with_the_loop(apply_schedule(state, schedule, size, **kwargs), reference)
+
+    @pytest.mark.parametrize("route, sizes", [
+        # log-spaced multiples of 4 from 8 to 2^60, with 2^28, 2^30 and a
+        # size where 1 - P was not monotone in n
+        ("deterministic", sorted({4 * round(2.0 ** (e / 2) / 4) for e in range(6, 121)}
+                                 | {132_301_588})),
+        # log-spaced odd sizes to 2^32 + 1, with 2^28 + 1 and a size where
+        # 1 - P was not monotone in n
+        ("odd", sorted({2 * round(2.0 ** (e / 2) / 2) + 1 for e in range(4, 65)}
+                       | {2 ** 28 + 1, 65_352_275})),
+    ])
+    def test_exact_routes_reach_probability_one(self, route, sizes):
+        # folding the float iterate and raising it to p gave 1 - P = 4.5e-9
+        # at det 2^28 and P = 0.001 at det 2^40
+        build = sch.deterministic_schedule if route == "deterministic" else sch.odd_schedule
+        for n in sizes:
+            size = GraphSize(n)
+            schedule = build(size)
+            report = apply_schedule(uniform_state(size), schedule, size,
+                                    sample_every=len(schedule.steps))
+            assert 1.0 - report.final_success_probability <= 1e-12, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 4096),
+        route=st.sampled_from(["approx", "deterministic", "odd-deterministic", "odd-approx"]),
+        cadence=st.sampled_from(sorted(CADENCES)),
+        basis=st.sampled_from(["walk", "dual"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_random_states_through_built_blocks(self, n, route, cadence, basis, seed):
+        # a random start has weight on the dual pair (1, 2), which the
+        # uniform state never reaches.  The reference is the step loop with
+        # the iterate's multiples of pi exact (`exact_phases`), as in its
+        # spectrum, and the tail's doubles: the loop's own rounded pi times
+        # n puts it up to 1.2e-11 off at n near 4096
+        if route == "deterministic":
+            n = max(8, n - n % 4)
+        elif route.startswith("odd"):
+            n -= 1 - n % 2
+        size = GraphSize(n)
+        schedule = next(s for s in every_builder(n) if s.variant == route)
+        state = random_state(np.random.default_rng(seed), 4)
+        a, b, c = CADENCES[cadence]
+        width = len(schedule.iterate)
+        every = max(1, a + b * width + c * width * schedule.p)
+        report = apply_schedule(state, schedule, size, sample_every=every, sample_basis=basis)
+        dual = dual_basis(size)
+        block = width * schedule.p
+        coeffs, phases, rows = state.copy(), {}, []
+        for index, step in enumerate(schedule.steps, start=1):
+            if step.kind is StepKind.WALK:
+                key = (index <= block, step.parameter)
+                if key not in phases:
+                    phases[key] = exact_phases(step.parameter, size) if index <= block else \
+                        np.exp(-1j * step.parameter * dual.eigenvalues)
+                coeffs = dual.matrix @ (phases[key] * (dual.matrix.T @ coeffs))
+            else:
+                coeffs[0] *= np.exp(-1j * step.parameter)
+            if index % every == 0 or index == len(schedule.steps):
+                rows.append(np.abs(dual.to_dual(coeffs) if basis == "dual" else coeffs) ** 2)
+        assert np.abs(report.trajectory.probabilities[1:] - np.array(rows)).max() <= 1e-12
+        final = abs(coeffs[0]) ** 2
+        if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+            final += abs(coeffs[1]) ** 2
+        assert abs(report.final_success_probability - final) <= 1e-12
+
+    def test_built_blocks_fold_nothing_whole(self, rng, monkeypatch):
+        # the spectrum replaces the fold of the whole iterate and its powers;
+        # only prefixes of the iterate are folded, for in-block offsets
+        folded = []
+        fold = dynamics.schedule_matrix
+
+        def counting_fold(steps, graph):
+            folded.append(len(steps))
+            return fold(steps, graph)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix_power called for a built schedule")
+
+        monkeypatch.setattr(dynamics, "schedule_matrix", counting_fold)
+        monkeypatch.setattr(np.linalg, "matrix_power", forbidden)
+        for n in (9, 64, 67):
+            size = GraphSize(n)
+            for schedule in every_builder(n):
+                width, p = len(schedule.iterate), schedule.p
+                for a, b, c in CADENCES.values():
+                    every = max(1, a + b * width + c * width * p)
+                    for state in (random_state(rng, 4), random_state(rng, size.N)):
+                        folded.clear()
+                        apply_schedule(state, schedule, size, sample_every=every,
+                                       marked=int(rng.integers(0, size.N)) if len(state) > 4 else 0)
+                        assert all(length < width for length in folded)
 
 
 def mp_stepped_dual_probabilities(schedule, size, sample_every, digits=40):
@@ -837,8 +955,8 @@ def cli_runs(argv):
 
 class TestBlockSamples:
     """A recorded iterate is never stepped: samples inside the block come
-    from powers of its folded unitary.  The step loop and a 40-digit
-    stepping are the references."""
+    from powers of its unitary, through its spectrum or its fold.  The
+    step loop and a 40-digit stepping are the references."""
 
     @pytest.mark.parametrize("argv", [
         ("fig5-dual", "--n", "64"), ("fig5-dual", "--n", "1024"), ("fig6-compare", "--N", "24"),

@@ -21,7 +21,7 @@ from ciinwalk.errors import MappingUnavailableError, ThetaNotRealError, Unsuppor
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import every_builder, fidelity, flat
+from conftest import every_builder, exact_fold, fidelity, flat
 
 
 def dense_step_matrix(size, step):
@@ -313,6 +313,43 @@ class TestIterateSpectrum:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sch.iterate_spectrum("grover", GraphSize(8))
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 63, 64, 65, 66, 67, 255, 256, 257, 258,
+                                   1023, 1024, 1025, 1026, 4093, 4094, 4095, 4096, 4097])
+    def test_builder_spectra_rebuild_their_iterates(self, n):
+        # approx at every n mod 4, det from n = 8, and odd in both modes (the
+        # approximate one at theta = pi).  `exact_fold` takes the iterate's multiples of
+        # pi exactly; `schedule_matrix` rounds pi times n, which puts it up
+        # to 1.7e-12 off at n = 4097 and under 4e-14 up to n = 258
+        size = GraphSize(n)
+        dual = dual_basis(size).matrix
+        for schedule in every_builder(n)[2:]:
+            spectrum = schedule.spectrum
+            basis = dual @ spectrum.eigenstates
+            assert np.abs(basis.conj().T @ basis - np.eye(4)).max() <= 1e-14
+            unitary = basis @ np.diag(np.exp(1j * spectrum.phases)) @ basis.conj().T
+            assert np.abs(unitary - exact_fold(schedule.iterate, size)).max() <= 1e-13
+            if n <= 258:
+                assert np.abs(unitary - sch.schedule_matrix(schedule.iterate, size)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 12, 64, 1024])
+    def test_builder_spectra_extend_iterate_spectrum(self, n):
+        # the builders record `iterate_spectrum`'s states; the deterministic
+        # iterate has eigenphases +-lambda on (0, 3) and 4 pi/n +- lambda on
+        # (1, 2), the approximate one -+(pi - lambda) and 2 pi/n +- lambda
+        size = GraphSize(n)
+        det = sch.deterministic_schedule(size)
+        theta = sch.deterministic_params(size, det.p).theta
+        lam = sch.iterate_spectrum("deterministic", size, theta).lambda_plus
+        assert np.abs(np.exp(1j * det.spectrum.phases) - np.exp(1j * np.array(
+            [lam, -lam, 4 * np.pi / n + lam, 4 * np.pi / n - lam]))).max() <= 1e-15
+        approx = sch.approx_schedule(size)
+        lam = sch.approx_params(size).lambda_plus
+        assert np.abs(np.exp(1j * approx.spectrum.phases) - np.exp(1j * np.array(
+            [lam - np.pi, np.pi - lam, 2 * np.pi / n + lam, 2 * np.pi / n - lam]))).max() <= 1e-14
+        for schedule, spectrum in ((det, sch.iterate_spectrum("deterministic", size, theta)),
+                                   (approx, sch.iterate_spectrum("approx", size))):
+            assert schedule.spectrum.eigenstates.tobytes() == spectrum.eigenstates.tobytes()
 
 
 class TestApproxSchedule:
@@ -723,6 +760,15 @@ class TestScheduleText:
         for p in (0, -1, None):
             with pytest.raises(ValueError):
                 Schedule(tail, p=p, iterate=iterate)
+
+    def test_spectrum_needs_an_iterate_and_leaves_equality_alone(self):
+        built = sch.deterministic_schedule(GraphSize(12))
+        with pytest.raises(ValueError, match="spectrum"):
+            Schedule(built.tail, p=built.p, spectrum=built.spectrum)
+        plain = Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
+                         p=built.p, iterate=built.iterate)
+        assert plain.spectrum is None
+        assert plain == built and hash(plain) == hash(built)
 
     def test_seventeen_digit_round_trip_of_parameters(self):
         schedule = sch.approx_schedule(GraphSize(13), finishing="none")
