@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import Schedule, StepKind
 from .errors import DimensionMismatchError, UnsupportedSizeError
+from .graphs import GraphSize, dual_basis
 
 CONDITION_CHARS = frozenset("01-")
 
@@ -92,14 +93,14 @@ def walk_circuit(m: int, t: float) -> CircuitProgram:
     """Constant-size circuit realizing exp(-i t A_full) for n = 2^m."""
     if m < 1:
         raise UnsupportedSizeError(f"walk circuit requires m >= 1, got {m}")
-    n = 2 ** m
+    top, _, turn, _ = dual_basis(GraphSize(2 ** m)).eigenphases(t).tolist()
     gates: list[Gate] = [
         Hadamard(0),
-        TwoPhaseRotation(0, 0.0, 2.0 * t),
+        TwoPhaseRotation(0, 0.0, turn),
         Hadamard(0),
     ]
     gates += [Hadamard(w) for w in range(1, m + 1)]
-    gates.append(ControlledPhase(-t * n, "-" + "0" * m))
+    gates.append(ControlledPhase(top, "-" + "0" * m))
     gates += [Hadamard(w) for w in range(1, m + 1)]
     return CircuitProgram(m + 1, tuple(gates))
 

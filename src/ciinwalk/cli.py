@@ -50,6 +50,7 @@ from .dynamics import (
     marked_state,
     uniform_state,
     walk_full,
+    walk_reduced,
 )
 from .graphs import GraphSize, dual_basis
 
@@ -165,18 +166,6 @@ def _run_fig3(args) -> int:
     return 0
 
 
-def _walk_from_marked(size: GraphSize, times: np.ndarray) -> np.ndarray:
-    """Group probabilities of exp(-i t A)|marked> at every time, shape (4, k).
-
-    The walk never leaves the 4-dim walk subspace, where it is a diagonal
-    phase in the dual basis: one (4, k) phase block serves every sample.
-    """
-    dual = dual_basis(size)
-    phases = np.exp(-1j * np.multiply.outer(dual.eigenvalues, times))
-    coeffs = dual.from_dual(phases * dual.to_dual(marked_state(size))[:, np.newaxis])
-    return np.abs(coeffs) ** 2
-
-
 @_experiment("fig4-walk")
 def _run_fig4(args) -> int:
     size = _resolve_size(args, default_n=9)
@@ -185,7 +174,7 @@ def _run_fig4(args) -> int:
     if not np.isfinite(args.t_max):
         raise ValueError(f"--t-max must be finite, got {args.t_max}")
     times = np.linspace(0.0, args.t_max, args.samples)
-    probs = _walk_from_marked(size, times)
+    probs = np.abs(walk_reduced(marked_state(size), times, size)) ** 2
     # the full space checks the reduced data: periodicity at 2 pi, and the
     # gap at one interior sample; group_probabilities refuses n = 2 here,
     # before any file is written.  The reduced marked state has the full
@@ -219,10 +208,11 @@ def _run_fig5(args) -> int:
     report = apply_schedule(uniform_state(size), _bare(schedule), size, sample_every=4,
                             sample_basis="dual")
     _write_report(report, _out_path(args), args.format)
-    # fidelity with the entangled target after the tuning walk: the iterate
-    # folded once and raised to p, then the tail's fold
-    block = np.linalg.matrix_power(sch.schedule_matrix(schedule.iterate, size), schedule.p)
-    state = sch.schedule_matrix(schedule.tail, size) @ (block @ uniform_state(size))
+    # fidelity with the entangled target after the tuning walk: p iterates
+    # through the closed-form spectrum, then the tail's fold
+    dual = dual_basis(size)
+    block = schedule.spectrum.apply_powers(dual.to_dual(uniform_state(size)), schedule.p)
+    state = sch.schedule_matrix(schedule.tail, dual) @ dual.from_dual(block)
     print(
         f"fig5-dual: N={size.N} p={schedule.p} "
         f"entangled fidelity={entangled_fidelity(state):.6f} "

@@ -219,10 +219,15 @@ class IterateSpectrum:
     def phases(self) -> np.ndarray:
         return self.angles[0] + self.angles[1]
 
-    def powers(self, turns) -> np.ndarray:
-        """e^{i j phases}: shape (4,) for one j, (4, k) for k of them."""
+    def apply_powers(self, coeffs: np.ndarray, turns) -> np.ndarray:
+        """U^j c = V e^{i j phases} V^dagger c for dual coordinates c: shape
+        (4,) for one j, (4, k) for k of them.  V^dagger c is divided by the
+        squared norms of V's columns as rounded: a column whose norm rounds
+        off 1 would scale its share of the state."""
         centre, split = np.exp(1j * np.multiply.outer(self.angles, turns))
-        return centre * split
+        left = self.eigenstates.conj().T
+        weights = left @ coeffs / (left @ self.eigenstates).diagonal().real
+        return self.eigenstates @ (centre * split * weights.reshape((4,) + (1,) * np.ndim(turns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,20 +502,21 @@ def _walk(coeffs: np.ndarray, phases: np.ndarray, to_dual: np.ndarray,
           from_dual: np.ndarray, out=None) -> np.ndarray:
     """exp(-i t A) on walk-basis coefficients, given the dual-basis phases
     exp(-i t lambda), `DualBasis.matrix.T` as `to_dual` and `DualBasis.matrix`
-    as `from_dual`.  `coeffs` may also be a 4 x k block of columns, with the
-    phases as a (4, 1) column.
+    as `from_dual`.  A 4 x k block of columns takes the phases as a (4, 1)
+    column; one 4-vector with (4, k) phases, a column per time, gives k.
 
     Real matrices are cast to complex inside each matmul.  C-contiguous
     complex copies give the same bits without the cast; F-ordered copies
     take another numpy loop and change the last bits.
     """
     dual_coeffs = to_dual @ coeffs
-    dual_coeffs *= phases
-    return np.matmul(from_dual, dual_coeffs, out=out)
+    if dual_coeffs.ndim < phases.ndim:
+        dual_coeffs = dual_coeffs[:, np.newaxis]
+    return np.matmul(from_dual, dual_coeffs * phases, out=out)
 
 
-def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> np.ndarray:
-    """Apply exp(-i t A) to a reduced state via the dual basis.
+def walk_reduced(state: np.ndarray, t, graph: DualBasis | GraphSize) -> np.ndarray:
+    """Apply exp(-i t A) to a reduced state via the dual basis; k times give 4 x k.
 
     Pass the `DualBasis` itself to reuse it across many steps.
     """
@@ -518,7 +524,7 @@ def walk_reduced(state: np.ndarray, t: float, graph: DualBasis | GraphSize) -> n
     if not _is_reduced(state):
         raise DimensionMismatchError(f"expected a 4-vector, got shape {state.shape}")
     dual = graph if isinstance(graph, DualBasis) else dual_basis(graph)
-    return _walk(state, np.exp(-1j * t * dual.eigenvalues), dual.matrix.T, dual.matrix)
+    return _walk(state, np.exp(1j * dual.eigenphases(t)), dual.matrix.T, dual.matrix)
 
 
 def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
@@ -532,7 +538,7 @@ def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
     m = np.eye(4, dtype=complex)
     for step in steps:
         if step.kind is StepKind.WALK:
-            phases = np.exp(-1j * step.parameter * dual.eigenvalues)
+            phases = np.exp(1j * dual.eigenphases(step.parameter))
             m = _walk(m, phases[:, np.newaxis], dual.matrix.T, dual.matrix)
         else:
             m[0] *= np.exp(-1j * step.parameter)
@@ -593,9 +599,9 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
     # ndarray.mean's own sum and division, without its Python-level wrapper
     mean_sym = np.add.reduce(sym) / n
     mean_asym = np.add.reduce(asym) / n
-    top = np.exp(-1j * t * n) * mean_sym
-    turn = np.exp(2j * t)
-    mid = np.exp(-1j * t * (n - 2)) * mean_asym
+    top, mid, turn, _ = np.exp(1j * dual_basis(size).eigenphases(t))
+    top *= mean_sym
+    mid *= mean_asym
     buffer = np.empty(blocks[-1][1] - blocks[-1][0], dtype=complex)
     for lo, hi in blocks:
         s, d = sym[lo:hi], asym[lo:hi]
@@ -774,12 +780,8 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
         unitary = schedule_matrix(iterate, dual)
         end = np.linalg.matrix_power(unitary, p) @ coeffs
     else:
-        eigenstates, matrix = spectrum.eigenstates, dual.matrix
-        left = eigenstates.conj().T
-        # projections onto the columns as rounded: a column whose norm
-        # rounds off 1 would scale its share of the state
-        weights = left @ (matrix.T @ coeffs) / (left @ eigenstates).diagonal().real
-        end = matrix @ (eigenstates @ (spectrum.powers(p) * weights))
+        start = dual.to_dual(coeffs)
+        end = dual.from_dual(spectrum.apply_powers(start, p))
     after = (end, p * oracles[-1], _running_total(0.0, _walk_lengths(iterate), p),
              (p * taus[-1]) % np.pi)
     if sample_every >= width * p:
@@ -800,14 +802,14 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
             states = dual.to_dual(states)
     else:
         # in dual coordinates, where the eigenstates are given
-        states = eigenstates @ (spectrum.powers(turns) * weights[:, np.newaxis])
+        states = spectrum.apply_powers(start, turns)
         for first in range(min(period, len(stops))):
             if offsets[first]:
                 at = slice(first, None, period)
                 prefix = schedule_matrix(iterate[:offsets[first]], dual)
-                states[:, at] = matrix.T @ (prefix @ (matrix @ states[:, at]))
+                states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
         if not dual_samples:
-            states = matrix @ states
+            states = dual.from_dual(states)
     # chronological sums of walk times, added in the step loop's order
     elapsed = np.cumsum(np.tile(lengths, int(turns[-1]) + 1))
     samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
@@ -866,9 +868,10 @@ def apply_schedule(
         if sample_basis == "dual":
             return np.abs(coeffs if in_dual else dual.to_dual(coeffs)) ** 2
         probs = np.abs(coeffs) ** 2
-        swing = 2.0 * (np.exp(2j * tau) * rest_cross).real
-        probs[2] += rest_norm + swing
-        probs[3] += rest_norm - swing
+        if rest_norm:  # else there is no complement, and adding zeros keeps the bits
+            swing = 2.0 * (np.exp(1j * dual.eigenphases(tau)[2]) * rest_cross).real
+            probs[2] += rest_norm + swing
+            probs[3] += rest_norm - swing
         return probs
 
     # step-loop samples, one entry per sample
@@ -893,7 +896,6 @@ def apply_schedule(
         steps, done = schedule.tail, len(iterate) * p
         if done % sample_every == 0 or done == last:
             record(done)
-    eigenvalues = dual.eigenvalues
     # C-ordered complex copies: the bits of the real matrix, no cast per step
     to_dual = np.ascontiguousarray(dual.matrix.T, dtype=complex)
     from_dual = np.ascontiguousarray(dual.matrix, dtype=complex)
@@ -904,7 +906,7 @@ def apply_schedule(
         if step.kind is StepKind.WALK:
             phases = walk_phases.get(parameter)
             if phases is None:
-                phases = walk_phases[parameter] = np.exp(-1j * parameter * eigenvalues)
+                phases = walk_phases[parameter] = np.exp(1j * dual.eigenphases(parameter))
             _walk(coeffs, phases, to_dual, from_dual, out=coeffs)
             walk_time += abs(parameter)
             tau = (tau + parameter) % np.pi

@@ -36,6 +36,8 @@ class GraphSize:
             raise InvalidSizeError(f"side size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSizeError(f"side size must be >= 2, got {self.n}")
+        if self.n >= 2**64:  # numpy holds no larger eigenvalue n as a float64
+            raise InvalidSizeError(f"side size must be below 2^64, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
     @classmethod
@@ -190,6 +192,12 @@ class DualBasis:
         values = np.array([n, n - 2.0, -2.0, 0.0])
         values.setflags(write=False)
         return values
+
+    def eigenphases(self, times) -> np.ndarray:
+        """The eigenphases -t lambda of exp(-i t A), one row per eigenvalue,
+        for walk times of any shape.  Every walk phase of the package is
+        formed here; exp(1j * phase) has the bits of exp(-1j * t * lambda)."""
+        return np.multiply.outer(-self.eigenvalues, times)
 
     def to_dual(self, state: np.ndarray) -> np.ndarray:
         """Walk-basis coordinates -> dual coordinates."""

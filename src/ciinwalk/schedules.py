@@ -307,6 +307,9 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
     entangled-to-marked map; the final state is the marked vertex with
     probability 1 up to rounding, using 4p + 2 oracle queries.
     """
+    if size.n > 2**60:  # the largest n tested, where 1 - P is within 5e-15
+        raise UnsupportedSizeError(
+            f"deterministic schedule is tested up to n = 2^60, got {size.n}")
     if p is None:
         p = deterministic_p_min(size)
     params = deterministic_params(size, p)
@@ -337,6 +340,11 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
     if n % 2 == 0:
         raise UnsupportedSizeError(f"odd-path schedule requires odd n, got {n}")
     if deterministic:
+        # the largest n tested; the unwinding walk, -pi n/4 as a double,
+        # costs 1 - P up to 1e-10 below about 2^36 and 9e-9 below this bound
+        if n > 2**40 + 1:
+            raise UnsupportedSizeError(
+                f"deterministic odd-path schedule is tested up to n = 2^40 + 1, got {n}")
         if p is None:
             p = odd_p_min(size)
         params = odd_params(size, p)
@@ -416,7 +424,7 @@ def _slowed_spectrum(n: int, theta: float) -> IterateSpectrum:
     lam = 2.0 * math.asin(2.0 * math.sqrt(n - 1.0) / n * math.sin(theta / 2.0))
     gamma = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
     lead = cmath.exp(-1j * gamma) * _HALF
-    spin = 4.0 * PI / n
+    spin = 2.0 * dual_basis(GraphSize(n)).eigenphases(PI / n).item(2)
     states = [[lead, -lead, 0, 0], [0, 0, lead, -lead], [0, 0, _HALF, _HALF],
               [_HALF, _HALF, 0, 0]]
     return IterateSpectrum(lam, np.array(states, dtype=complex),
@@ -450,7 +458,8 @@ def _approx_spectrum(params: ApproxParams) -> IterateSpectrum:
     n = 0 mod 4.
     """
     n, t1, lam = params.n, params.t1, params.lambda_plus
-    half = n * params.t2 / 2.0
+    minus_tau, _, double_t2, _ = dual_basis(GraphSize(n)).eigenphases(params.t2).tolist()
+    half = -minus_tau / 2.0
     turn = cmath.exp(-1j * half)
     below = 4 * nint(n / 4.0) < n
     lead = (-turn if below else turn) * _HALF
@@ -466,7 +475,7 @@ def _approx_spectrum(params: ApproxParams) -> IterateSpectrum:
     norm = math.sqrt(2.0 * sine * top)
     states = [[lead, -lead, 0, 0], [0, 0, top / norm, -1j * y.conjugate() / norm],
               [0, 0, -1j * y / norm, top / norm], [_HALF, _HALF, 0, 0]]
-    side = t1 - half + 2.0 * params.t2
+    side = t1 - half + double_t2
     return IterateSpectrum(lam, np.array(states, dtype=complex),
                            np.array([[base, base, side, side], [lam, -lam, mu, -mu]]))
 

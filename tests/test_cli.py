@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import ciinwalk.cg
 import ciinwalk.cli
 from ciinwalk import dynamics, schedules
-from ciinwalk.cli import _walk_from_marked, main
-from ciinwalk.dynamics import group_probabilities, marked_state, walk_full
+from ciinwalk.cli import main
+from ciinwalk.dynamics import group_probabilities, marked_state, walk_full, walk_reduced
 from ciinwalk.graphs import GraphSize
 
 
@@ -138,6 +138,13 @@ class TestConfigHandling:
         assert code == 1
         assert f"p={p}" in capsys.readouterr().err
         assert not (tmp_path / "fig7-oddpath.csv").exists()
+
+    def test_size_without_float64_eigenvalues_exits_one(self, tmp_path, monkeypatch, capsys):
+        code = run_in(tmp_path, monkeypatch, ["sweep-determinism", "--n-list", str(2**64)])
+        assert code == 1
+        assert "sweep-determinism: error: side size must be below 2^64" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteReport:
@@ -349,7 +356,7 @@ class TestFig4Walk:
         draws their largest gap was 1.33e-15."""
         size = GraphSize(n)
         full = group_probabilities(walk_full(marked_state(size, reduced=False), t, size), size)
-        reduced = _walk_from_marked(size, np.array([t]))[:, 0]
+        reduced = np.abs(walk_reduced(marked_state(size), np.array([t]), size)[:, 0]) ** 2
         assert np.max(np.abs(full - reduced)) <= 2e-15
 
     def test_full_space_runs_twice_and_prints_the_gap(self, tmp_path, monkeypatch, capsys):

@@ -30,6 +30,12 @@ class TestGraphSize:
         with pytest.raises(InvalidSizeError):
             GraphSize.from_vertex_count(9)
 
+    def test_refuses_sizes_without_float64_eigenvalues(self):
+        assert dual_basis(GraphSize(2**64 - 1)).eigenvalues.dtype == np.float64
+        for n in (2**64, 2**70):
+            with pytest.raises(InvalidSizeError, match=r"below 2\^64"):
+                GraphSize(n)
+
     def test_opposite_wraps(self):
         size = GraphSize(5)
         assert size.opposite(0) == 5

@@ -1,9 +1,12 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciinwalk.dynamics import (
     FinishingRule,
@@ -230,6 +233,14 @@ class TestScheduleMatrix:
                 final += abs(state[1]) ** 2
             report = run_reduced(size, schedule)
             assert abs(final - report.final_success_probability) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 2**63),
+           steps=st.lists(st.tuples(st.booleans(), st.floats(-1e3, 1e3)), max_size=12))
+    def test_random_steps_fold_to_a_unitary(self, n, steps):
+        steps = [walk_step(x) if walk else oracle_step(x) for walk, x in steps]
+        unitary = sch.schedule_matrix(steps, GraphSize(n))
+        assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() <= 1e-12
 
 
 class TestIterateSpectrum:
@@ -484,6 +495,12 @@ class TestMapping:
             sch.mapping_params(GraphSize(7))
         with pytest.raises(MappingUnavailableError):
             sch.entangled_to_marked(GraphSize(4))
+
+    @given(n=st.integers(3, 7))
+    def test_needs_n_at_least_8(self, n):
+        with pytest.raises(MappingUnavailableError):
+            sch.mapping_params(GraphSize(n))
+        assert sch.mapping_params(GraphSize(8)).n == 8
 
     def test_forward_map_reaches_equal_split_with_declared_phase(self):
         # the three-step forward fragment maps |marked> onto an equal
@@ -862,3 +879,20 @@ class TestScheduleShape:
         assert schedule.tail == steps and schedule.iterate == ()
         assert schedule.steps == steps and len(schedule.steps) == 2
         assert schedule.oracle_queries == 1
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize("build, bound, lattice, text, miss", [
+        (sch.deterministic_schedule, 2**60, 4, "up to n = 2^60,", 1e-10),
+        # the unwinding walk's rounding: 9.9e-10 at this bound
+        (sch.odd_schedule, 2**40 + 1, 2, "up to n = 2^40 + 1,", 1e-9),
+    ])
+    def test_exact_routes_refuse_sizes_past_their_tested_bound(self, build, bound, lattice,
+                                                               text, miss):
+        size = GraphSize(bound)
+        schedule = build(size)
+        report = apply_schedule(uniform_state(size), schedule, size,
+                                sample_every=len(schedule.steps))
+        assert 1.0 - report.final_success_probability <= miss
+        with pytest.raises(UnsupportedSizeError, match=re.escape(text)):
+            build(GraphSize(bound + lattice))
