@@ -22,8 +22,8 @@ it builds from one `walk_full` column through the graph's automorphisms.
 parses every later `argv` with that same parser.
 
 Exit codes: 0 success, 1 configuration error (also a run too large to
-allocate), 2 verification failure (a runtime check of an expected invariant
-did not hold).
+allocate, or an output file that cannot be written), 2 verification failure
+(a runtime check of an expected invariant did not hold).
 """
 
 from __future__ import annotations
@@ -121,8 +121,10 @@ def _parse_n_list(text: str) -> list[int]:
     """Parse '8,12,16' or progression shorthand '8,12,...,64'.
 
     The value after '...' is an inclusive upper bound; it need not lie on
-    the progression itself.
+    the progression itself.  An empty list is refused.
     """
+    if not text.strip():
+        raise ValueError(f"empty n-list {text!r}; give at least one size")
     parts = [p.strip() for p in text.split(",")]
     if "..." in parts:
         i = parts.index("...")
@@ -262,7 +264,7 @@ def _run_fig7(args) -> int:
 
 @_experiment("sweep-determinism")
 def _run_sweep_determinism(args) -> int:
-    n_values = _parse_n_list(args.n_list) if args.n_list else list(range(8, 65, 4))
+    n_values = _parse_n_list(args.n_list) if args.n_list is not None else list(range(8, 65, 4))
     rows = []
     worst = 1.0
     for n in n_values:
@@ -286,7 +288,7 @@ def _run_sweep_determinism(args) -> int:
 
 @_experiment("sweep-queries")
 def _run_sweep_queries(args) -> int:
-    n_values = _parse_n_list(args.n_list) if args.n_list else [64, 256, 1024, 4096]
+    n_values = _parse_n_list(args.n_list) if args.n_list is not None else [64, 256, 1024, 4096]
     rows = []
     last_ratio = None
     for n in n_values:
@@ -435,7 +437,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return EXPERIMENTS[args.experiment](args)
-    except (ValueError, IndexError, MemoryError) as exc:
+    except (ValueError, IndexError, MemoryError, OSError) as exc:
         print(f"{args.experiment}: error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

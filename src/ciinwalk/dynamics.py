@@ -63,18 +63,14 @@ a run costs O(len(iterate)) numpy calls, not O(len(iterate) p), and memory
 in proportion to its samples.  Each p phi is one rounded product, so the
 block's error does not grow with p; its walk phases take their multiples
 of pi exactly, where a fold of the float steps carries fl(pi) n in each.
-A block with no spectrum (a hand-built one) is folded once into its 4x4
-unitary U (`schedule_matrix`), the state after it is
-`np.linalg.matrix_power(U, p)` applied to the start, and the j of each
-offset r, an arithmetic progression, come as one block by doubling
-(`_orbit`); raising the rounded U to p makes that path good to about
-p |dU|.  Each sample's step and query count are exact, and its walk time
-is the step loop's chronological sum, bit for bit (`np.cumsum` adds in
-that order).  Its probabilities are not the loop's bit for bit, and the
-loop's fl(pi) n makes them differ by up to about 1e-11 at n near 4096.
-Only the tail, at most five steps for every builder, goes through the step
-loop, and so do schedules without a recorded iterate (parsed ones), bit
-for bit as before.
+So a `Schedule` refuses an iterate without its spectrum; hand-built steps
+go in the tail.  Each sample's step and query count are exact, and its
+walk time is the step loop's chronological sum, bit for bit (`np.cumsum`
+adds in that order).  Its probabilities are not the loop's bit for bit,
+and the loop's fl(pi) n makes them differ by up to about 1e-11 at n near
+4096.  Only the tail, at most five steps for every builder, goes through
+the step loop, and so do schedules without a recorded iterate (parsed
+ones), bit for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -239,10 +235,11 @@ class Schedule:
     `iterate * p + tail`: steps[0] is applied first.  A builder records its
     iterate, whose unitary is `schedule_matrix(iterate, size)`, with that
     unitary's closed-form `spectrum`, and puts the tuning walk and the
-    finishing map in the tail.  A hand-built `Schedule(steps, rule, ...)`
-    or a parsed one has no iterate: its steps are all tail, and `p` is
-    metadata only.  `n`, `variant` and `p` are used by the text
-    serialization and the circuit compiler.
+    finishing map in the tail.  An iterate and its spectrum come together:
+    either without the other is refused.  A hand-built
+    `Schedule(steps, rule, ...)` or a parsed one has no iterate: its steps
+    are all tail, and `p` is metadata only.  `n`, `variant` and `p` are
+    used by the text serialization and the circuit compiler.
 
     Two schedules are equal when their steps and metadata are, however the
     steps are split into block and tail; so a parsed schedule equals the
@@ -261,8 +258,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.iterate and (self.p is None or self.p < 1):
             raise ValueError(f"an iterate needs p >= 1 repetitions, got p={self.p}")
-        if self.spectrum is not None and not self.iterate:
-            raise ValueError("a spectrum needs the iterate it decomposes")
+        if bool(self.iterate) != (self.spectrum is not None):
+            raise ValueError("an iterate and its spectrum come together: a spectrum needs "
+                             "the iterate it decomposes, and an iterate its spectrum; "
+                             "put hand-built steps in the tail")
         object.__setattr__(self, "steps", ScheduleSteps(self.iterate, self.p, self.tail))
 
     def _key(self):
@@ -730,43 +729,21 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
     return coeffs, (norm_a + norm_b) / 2.0, complex((norm_a - norm_b) / 4.0, cross.imag / 2.0)
 
 
-def _orbit(matrix: np.ndarray, vector: np.ndarray, first: int, stride: int,
-           count: int) -> np.ndarray:
-    """The 4 x count block of columns matrix^(first + i stride) @ vector,
-    built by doubling: O(log first + log stride + log count) products, each
-    written into its place in the block."""
-    columns = np.empty((4, count), dtype=complex)
-    columns[:, 0] = np.linalg.matrix_power(matrix, first) @ vector
-    power = np.linalg.matrix_power(matrix, stride) if count > 1 else None
-    done = 1
-    while done < count:
-        k = min(done, count - done)
-        np.matmul(power, columns[:, :k], out=columns[:, done:done + k])
-        done += k
-        if done < count:
-            power = power @ power
-    return columns
-
-
 def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis,
-               spectrum: IterateSpectrum | None, dual_samples: bool):
+               spectrum: IterateSpectrum, dual_samples: bool):
     """Run a repeated block without stepping it.
 
     With L = len(iterate) and e = `sample_every`, the block is sampled at
     steps s = e, 2e, ... below L p.  With s = j L + r, the state there is
     P_r U^j c, where U is the iterate's unitary and P_r folds the first r
-    steps of the iterate.  With a `spectrum` V, phi, U^j c is
-    V e^{i j phi} V^dagger c in dual coordinates, one column per sample
-    from one array of exponents.  Without one, U = `schedule_matrix(iterate)`,
-    raised to p by `matrix_power`; at most L offsets r occur, and for each
-    the iterates j run in steps of e / gcd(e, L), so `_orbit` builds their
-    states as one block.  That fallback raises the rounding dU of the fold
-    to the power, so it is good to about p |dU|, where the spectrum's error
-    does not grow with p.  Returns the samples (steps, the 4 x k block of
-    states, in dual coordinates when `dual_samples` and in walk coordinates
-    otherwise, queries, walk times, signed walk times mod pi; None when no
-    sample falls inside the block) and the state, queries, walk time and
-    signed walk time mod pi after the block.
+    steps of the iterate.  U^j c is V e^{i j phi} V^dagger c in dual
+    coordinates (`spectrum`), one column per sample from one array of
+    exponents, and each P_r is applied to the columns of offset r at once.
+    Returns the samples (steps, the 4 x k block of states, in dual
+    coordinates when `dual_samples` and in walk coordinates otherwise,
+    queries, walk times, signed walk times mod pi; None when no sample falls
+    inside the block) and the state, queries, walk time and signed walk
+    time mod pi after the block.
     """
     width = len(iterate)
     # one iterate's accounting after each of its first r steps, r = 0..L
@@ -776,40 +753,23 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
         oracles.append(oracles[-1] + (not walk))
         lengths.append(abs(step.parameter) if walk else 0.0)
         taus.append((taus[-1] + step.parameter) % np.pi if walk else taus[-1])
-    if spectrum is None:
-        unitary = schedule_matrix(iterate, dual)
-        end = np.linalg.matrix_power(unitary, p) @ coeffs
-    else:
-        start = dual.to_dual(coeffs)
-        end = dual.from_dual(spectrum.apply_powers(start, p))
+    start = dual.to_dual(coeffs)
+    end = dual.from_dual(spectrum.apply_powers(start, p))
     after = (end, p * oracles[-1], _running_total(0.0, _walk_lengths(iterate), p),
              (p * taus[-1]) % np.pi)
     if sample_every >= width * p:
         return None, after
     stops = np.arange(sample_every, width * p, sample_every)
     turns, offsets = np.divmod(stops, width)
-    common = math.gcd(sample_every, width)
-    # one cycle of the offsets spans `period` samples and `stride` iterates
-    period, stride = width // common, sample_every // common
-    if spectrum is None:
-        states = np.empty((4, len(stops)), dtype=complex)
-        for first in range(min(period, len(stops))):
-            at = slice(first, None, period)
-            states[:, at] = _orbit(unitary, coeffs, int(turns[first]), stride, len(stops[at]))
-            if offsets[first]:
-                states[:, at] = schedule_matrix(iterate[:offsets[first]], dual) @ states[:, at]
-        if dual_samples:
-            states = dual.to_dual(states)
-    else:
-        # in dual coordinates, where the eigenstates are given
-        states = spectrum.apply_powers(start, turns)
-        for first in range(min(period, len(stops))):
-            if offsets[first]:
-                at = slice(first, None, period)
-                prefix = schedule_matrix(iterate[:offsets[first]], dual)
-                states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
-        if not dual_samples:
-            states = dual.from_dual(states)
+    # in dual coordinates, where the eigenstates are given
+    states = spectrum.apply_powers(start, turns)
+    # samples L apart share their offset, so the first L show every one
+    for offset in set(offsets[:width].tolist()) - {0}:
+        at = offsets == offset
+        prefix = schedule_matrix(iterate[:offset], dual)
+        states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
+    if not dual_samples:
+        states = dual.from_dual(states)
     # chronological sums of walk times, added in the step loop's order
     elapsed = np.cumsum(np.tile(lengths, int(turns[-1]) + 1))
     samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
@@ -837,10 +797,9 @@ def apply_schedule(
     its complement enters the samples through three scalars (see the module
     docstring), so a full-space run costs O(N) once plus its 4-dim run,
     not O(N) a step.  A recorded iterate is never stepped: the state after
-    the block and the samples inside it come from powers of the iterate,
-    through its closed-form spectrum where the schedule has one and
-    through its fold otherwise (see the module docstring); only the tail
-    runs through the step loop.
+    the block and the samples inside it come from powers of the iterate
+    through its closed-form spectrum (see the module docstring); only the
+    tail runs through the step loop.
     """
     _check_unambiguous(size)
     if sample_every < 1:

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import csv  # noqa: E402
 import dataclasses  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 from fractions import Fraction  # noqa: E402
@@ -20,6 +21,7 @@ from ciinwalk import dynamics  # noqa: E402
 from ciinwalk import schedules as sch  # noqa: E402
 from ciinwalk.dynamics import (  # noqa: E402
     FinishingRule,
+    IterateSpectrum,
     RunReport,
     StepKind,
     Trajectory,
@@ -63,6 +65,33 @@ def flat(schedule):
     spectrum): every step is in the tail, so `apply_schedule` steps through
     all of them."""
     return dataclasses.replace(schedule, tail=tuple(schedule.steps), iterate=(), spectrum=None)
+
+
+def numeric_spectrum(iterate, size):
+    """An `IterateSpectrum` of hand-made steps, computed numerically, for
+    blocks that no builder makes: `Schedule` takes an iterate only with its
+    spectrum.
+
+    U, the steps' fold in dual coordinates, is normal, so it shares its
+    eigenvectors with every Hermitian (conj(z) U + z U^dagger) / 2, |z| = 1,
+    whose eigenvalues Re(conj(z) u) are U's eigenvalues u projected on z.
+    Of 64 axes z, the one that keeps the projections of U's eigenvalues
+    (`eigvals`, accurate for a normal matrix) furthest apart relative to
+    their distances is taken, so no cluster of `eigh` eigenvalues mixes
+    eigenvectors of far-apart eigenvalues; eigenvalues that coincide share
+    one eigenspace, where any orthonormal basis serves.  The eigenphases are
+    the angles of V^dagger U V's diagonal, kept in the centre row of the
+    angles; `lambda_plus`, which no run reads, is 0.
+    """
+    dual = dual_basis(size).matrix
+    unitary = dual.T @ sch.schedule_matrix(iterate, size) @ dual
+    chords = [a - b for a, b in itertools.combinations(np.linalg.eigvals(unitary), 2) if a != b]
+    axis = max(np.exp(1j * np.pi * np.arange(64) / 64),
+               key=lambda z: min((abs((z.conjugate() * c).real) / abs(c) for c in chords),
+                                 default=1.0))
+    _, states = np.linalg.eigh((axis.conjugate() * unitary + axis * unitary.conj().T) / 2)
+    phases = np.angle(np.einsum("ij,ik,kj->j", states.conj(), unitary, states))
+    return IterateSpectrum(0.0, states, np.array([phases, np.zeros(4)]))
 
 
 def exact_multiple(t, n):

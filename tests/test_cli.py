@@ -139,6 +139,23 @@ class TestConfigHandling:
         assert f"p={p}" in capsys.readouterr().err
         assert not (tmp_path / "fig7-oddpath.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["sweep-determinism", "sweep-queries"])
+    @pytest.mark.parametrize("n_list", ["", " "])
+    def test_empty_n_list_exits_one(self, tmp_path, monkeypatch, capsys, experiment, n_list):
+        # an empty list is no request for the default sizes
+        code = run_in(tmp_path, monkeypatch, [experiment, "--n-list", n_list])
+        assert code == 1
+        assert f"{experiment}: error: empty n-list" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_out_exits_one(self, tmp_path, monkeypatch, capsys, target):
+        # a missing directory, or a directory itself, as the output file
+        code = run_in(tmp_path, monkeypatch, ["fig5-dual", "--n", "64", "--out", target])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("fig5-dual: error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_size_without_float64_eigenvalues_exits_one(self, tmp_path, monkeypatch, capsys):
         code = run_in(tmp_path, monkeypatch, ["sweep-determinism", "--n-list", str(2**64)])
         assert code == 1
@@ -210,8 +227,9 @@ class TestExperiments:
 
     @pytest.mark.parametrize("n", [9, 1024])
     def test_fig5_fidelity_is_that_of_every_step_folded(self, tmp_path, monkeypatch, capsys, n):
-        # the block is folded once and raised to p, then the tail (a nonzero
-        # tuning walk at n = 9); the reference folds all L steps one by one
+        # p iterates through the closed-form spectrum, then the tail (a
+        # nonzero tuning walk at n = 9); the reference folds all L steps one
+        # by one
         assert run_in(tmp_path, monkeypatch, ["fig5-dual", "--n", str(n)]) == 0
         size = GraphSize(n)
         schedule = schedules.approx_schedule(size, finishing="none")

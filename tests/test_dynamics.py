@@ -43,6 +43,7 @@ from conftest import (
     exact_phases,
     fidelity,
     flat,
+    numeric_spectrum,
     random_state,
     reference_csv,
     reference_json,
@@ -591,8 +592,8 @@ class TestStepLoopBitwise:
         sized, build = BUILDERS[route]
         for k in range(4):
             size = sized(k)
-            # a recorded iterate is folded, never stepped; without one, the
-            # loop steps through every step
+            # a recorded iterate runs through its spectrum, never stepped;
+            # without one, the loop steps through every step
             looped = flat(build(size))
             for every in (1, 3, len(looped.steps)):
                 assert_bitwise_stepwise(uniform_state(size), looped, size, sample_every=every)
@@ -720,8 +721,9 @@ def mp_final_probability(schedule, size, digits=40):
 
 
 def assert_agrees_with_the_loop(report, looped):
-    """A folded run against the step loop: the probabilities within 1e-12,
-    the steps, queries and walk times bit for bit."""
+    """A run of a recorded iterate against the step loop: the
+    probabilities within 1e-12, the steps, queries and walk times bit for
+    bit."""
     got, want = report.trajectory, looped.trajectory
     assert got.step.tolist() == want.step.tolist()
     assert np.abs(got.probabilities - want.probabilities).max() <= 1e-12
@@ -741,10 +743,10 @@ CADENCES = {"1": (1, 0, 0), "2": (2, 0, 0), "3": (3, 0, 0), "L-1": (-1, 1, 0), "
 
 
 class TestEndpointFold:
-    """A built iterate runs through its closed-form spectrum, a hand-built
-    one is folded and raised to p; both are sampled inside the block from
-    their powers.  The step loop and a high-precision fold of the same
-    steps are references."""
+    """An iterate runs through its spectrum, a built one's closed form or a
+    hand-made block's numeric one (`numeric_spectrum`), and is sampled
+    inside the block from its powers.  The step loop and a high-precision
+    fold of the same steps are references."""
 
     @pytest.mark.parametrize("n", [8, 9, 12, 33, 64, 101, 1024, 1025, 4096, 4097,
                                    2 ** 28, 2 ** 30, 2 ** 28 + 1])
@@ -798,7 +800,8 @@ class TestEndpointFold:
         rng = np.random.default_rng(seed)
         iterate, rest = (tuple(walk_step(x) if is_walk else oracle_step(x) for is_walk, x in part)
                          for part in (block, tail))
-        schedule = Schedule(rest, finishing, p=p, iterate=iterate)
+        schedule = Schedule(rest, finishing, p=p, iterate=iterate,
+                            spectrum=numeric_spectrum(iterate, size))
         looped = flat(schedule)
         full = space.startswith("full")
         state = random_state(rng, size.N if full else 4)
@@ -955,8 +958,8 @@ def cli_runs(argv):
 
 class TestBlockSamples:
     """A recorded iterate is never stepped: samples inside the block come
-    from powers of its unitary, through its spectrum or its fold.  The
-    step loop and a 40-digit stepping are the references."""
+    from powers of its unitary, through its spectrum.  The step loop and a
+    40-digit stepping are the references."""
 
     @pytest.mark.parametrize("argv", [
         ("fig5-dual", "--n", "64"), ("fig5-dual", "--n", "1024"), ("fig6-compare", "--N", "24"),
@@ -975,23 +978,6 @@ class TestBlockSamples:
             assert [int(row["step"]) for row in written] == steps
             got = np.array([[float(row[f"p{k}"]) for k in range(1, 5)] for row in written])
             assert np.abs(got - np.array(rows)).max() <= 1e-13
-
-    @pytest.mark.parametrize("first", [0, 1])
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 64, 100])
-    def test_orbit_matches_one_power_per_column(self, rng, first, count):
-        size = GraphSize(1024)
-        unitary = sch.schedule_matrix(sch.deterministic_schedule(size).iterate, size)
-        vector = random_state(rng, 4)
-        for stride in (1, 3):
-            columns = dynamics._orbit(unitary, vector, first, stride, count)
-            assert columns.shape == (4, count)
-            expected = np.column_stack([
-                np.linalg.matrix_power(unitary, first + i * stride) @ vector
-                for i in range(count)])
-            assert columns[:, 0].tobytes() == expected[:, 0].tobytes()
-            # doubling and repeated squaring round differently from one
-            # power per column; both stay within 1e-13 of each other
-            assert np.abs(columns - expected).max() <= 1e-13
 
     def test_loop_steps_only_the_tail(self, monkeypatch):
         walked = []  # 4-vectors walked: one per walk step of the step loop

@@ -24,7 +24,7 @@ from ciinwalk.errors import MappingUnavailableError, ThetaNotRealError, Unsuppor
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import every_builder, exact_fold, fidelity, flat
+from conftest import every_builder, exact_fold, fidelity, flat, numeric_spectrum
 
 
 def dense_step_matrix(size, step):
@@ -769,23 +769,32 @@ class TestScheduleText:
 
     def test_iterate_must_lead_the_steps(self):
         # the block and the tail are stored apart, so the steps always begin
-        # with the iterate; only a block without p >= 1 repetitions is refused
+        # with the iterate; a block without p >= 1 repetitions, or without
+        # its spectrum, is refused
         iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
         tail = (walk_step(1.0),)
-        schedule = Schedule(tail, p=2, iterate=iterate)
+        spectrum = numeric_spectrum(iterate, GraphSize(8))
+        schedule = Schedule(tail, p=2, iterate=iterate, spectrum=spectrum)
         assert schedule.iterate == iterate and schedule.steps == iterate * 2 + tail
         for p in (0, -1, None):
             with pytest.raises(ValueError):
-                Schedule(tail, p=p, iterate=iterate)
+                Schedule(tail, p=p, iterate=iterate, spectrum=spectrum)
+        with pytest.raises(ValueError, match="spectrum.*tail"):
+            Schedule(tail, p=2, iterate=iterate)
 
     def test_spectrum_needs_an_iterate_and_leaves_equality_alone(self):
-        built = sch.deterministic_schedule(GraphSize(12))
+        size = GraphSize(12)
+        built = sch.deterministic_schedule(size)
         with pytest.raises(ValueError, match="spectrum"):
             Schedule(built.tail, p=built.p, spectrum=built.spectrum)
-        plain = Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
-                         p=built.p, iterate=built.iterate)
-        assert plain.spectrum is None
-        assert plain == built and hash(plain) == hash(built)
+        with pytest.raises(ValueError, match="spectrum.*tail"):
+            Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
+                     p=built.p, iterate=built.iterate)
+        numeric = Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
+                           p=built.p, iterate=built.iterate,
+                           spectrum=numeric_spectrum(built.iterate, size))
+        assert numeric.spectrum is not built.spectrum
+        assert numeric == built and hash(numeric) == hash(built)
 
     def test_seventeen_digit_round_trip_of_parameters(self):
         schedule = sch.approx_schedule(GraphSize(13), finishing="none")
@@ -859,19 +868,18 @@ class TestScheduleShape:
 
     def test_metadata_and_steps_both_count_for_equality(self):
         iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
-        schedule = Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3,
-                            iterate=iterate)
+        block = dict(iterate=iterate, spectrum=numeric_spectrum(iterate, GraphSize(8)))
+        schedule = Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3, **block)
         assert schedule == Schedule(iterate * 3 + (walk_step(1.0),), FinishingRule.COHERENT,
                                     n=8, p=3)
-        for other in (Schedule((walk_step(1.0),), FinishingRule.NONE, n=8, p=3, iterate=iterate),
-                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=12, p=3,
-                               iterate=iterate),
-                      Schedule((walk_step(1.5),), FinishingRule.COHERENT, n=8, p=3,
-                               iterate=iterate),
-                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=2,
-                               iterate=iterate)):
+        for other in (Schedule((walk_step(1.0),), FinishingRule.NONE, n=8, p=3, **block),
+                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=12, p=3, **block),
+                      Schedule((walk_step(1.5),), FinishingRule.COHERENT, n=8, p=3, **block),
+                      Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=2, **block)):
             assert schedule != other
         assert schedule != tuple(schedule.steps)
+        with pytest.raises(ValueError, match="spectrum"):
+            Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3, iterate=iterate)
 
     def test_hand_built_steps_are_all_tail(self):
         steps = (walk_step(0.5), oracle_step(1.0))
