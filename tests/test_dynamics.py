@@ -979,6 +979,26 @@ class TestBlockSamples:
             got = np.array([[float(row[f"p{k}"]) for k in range(1, 5)] for row in written])
             assert np.abs(got - np.array(rows)).max() <= 1e-13
 
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 64, 100])
+    def test_spectrum_powers_match_one_power_per_column(self, rng, first, count):
+        # the reference is the spectrum's own unitary V e^{i phi} V^dagger:
+        # the fold of the rounded walk steps differs from it by ~2e-13 here
+        size = GraphSize(1024)
+        dual = dual_basis(size)
+        spectrum = sch.deterministic_schedule(size).spectrum
+        states = spectrum.eigenstates
+        unitary = dual.from_dual(states @ np.diag(np.exp(1j * spectrum.phases))
+                                 @ states.conj().T @ dual.to_dual(np.eye(4)))
+        vector = random_state(rng, 4)
+        for stride in (1, 3):
+            turns = first + stride * np.arange(count)
+            columns = dual.from_dual(spectrum.apply_powers(dual.to_dual(vector), turns))
+            assert columns.shape == (4, count)
+            expected = np.column_stack([np.linalg.matrix_power(unitary, j) @ vector
+                                        for j in turns])
+            assert np.abs(columns - expected).max() <= 1e-13
+
     def test_loop_steps_only_the_tail(self, monkeypatch):
         walked = []  # 4-vectors walked: one per walk step of the step loop
         walk = dynamics._walk
