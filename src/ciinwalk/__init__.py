@@ -12,8 +12,6 @@ from .circuit import (
     CircuitProgram,
     compile_schedule,
     oracle_circuit,
-    parse_circuit,
-    render_circuit,
     simulate,
     walk_circuit,
 )
@@ -42,11 +40,8 @@ from .errors import (
 )
 from .graphs import (
     DualBasis,
-    FullAdjacency,
     GraphSize,
-    WalkBasis,
     dual_basis,
-    reduce_operator,
     reduced_adjacency,
 )
 from .schedules import (
@@ -61,13 +56,10 @@ from .schedules import (
     deterministic_params,
     deterministic_schedule,
     entangled_to_marked,
-    iterate_spectrum,
     mapping_params,
     odd_p_min,
     odd_params,
     odd_schedule,
-    parse_schedule,
-    render_schedule,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ wires 1..m carry the within-side index, most significant first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,52 +214,3 @@ def compile_schedule(schedule: Schedule, m: int, marked: int = 0) -> CircuitProg
         else:
             gates.extend(oracle_circuit(m, marked, step.parameter).gates)
     return CircuitProgram(m + 1, tuple(gates))
-
-
-def render_circuit(program: CircuitProgram) -> str:
-    """Stable text form: `WIRES <w>` header, then one gate per line."""
-    lines = [f"WIRES {program.num_wires}"]
-    for gate in program.gates:
-        if isinstance(gate, Hadamard):
-            lines.append(f"H {gate.wire}")
-        elif isinstance(gate, TwoPhaseRotation):
-            lines.append(
-                f"R {gate.wire} {format(gate.theta, '.17g')} {format(gate.phi, '.17g')}"
-            )
-        elif isinstance(gate, NotGate):
-            lines.append(f"X {gate.wire}")
-        elif isinstance(gate, ControlledPhase):
-            lines.append(f"CPHASE {format(gate.phase, '.17g')} {gate.condition}")
-        else:
-            raise TypeError(f"unknown gate {gate!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _angle(text: str, line: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite angle in circuit line: {line!r}")
-    return value
-
-
-def parse_circuit(text: str) -> CircuitProgram:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    header = lines[0] if lines else ""
-    if not re.fullmatch(r"WIRES\s+[+-]?\d+", header):
-        raise ValueError(f"circuit text must start with a 'WIRES <int>' header, not {header!r}")
-    num_wires = int(header.split()[1])
-    gates: list[Gate] = []
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "H" and len(parts) == 2:
-            gates.append(Hadamard(int(parts[1])))
-        elif parts[0] == "R" and len(parts) == 4:
-            gates.append(TwoPhaseRotation(int(parts[1]), _angle(parts[2], line),
-                                           _angle(parts[3], line)))
-        elif parts[0] == "X" and len(parts) == 2:
-            gates.append(NotGate(int(parts[1])))
-        elif parts[0] == "CPHASE" and len(parts) == 3:
-            gates.append(ControlledPhase(_angle(parts[1], line), parts[2]))
-        else:
-            raise ValueError(f"malformed circuit line: {line!r}")
-    return CircuitProgram(num_wires, tuple(gates))

@@ -69,8 +69,8 @@ walk time is the step loop's chronological sum, bit for bit (`np.cumsum`
 adds in that order).  Its probabilities are not the loop's bit for bit,
 and the loop's fl(pi) n makes them differ by up to about 1e-11 at n near
 4096.  Only the tail, at most five steps for every builder, goes through
-the step loop, and so do schedules without a recorded iterate (parsed
-ones), bit for bit as before.
+the step loop, and so do hand-built schedules without a recorded
+iterate, bit for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -89,7 +89,7 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from typing import BinaryIO
@@ -145,8 +145,8 @@ class ScheduleSteps(Sequence):
 
     `len()` costs O(1), and iteration walks the block p times and then the
     tail without building the flat tuple.  An index gives one step, a slice
-    a tuple of steps.  The view equals a tuple, or another view, of the same
-    steps, and hashes like that tuple.
+    a tuple of steps.  The view defines no equality of its own: compare
+    `tuple(steps)`, or the `Schedule`s that own the views.
     """
 
     __slots__ = ("_iterate", "_p", "_tail", "_block")
@@ -176,16 +176,6 @@ class ScheduleSteps(Sequence):
         if index < self._block:
             return self._iterate[index % len(self._iterate)]
         return self._tail[index - self._block]
-
-    def __eq__(self, other):
-        if not isinstance(other, (ScheduleSteps, tuple)):
-            return NotImplemented
-        # tuple semantics: identical items are equal
-        return len(self) == len(other) and all(
-            a is b or a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"ScheduleSteps({self._iterate!r} * {self._p} + {self._tail!r})"
@@ -226,7 +216,7 @@ class IterateSpectrum:
         return self.eigenstates @ (centre * split * weights.reshape((4,) + (1,) * np.ndim(turns)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Schedule:
     """Ordered phase-walk program plus a classical finishing rule.
 
@@ -237,14 +227,16 @@ class Schedule:
     unitary's closed-form `spectrum`, and puts the tuning walk and the
     finishing map in the tail.  An iterate and its spectrum come together:
     either without the other is refused.  A hand-built
-    `Schedule(steps, rule, ...)` or a parsed one has no iterate: its steps
-    are all tail, and `p` is metadata only.  `n`, `variant` and `p` are
-    used by the text serialization and the circuit compiler.
+    `Schedule(steps, rule, ...)` has no iterate: its steps are all tail,
+    and `p` is metadata only.  `n` and `variant` are metadata; the circuit
+    compiler checks `n`.
 
-    Two schedules are equal when their steps and metadata are, however the
-    steps are split into block and tail; so a parsed schedule equals the
-    built one it was rendered from.  The spectrum is a function of the
-    iterate, so it takes no part in equality or the hash.
+    Two schedules are equal when their stored fields are: the same tail,
+    finishing rule, n, variant, p and iterate.  So equality and the hash
+    cost O(len(iterate) + len(tail)), and a blocked schedule does not equal
+    its flat, all-tail form; compare `tuple(steps)` for the steps alone.
+    The spectrum is a function of the iterate, so it takes no part in
+    equality or the hash.
     """
 
     tail: tuple[ScheduleStep, ...]
@@ -253,7 +245,7 @@ class Schedule:
     variant: str | None = None
     p: int | None = None
     iterate: tuple[ScheduleStep, ...] = ()
-    spectrum: IterateSpectrum | None = None
+    spectrum: IterateSpectrum | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.iterate and (self.p is None or self.p < 1):
@@ -262,18 +254,10 @@ class Schedule:
             raise ValueError("an iterate and its spectrum come together: a spectrum needs "
                              "the iterate it decomposes, and an iterate its spectrum; "
                              "put hand-built steps in the tail")
+        # tuples, so that steps given as lists compare and hash as well
+        object.__setattr__(self, "tail", tuple(self.tail))
+        object.__setattr__(self, "iterate", tuple(self.iterate))
         object.__setattr__(self, "steps", ScheduleSteps(self.iterate, self.p, self.tail))
-
-    def _key(self):
-        return (self.finishing_rule, self.n, self.variant, self.p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key() and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash((self._key(), self.steps))
 
     @property
     def oracle_queries(self) -> int:

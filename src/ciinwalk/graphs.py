@@ -5,9 +5,10 @@ copies of the complete graph K_n joined by a perfect matching: vertex j is
 linked to its opposite vertex (j + n) mod N.  Relative to a marked vertex the
 dynamics of phase-walk search close on a 4-dimensional subspace spanned by the
 walk basis (marked vertex, opposite vertex, and the two per-side uniform
-superpositions over the remaining vertices).  This module builds the graph,
-the walk basis, the reduced 4x4 adjacency, and the dual basis of adjacency
-eigenvectors, with exact conversions between representations.
+superpositions over the remaining vertices).  This module holds the graph
+size, the reduced 4x4 adjacency in the walk basis, and the dual basis of
+adjacency eigenvectors, with exact conversions between the two; no N x N
+matrix is built (the dense adjacency and walk basis are the tests' oracles).
 
 All constructions are closed-form; only double-precision rounding error is
 admissible, so orthonormality and eigen-relations hold to ~1e-12.
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSizeError
+from .errors import InvalidSizeError
 
 REDUCED_DIM = 4
 
@@ -62,74 +63,6 @@ def _check_vertex(size: GraphSize, vertex: int) -> int:
     return int(vertex)
 
 
-@dataclass(frozen=True)
-class FullAdjacency:
-    """Adjacency of a CIIN as a dense N x N matrix.
-
-    The dense form is built lazily and is meant for small graphs: it is the
-    reference that exact tests compare the closed-form propagators against.
-    """
-
-    size: GraphSize
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        n = self.size.n
-        block = np.ones((n, n)) - np.eye(n)
-        eye = np.eye(n)
-        return np.block([[block, eye], [eye, block]])
-
-
-@dataclass(frozen=True)
-class WalkBasis:
-    """Orthonormal 4-vector basis of the invariant search subspace.
-
-    Columns of `matrix` are, in order: the marked vertex, its opposite, the
-    uniform superposition over the remaining same-side vertices, and the
-    uniform superposition over the remaining far-side vertices.  The
-    construction works for an arbitrary marked vertex by vertex transitivity.
-    """
-
-    size: GraphSize
-    marked: int
-
-    def __post_init__(self) -> None:
-        _check_vertex(self.size, self.marked)
-        object.__setattr__(self, "marked", int(self.marked))
-
-    @property
-    def opposite(self) -> int:
-        return self.size.opposite(self.marked)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """N x 4 matrix whose columns are the basis vectors."""
-        n, big_n = self.size.n, self.size.N
-        b = np.zeros((big_n, REDUCED_DIM))
-        b[self.marked, 0] = 1.0
-        b[self.opposite, 1] = 1.0
-        same_side = self.marked // n
-        same = np.arange(same_side * n, (same_side + 1) * n)
-        far = np.arange((1 - same_side) * n, (2 - same_side) * n)
-        b[same, 2] = 1.0 / np.sqrt(n - 1)
-        b[self.marked, 2] = 0.0
-        b[far, 3] = 1.0 / np.sqrt(n - 1)
-        b[self.opposite, 3] = 0.0
-        return b
-
-    def lift(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map reduced coordinates to the full N-dimensional space."""
-        return self.matrix @ np.asarray(coeffs)
-
-    def project(self, state: np.ndarray) -> np.ndarray:
-        """Project a full state onto the walk basis (4 coefficients)."""
-        if state.shape != (self.size.N,):
-            raise DimensionMismatchError(
-                f"expected state of length {self.size.N}, got shape {state.shape}"
-            )
-        return self.matrix.T @ state
-
-
 def reduced_adjacency(size: GraphSize) -> np.ndarray:
     """Closed-form 4x4 adjacency in the walk basis."""
     n = size.n
@@ -142,22 +75,6 @@ def reduced_adjacency(size: GraphSize) -> np.ndarray:
             [0.0, s, 1.0, n - 2.0],
         ]
     )
-
-
-def reduce_operator(operator: np.ndarray, basis: WalkBasis) -> np.ndarray:
-    """Compress a Hermitian N x N operator to its 4x4 walk-basis block.
-
-    For the CIIN adjacency this reproduces `reduced_adjacency` exactly; for
-    any operator that leaves the walk subspace invariant the compression is
-    faithful (powers, polynomials, propagators).
-    """
-    big_n = basis.size.N
-    operator = np.asarray(operator)
-    if operator.shape != (big_n, big_n):
-        raise DimensionMismatchError(
-            f"expected {big_n}x{big_n} operator, got shape {operator.shape}"
-        )
-    return basis.matrix.T @ operator @ basis.matrix
 
 
 @dataclass(frozen=True)

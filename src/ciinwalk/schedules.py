@@ -31,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# schedule_matrix lives beside the walk it folds and IterateSpectrum beside the
-# Schedule that carries it; both stay public here
+# schedule_matrix lives beside the walk it folds; it stays importable here,
+# where the bench's tracer wraps it as schedules.schedule_matrix
 from .dynamics import (
     FinishingRule,
     IterateSpectrum,
     Schedule,
     ScheduleStep,
-    StepKind,
     oracle_step,
     schedule_matrix,
     walk_step,
@@ -392,17 +391,6 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
 # ---------------------------------------------------------------------------
 
 
-def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:
-    """The auxiliary rotation target of the odd-n route."""
-    i_n = 1j ** (size.n % 4)
-    coeffs = np.zeros(4, dtype=complex)
-    coeffs[2] = (1.0 + i_n) / 2.0
-    coeffs[3] = (1.0 + i_n) / 2.0 * i_n
-    if dual_coords:
-        return coeffs
-    return dual_basis(size).from_dual(coeffs)
-
-
 # 1/sqrt(2): the weight of each dual coordinate in a balanced eigenstate
 _HALF = math.sqrt(0.5)
 
@@ -505,78 +493,3 @@ def _odd_spectrum(n: int, theta: float) -> IterateSpectrum:
               [x3, x3, x3, x3]]
     return IterateSpectrum(lam, np.array(states, dtype=complex),
                            np.array([[0.0, 0.0, 0.0, 0.0], [lam, -lam, lam, -lam]]))
-
-
-def iterate_spectrum(kind: str, size: GraphSize, theta: float | None = None) -> IterateSpectrum:
-    """The closed-form spectrum of a route's iterate (see `IterateSpectrum`):
-    "approx" for `approx_schedule`'s, "deterministic" for the slowed double
-    iterate at angle `theta`, "odd" for the odd-n iterate at angle `theta`
-    (pi by default).  Columns 0 and 1 hold the +-lambda_plus rotation
-    states of the search."""
-    if kind == "approx":
-        return _approx_spectrum(approx_params(size))
-    if kind == "deterministic":
-        if theta is None:
-            raise ValueError("deterministic spectrum requires theta")
-        return _slowed_spectrum(size.n, theta)
-    if kind == "odd":
-        return _odd_spectrum(size.n, PI if theta is None else theta)
-    raise ValueError(f"unknown iterate kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# text serialization
-# ---------------------------------------------------------------------------
-
-_HEADER_TAG = "SCHEDULE"
-
-
-def render_schedule(schedule: Schedule) -> str:
-    """Line-based text form: a header with n, p, variant and finishing rule,
-    then one `WALK <t>` or `ORACLE <theta>` line per step (17 significant
-    digits)."""
-
-    def field(value):
-        return "-" if value is None else str(value)
-
-    lines = [
-        f"{_HEADER_TAG} n={field(schedule.n)} p={field(schedule.p)} "
-        f"variant={field(schedule.variant)} finishing={schedule.finishing_rule.value}"
-    ]
-    for step in schedule.steps:
-        lines.append(f"{step.kind.value} {format(step.parameter, '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_schedule(text: str) -> Schedule:
-    """The schedule of a `render_schedule` text.  The text does not mark
-    the repeated block, so every step goes to the tail (`iterate=()`), and
-    the header's p is kept as metadata; the result equals the schedule
-    that was rendered."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith(_HEADER_TAG):
-        raise ValueError(f"schedule text must start with a {_HEADER_TAG} header")
-    fields = {}
-    for token in lines[0].split()[1:]:
-        key, _, value = token.partition("=")
-        fields[key] = value
-    def int_field(key):
-        value = fields.get(key, "-")
-        return None if value in ("-", "") else int(value)
-    variant = fields.get("variant", "-")
-    steps = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in (StepKind.WALK.value, StepKind.ORACLE.value):
-            raise ValueError(f"malformed schedule line: {line!r}")
-        parameter = float(parts[1])
-        if not math.isfinite(parameter):
-            raise ValueError(f"non-finite parameter in schedule line: {line!r}")
-        steps.append(ScheduleStep(StepKind(parts[0]), parameter))
-    return Schedule(
-        tuple(steps),
-        FinishingRule(fields.get("finishing", "none")),
-        n=int_field("n"),
-        variant=None if variant in ("-", "") else variant,
-        p=int_field("p"),
-    )

@@ -8,6 +8,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import csv  # noqa: E402
 import dataclasses  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from functools import cached_property  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -31,7 +33,8 @@ from ciinwalk.dynamics import (  # noqa: E402
     walk_full,
     walk_reduced,
 )
-from ciinwalk.graphs import GraphSize, dual_basis  # noqa: E402
+from ciinwalk.errors import DimensionMismatchError  # noqa: E402
+from ciinwalk.graphs import REDUCED_DIM, GraphSize, _check_vertex, dual_basis  # noqa: E402
 
 
 @pytest.fixture
@@ -46,6 +49,107 @@ def random_state(rng, dim):
 
 def fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the N x N adjacency and the walk basis that the closed forms
+# of `ciinwalk.graphs` and `ciinwalk.dynamics` are checked against
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FullAdjacency:
+    """Adjacency of a CIIN as a dense N x N matrix.
+
+    The dense form is built lazily and is meant for small graphs: it is the
+    reference that exact tests compare the closed-form propagators against.
+    """
+
+    size: GraphSize
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        n = self.size.n
+        block = np.ones((n, n)) - np.eye(n)
+        eye = np.eye(n)
+        return np.block([[block, eye], [eye, block]])
+
+
+@dataclass(frozen=True)
+class WalkBasis:
+    """Orthonormal 4-vector basis of the invariant search subspace.
+
+    Columns of `matrix` are, in order: the marked vertex, its opposite, the
+    uniform superposition over the remaining same-side vertices, and the
+    uniform superposition over the remaining far-side vertices.  The
+    construction works for an arbitrary marked vertex by vertex transitivity.
+    """
+
+    size: GraphSize
+    marked: int
+
+    def __post_init__(self) -> None:
+        _check_vertex(self.size, self.marked)
+        object.__setattr__(self, "marked", int(self.marked))
+
+    @property
+    def opposite(self) -> int:
+        return self.size.opposite(self.marked)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """N x 4 matrix whose columns are the basis vectors."""
+        n, big_n = self.size.n, self.size.N
+        b = np.zeros((big_n, REDUCED_DIM))
+        b[self.marked, 0] = 1.0
+        b[self.opposite, 1] = 1.0
+        same_side = self.marked // n
+        same = np.arange(same_side * n, (same_side + 1) * n)
+        far = np.arange((1 - same_side) * n, (2 - same_side) * n)
+        b[same, 2] = 1.0 / np.sqrt(n - 1)
+        b[self.marked, 2] = 0.0
+        b[far, 3] = 1.0 / np.sqrt(n - 1)
+        b[self.opposite, 3] = 0.0
+        return b
+
+    def lift(self, coeffs: np.ndarray) -> np.ndarray:
+        """Map reduced coordinates to the full N-dimensional space."""
+        return self.matrix @ np.asarray(coeffs)
+
+    def project(self, state: np.ndarray) -> np.ndarray:
+        """Project a full state onto the walk basis (4 coefficients)."""
+        if state.shape != (self.size.N,):
+            raise DimensionMismatchError(
+                f"expected state of length {self.size.N}, got shape {state.shape}"
+            )
+        return self.matrix.T @ state
+
+
+def reduce_operator(operator: np.ndarray, basis: WalkBasis) -> np.ndarray:
+    """Compress a Hermitian N x N operator to its 4x4 walk-basis block.
+
+    For the CIIN adjacency this reproduces `reduced_adjacency` exactly; for
+    any operator that leaves the walk subspace invariant the compression is
+    faithful (powers, polynomials, propagators).
+    """
+    big_n = basis.size.N
+    operator = np.asarray(operator)
+    if operator.shape != (big_n, big_n):
+        raise DimensionMismatchError(
+            f"expected {big_n}x{big_n} operator, got shape {operator.shape}"
+        )
+    return basis.matrix.T @ operator @ basis.matrix
+
+
+def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:
+    """The auxiliary rotation target of the odd-n route."""
+    i_n = 1j ** (size.n % 4)
+    coeffs = np.zeros(4, dtype=complex)
+    coeffs[2] = (1.0 + i_n) / 2.0
+    coeffs[3] = (1.0 + i_n) / 2.0 * i_n
+    if dual_coords:
+        return coeffs
+    return dual_basis(size).from_dual(coeffs)
 
 
 def every_builder(n):

@@ -25,17 +25,10 @@ from ciinwalk.dynamics import (
     walk_reduced,
 )
 from ciinwalk.errors import MappingUnavailableError
-from ciinwalk.graphs import (
-    FullAdjacency,
-    GraphSize,
-    WalkBasis,
-    dual_basis,
-    reduce_operator,
-    reduced_adjacency,
-)
+from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import random_state
+from conftest import FullAdjacency, WalkBasis, random_state, reduce_operator
 
 
 def report(number, ok, detail):
@@ -81,11 +74,11 @@ def test_criterion_2_deterministic_exactness():
                                       sample_every=len(schedule.steps))
                 worst_full = min(worst_full, full.final_success_probability)
     elapsed = time.perf_counter() - start
-    ok = worst_reduced >= 1 - 1e-9 and worst_full >= 1 - 1e-8 and elapsed < 10.0
+    ok = worst_reduced >= 1 - 1e-9 and worst_full >= 1 - 1e-9 and elapsed < 10.0
     report(2, ok, f"min reduced={worst_reduced:.12f}, min full={worst_full:.12f}, "
                   f"runtime={elapsed:.2f}s")
     assert worst_reduced >= 1 - 1e-9
-    assert worst_full >= 1 - 1e-8
+    assert worst_full >= 1 - 1e-9
     assert elapsed < 10.0
 
 
@@ -106,11 +99,11 @@ def test_criterion_3_odd_path_exactness():
                                       sample_every=len(schedule.steps))
                 worst_full = min(worst_full, full.final_success_probability)
     elapsed = time.perf_counter() - start
-    ok = worst_reduced >= 1 - 1e-9 and worst_full >= 1 - 1e-8 and elapsed < 10.0
+    ok = worst_reduced >= 1 - 1e-9 and worst_full >= 1 - 1e-9 and elapsed < 10.0
     report(3, ok, f"min reduced={worst_reduced:.12f}, min full={worst_full:.12f}, "
                   f"runtime={elapsed:.2f}s")
     assert worst_reduced >= 1 - 1e-9
-    assert worst_full >= 1 - 1e-8
+    assert worst_full >= 1 - 1e-9
     assert elapsed < 10.0
 
 
@@ -226,11 +219,11 @@ def test_criterion_7_circuit_equivalence():
     final = simulate(program, uniform_state(size, reduced=False))
     success = float(abs(final[0]) ** 2)
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and success >= 1 - 1e-8 and elapsed < 60.0
+    ok = worst < 1e-10 and success >= 1 - 1e-9 and elapsed < 60.0
     report(7, ok, f"max walk-circuit error={worst:.2e} (m=1..6, 20 random t), "
                   f"m=10 pipeline success={success:.12f}, runtime={elapsed:.2f}s")
     assert worst < 1e-10
-    assert success >= 1 - 1e-8
+    assert success >= 1 - 1e-9
     assert elapsed < 60.0
 
 

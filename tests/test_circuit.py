@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,18 +11,16 @@ from ciinwalk.circuit import (
     TwoPhaseRotation,
     compile_schedule,
     oracle_circuit,
-    parse_circuit,
     reconstruct_unitary,
-    render_circuit,
     simulate,
     walk_circuit,
 )
 from ciinwalk.dynamics import Schedule, apply_schedule, oracle_step, uniform_state, walk_full, walk_step
 from ciinwalk.errors import DimensionMismatchError, UnsupportedSizeError
-from ciinwalk.graphs import FullAdjacency, GraphSize
+from ciinwalk.graphs import GraphSize
 from ciinwalk.schedules import deterministic_schedule
 
-from conftest import random_state, run_stepwise
+from conftest import FullAdjacency, random_state, run_stepwise
 
 
 def dense_walk(m, t):
@@ -292,43 +288,11 @@ class TestCompileSchedule:
         assert len(oracle_gates) == oracle_steps == schedule.oracle_queries
 
 
-class TestTextFormat:
-    def test_round_trip(self):
-        program = compile_schedule(deterministic_schedule(GraphSize(8)), 3, marked=2)
-        assert parse_circuit(render_circuit(program)) == program
-
-    def test_header_and_gate_lines(self):
-        text = render_circuit(walk_circuit(2, 0.5))
-        lines = text.splitlines()
-        assert lines[0] == "WIRES 3"
-        assert lines[1] == "H 0"
-        assert any(line.startswith("CPHASE ") and line.endswith("-00") for line in lines)
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            parse_circuit("H 0\n")
-        with pytest.raises(ValueError):
-            parse_circuit("WIRES 2\nROTATE 0\n")
-
-    @pytest.mark.parametrize("header", ["WIRES 2 junk", "WIRES two", "WIRES 2.0", "WIRES",
-                                        "wires 2"])
-    def test_parse_rejects_malformed_headers(self, header):
-        with pytest.raises(ValueError, match=re.escape(repr(header))):
-            parse_circuit(f"{header}\nH 0\n")
-
-    @pytest.mark.parametrize("gate", ["R 0 {} 0.5", "R 0 0.5 {}", "CPHASE {} 1-"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_parse_rejects_non_finite_angles(self, gate, value):
-        line = gate.format(value)
-        with pytest.raises(ValueError, match=f"non-finite angle in circuit line: '{line}'"):
-            parse_circuit(f"WIRES 2\n{line}\n")
-
+class TestCircuitProgram:
     @pytest.mark.parametrize("num_wires", [0, -1])
     def test_refuses_fewer_than_one_wire(self, num_wires):
         with pytest.raises(ValueError, match="at least one wire"):
             CircuitProgram(num_wires, ())
-        with pytest.raises(ValueError, match="at least one wire"):
-            parse_circuit(f"WIRES {num_wires}\n")
 
     def test_condition_validation(self):
         with pytest.raises(ValueError):
@@ -337,3 +301,17 @@ class TestTextFormat:
             CircuitProgram(2, (ControlledPhase(0.1, "1"),))
         with pytest.raises(ValueError):
             CircuitProgram(2, (Hadamard(2),))
+
+    @pytest.mark.parametrize("gate, message", [
+        (ControlledPhase(0.1, "0x"), "bad condition string '0x'"),
+        (ControlledPhase(0.1, "2-"), "bad condition string '2-'"),
+        (Hadamard(-1), "gate wire -1 out of range"),
+        (TwoPhaseRotation(2, 0.1, 0.2), "gate wire 2 out of range"),
+        (TwoPhaseRotation(-1, 0.1, 0.2), "gate wire -1 out of range"),
+        (NotGate(2), "gate wire 2 out of range"),
+        (NotGate(-1), "gate wire -1 out of range"),
+    ])
+    def test_refuses_each_malformed_gate(self, gate, message):
+        # every gate kind is checked against the register, below and above it
+        with pytest.raises(ValueError, match=message):
+            CircuitProgram(2, (Hadamard(0), gate))

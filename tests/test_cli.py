@@ -148,6 +148,35 @@ class TestConfigHandling:
         assert f"{experiment}: error: empty n-list" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # one case for each place an entry is read: the plain list, the head
+    # before a progression, and the progression's start, next and end
+    @pytest.mark.parametrize("n_list, entry", [(",", ""), ("64,,256", ""),
+                                               ("8,12,...,x", "x"), ("8.0", "8.0"),
+                                               ("x,8,12,...,64", "x"), ("x,12,...,64", "x"),
+                                               ("8,1.5,...,64", "1.5")])
+    def test_malformed_n_list_names_the_option_and_text(self, tmp_path, monkeypatch, capsys,
+                                                         n_list, entry):
+        code = run_in(tmp_path, monkeypatch, ["sweep-determinism", "--n-list", n_list])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"sweep-determinism: error: --n-list {n_list!r}: {entry!r} is not an integer\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_list, complaint", [
+        ("...,8,12", "bad n-list"), ("8,...,64", "bad n-list"),
+        ("8,12,...,64,128", "bad n-list"), ("8,8,...,64", "bad n-list progression"),
+        ("12,8,...,64", "bad n-list progression"), ("8,16,...,12", "bad n-list progression"),
+    ])
+    def test_misshapen_progression_is_refused(self, tmp_path, monkeypatch, capsys, n_list,
+                                              complaint):
+        # '...' must stand second to last, after two entries that climb, and
+        # before an end no lower than the second
+        code = run_in(tmp_path, monkeypatch, ["sweep-determinism", "--n-list", n_list])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"sweep-determinism: error: {complaint} {n_list!r}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("target", ["missing/out.csv", "."])
     def test_unwritable_out_exits_one(self, tmp_path, monkeypatch, capsys, target):
         # a missing directory, or a directory itself, as the output file

@@ -34,9 +34,11 @@ from ciinwalk.dynamics import (
     walk_step,
 )
 from ciinwalk.errors import DimensionMismatchError
-from ciinwalk.graphs import FullAdjacency, GraphSize, WalkBasis, dual_basis, reduced_adjacency
+from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 
 from conftest import (
+    FullAdjacency,
+    WalkBasis,
     apply_stepwise,
     every_builder,
     exact_multiple,

@@ -16,7 +16,7 @@ from ciinwalk import schedules as sch
 from ciinwalk.cli import main
 from ciinwalk.graphs import DualBasis, GraphSize, dual_basis
 
-from conftest import random_state
+from conftest import flat, random_state
 
 TIMES = st.floats(-1e9, 1e9)
 # walk_full runs only where a full state fits in memory; float n - 2 and
@@ -88,7 +88,7 @@ class TestSiteFormulas:
 # built before any patch, so that only the run forms phases under it
 SIZE = GraphSize(12)
 BUILT = sch.deterministic_schedule(SIZE)
-PARSED = sch.parse_schedule(sch.render_schedule(BUILT))
+FLAT = flat(BUILT)
 
 
 def run(schedule, full):
@@ -122,9 +122,9 @@ SITES = {
         random_state(np.random.default_rng(1), 4), 0.7, SIZE), range(4)),
     "schedule_matrix": (lambda _: dynamics.schedule_matrix(BUILT.iterate, SIZE), range(4)),
     "built schedule, reduced state": (lambda _: run(BUILT, full=False), range(4)),
-    "parsed schedule, reduced state": (lambda _: run(PARSED, full=False), range(4)),
+    "flat schedule, reduced state": (lambda _: run(FLAT, full=False), range(4)),
     "built schedule, complement": (lambda _: run(BUILT, full=True), [2]),
-    "parsed schedule, complement": (lambda _: run(PARSED, full=True), [2]),
+    "flat schedule, complement": (lambda _: run(FLAT, full=True), [2]),
     "walk_full": (lambda _: dynamics.walk_full(
         random_state(np.random.default_rng(2), SIZE.N), 0.7, SIZE), range(3)),
     "fig4 reduced probabilities": (fig4, range(4)),

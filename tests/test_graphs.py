@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from ciinwalk.errors import DimensionMismatchError, InvalidSizeError
-from ciinwalk.graphs import (
-    FullAdjacency,
-    GraphSize,
-    WalkBasis,
-    dual_basis,
-    reduce_operator,
-    reduced_adjacency,
-)
+from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 
-from conftest import random_state
+from conftest import FullAdjacency, WalkBasis, random_state, reduce_operator
 
 
 class TestGraphSize:

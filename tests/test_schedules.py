@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ciinwalk.dynamics import (
     FinishingRule,
     Schedule,
+    ScheduleSteps,
     StepKind,
     apply_schedule,
     entangled_fidelity,
@@ -24,7 +26,7 @@ from ciinwalk.errors import MappingUnavailableError, ThetaNotRealError, Unsuppor
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import every_builder, exact_fold, fidelity, flat, numeric_spectrum
+from conftest import every_builder, exact_fold, fidelity, flat, numeric_spectrum, xi_state
 
 
 def dense_step_matrix(size, step):
@@ -120,7 +122,7 @@ class TestIterateStructure:
     def test_odd_subspace_closure(self, n):
         size = GraphSize(n)
         dual = dual_basis(size).matrix
-        xi = sch.xi_state(size, dual_coords=True)
+        xi = xi_state(size, dual_coords=True)
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
         plane = np.stack([e1, xi], axis=1)
@@ -197,7 +199,7 @@ class TestIterateStructure:
         for n in (5, 9, 33):
             size = GraphSize(n)
             dual = dual_basis(size).matrix
-            xi = sch.xi_state(size, dual_coords=True)
+            xi = xi_state(size, dual_coords=True)
             e1 = np.zeros(4, dtype=complex)
             e1[0] = 1.0
             plane = np.stack([e1, xi], axis=1)
@@ -210,6 +212,13 @@ class TestIterateStructure:
             assert abs(abs(phase) - 1.0) < 1e-12
             assert np.abs(block - phase * rotation).max() < 1e-12
             assert abs(block[0, 0].real - (1.0 - 2.0 / n) * np.sign(phase.real)) < 1e-12
+
+
+# 0 to 12 walk or oracle steps with finite times and angles
+STEP_LISTS = st.lists(
+    st.builds(lambda walk, x: walk_step(x) if walk else oracle_step(x),
+              st.booleans(), st.floats(-1e3, 1e3)),
+    max_size=12)
 
 
 class TestScheduleMatrix:
@@ -242,6 +251,15 @@ class TestScheduleMatrix:
         unitary = sch.schedule_matrix(steps, GraphSize(n))
         assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 300), first=STEP_LISTS, then=STEP_LISTS)
+    def test_a_concatenation_folds_to_the_product(self, n, first, then):
+        size = GraphSize(n)
+        joined = sch.schedule_matrix(first + then, size)
+        assert np.abs(joined.conj().T @ joined - np.eye(4)).max() <= 1e-12
+        product = sch.schedule_matrix(then, size) @ sch.schedule_matrix(first, size)
+        assert np.abs(joined - product).max() <= 1e-12
+
 
 class TestIterateSpectrum:
     @staticmethod
@@ -264,7 +282,7 @@ class TestIterateSpectrum:
     @pytest.mark.parametrize("n", [5, 8, 9, 12, 30, 64])
     def test_approx_eigenphases_and_states(self, n):
         size = GraphSize(n)
-        spectrum = sch.iterate_spectrum("approx", size)
+        spectrum = sch._approx_spectrum(sch.approx_params(size))
         dual = dual_basis(size).matrix
         iterate = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
         block = (dual.T @ iterate @ dual)[np.ix_([0, 3], [0, 3])]
@@ -278,7 +296,7 @@ class TestIterateSpectrum:
         size = GraphSize(n)
         dual = dual_basis(size).matrix
         for theta in rng.uniform(0.05, np.pi, size=20):
-            spectrum = sch.iterate_spectrum("deterministic", size, float(theta))
+            spectrum = sch._slowed_spectrum(n, float(theta))
             steps = sch._slowed_steps(n, float(theta)) + sch._slowed_steps(n, -float(theta))
             block = (dual.T @ sch.schedule_matrix(steps, size) @ dual)[np.ix_([0, 3], [0, 3])]
             self.check_block_spectrum(
@@ -290,13 +308,13 @@ class TestIterateSpectrum:
     def test_odd_eigenphases_random_theta(self, n, rng):
         size = GraphSize(n)
         dual = dual_basis(size).matrix
-        xi = sch.xi_state(size, dual_coords=True)
+        xi = xi_state(size, dual_coords=True)
         e1 = np.zeros(4, dtype=complex)
         e1[0] = 1.0
         plane = np.stack([e1, xi], axis=1)
         for theta in rng.uniform(0.05, np.pi, size=20):
             theta = float(theta)
-            spectrum = sch.iterate_spectrum("odd", size, theta)
+            spectrum = sch._odd_spectrum(n, theta)
             steps = sch._half_turn_steps(theta) * 2 + sch._half_turn_steps(-theta) * 2
             full = dual.T @ sch.schedule_matrix(steps, size) @ dual
             block = plane.conj().T @ full @ plane
@@ -308,22 +326,18 @@ class TestIterateSpectrum:
 
     def test_deterministic_theta_pi_lambda(self):
         n = 16
-        spectrum = sch.iterate_spectrum("deterministic", GraphSize(n), np.pi)
+        spectrum = sch._slowed_spectrum(n, np.pi)
         assert abs(spectrum.lambda_plus - 2 * np.arcsin(2 * np.sqrt(n - 1.0) / n)) < 1e-14
 
     def test_rotation_count_identity_n12(self):
         size = GraphSize(12)
         params = sch.deterministic_params(size, 2)
-        lam = sch.iterate_spectrum("deterministic", size, params.theta).lambda_plus
+        lam = sch._slowed_spectrum(12, params.theta).lambda_plus
         assert abs(2 * lam - np.arccos(1 / np.sqrt(12))) < 1e-12
 
     def test_approx_small_angle_limit_n1024(self):
-        spectrum = sch.iterate_spectrum("approx", GraphSize(1024))
+        spectrum = sch._approx_spectrum(sch.approx_params(GraphSize(1024)))
         assert abs(spectrum.lambda_plus - 2 * np.sqrt(1023.0) / 1024.0) < 1e-4
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sch.iterate_spectrum("grover", GraphSize(8))
 
     @pytest.mark.parametrize("n", [*range(3, 41), 63, 64, 65, 66, 67, 255, 256, 257, 258,
                                    1023, 1024, 1025, 1026, 4093, 4094, 4095, 4096, 4097])
@@ -344,22 +358,22 @@ class TestIterateSpectrum:
                 assert np.abs(unitary - sch.schedule_matrix(schedule.iterate, size)).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [8, 12, 64, 1024])
-    def test_builder_spectra_extend_iterate_spectrum(self, n):
-        # the builders record `iterate_spectrum`'s states; the deterministic
+    def test_builder_spectra_extend_the_closed_forms(self, n):
+        # the builders record the closed forms' states; the deterministic
         # iterate has eigenphases +-lambda on (0, 3) and 4 pi/n +- lambda on
         # (1, 2), the approximate one -+(pi - lambda) and 2 pi/n +- lambda
         size = GraphSize(n)
         det = sch.deterministic_schedule(size)
         theta = sch.deterministic_params(size, det.p).theta
-        lam = sch.iterate_spectrum("deterministic", size, theta).lambda_plus
+        lam = sch._slowed_spectrum(n, theta).lambda_plus
         assert np.abs(np.exp(1j * det.spectrum.phases) - np.exp(1j * np.array(
             [lam, -lam, 4 * np.pi / n + lam, 4 * np.pi / n - lam]))).max() <= 1e-15
         approx = sch.approx_schedule(size)
         lam = sch.approx_params(size).lambda_plus
         assert np.abs(np.exp(1j * approx.spectrum.phases) - np.exp(1j * np.array(
             [lam - np.pi, np.pi - lam, 2 * np.pi / n + lam, 2 * np.pi / n - lam]))).max() <= 1e-14
-        for schedule, spectrum in ((det, sch.iterate_spectrum("deterministic", size, theta)),
-                                   (approx, sch.iterate_spectrum("approx", size))):
+        for schedule, spectrum in ((det, sch._slowed_spectrum(n, theta)),
+                                   (approx, sch._approx_spectrum(sch.approx_params(size)))):
             assert schedule.spectrum.eigenstates.tobytes() == spectrum.eigenstates.tobytes()
 
 
@@ -589,7 +603,7 @@ class TestOddSchedule:
             iterate = sch.schedule_matrix(sch.odd_schedule(size, p=p).iterate, size)
             for _ in range(p):
                 state = iterate @ state
-            assert fidelity(state, sch.xi_state(size)) > 1.0 - 1e-12
+            assert fidelity(state, xi_state(size)) > 1.0 - 1e-12
 
     def test_exactness_sweep_reduced(self):
         for n in range(9, 65, 2):
@@ -633,6 +647,46 @@ class TestOddSchedule:
             assert abs(value - np.cos(j * angle) ** 2) < 1e-10
 
 
+class TestLeastIterationCount:
+    """p_min is the least count each exact family admits: with the explicit
+    p < p_min guard lifted, one iteration fewer asks arcsin for an argument
+    above 1.  Where p_min is 1 it is the least count there is."""
+
+    @pytest.mark.parametrize("params, least, sizes", [
+        ("deterministic_params", "deterministic_p_min", range(8, 4097, 4)),
+        ("odd_params", "odd_p_min", range(3, 4096, 2)),
+    ])
+    def test_one_iteration_fewer_has_no_real_theta(self, monkeypatch, params, least, sizes):
+        p_min = getattr(sch, least)
+        counts = {n: p_min(GraphSize(n)) for n in sizes}
+        arguments = []
+        monkeypatch.setattr(sch, least, lambda size: 1)
+        monkeypatch.setattr(sch, "_arcsin_guarded",
+                            lambda argument, context: arguments.append(argument) or 0.0)
+        fewer = [n for n in sizes if counts[n] > 1]
+        for n in fewer:
+            getattr(sch, params)(GraphSize(n), counts[n] - 1)
+        assert len(arguments) == len(fewer) >= len(sizes) - 2
+        assert min(arguments) > 1.0 + 1e-9
+
+    @pytest.mark.parametrize("params, least, sizes", [
+        ("deterministic_params", "deterministic_p_min", range(8, 4097, 4)),
+        ("odd_params", "odd_p_min", range(3, 4096, 2)),
+    ])
+    def test_the_least_count_has_a_real_theta(self, monkeypatch, params, least, sizes):
+        # the other side of the bound: at p_min itself the argument stays
+        # below 1 with no rounding spill for the guard to forgive
+        arguments = []
+        guarded = sch._arcsin_guarded
+        monkeypatch.setattr(sch, "_arcsin_guarded",
+                            lambda argument, context: arguments.append(argument)
+                            or guarded(argument, context))
+        for n in sizes:
+            getattr(sch, params)(GraphSize(n), getattr(sch, least)(GraphSize(n)))
+        assert len(arguments) == len(sizes)
+        assert max(arguments) < 1.0
+
+
 class TestAccounting:
     def test_approx_schedule_count_n1024(self):
         size = GraphSize(1024)
@@ -669,10 +723,10 @@ class TestBuilderSteps:
                           oracle_step(pi), walk_step(params.t2)]
             steps.append(walk_step(params.t3))
             bare = sch.approx_schedule(size, finishing="none")
-            assert bare.steps == tuple(steps) and bare.p == params.p
-            assert sch.approx_schedule(size, finishing="measure").steps == tuple(steps)
+            assert tuple(bare.steps) == tuple(steps) and bare.p == params.p
+            assert tuple(sch.approx_schedule(size, finishing="measure").steps) == tuple(steps)
             steps += [oracle_step(pi / 2.0), walk_step(2.0 * pi * sch.nint(n / 8) / n)]
-            assert sch.approx_schedule(size).steps == tuple(steps)
+            assert tuple(sch.approx_schedule(size).steps) == tuple(steps)
 
     def test_deterministic(self):
         pi = np.pi
@@ -690,7 +744,7 @@ class TestBuilderSteps:
                 steps.append(walk_step(params.t3))
                 steps += sch.entangled_to_marked(size)
                 schedule = sch.deterministic_schedule(size, p)
-                assert schedule.steps == tuple(steps) and schedule.p == params.p
+                assert tuple(schedule.steps) == tuple(steps) and schedule.p == params.p
 
     def test_odd_deterministic(self):
         pi = np.pi
@@ -706,7 +760,7 @@ class TestBuilderSteps:
                 steps += [walk_step(-pi * n / 4.0), oracle_step(-params.gamma), walk_step(-pi),
                           oracle_step(-params.phi), walk_step(-pi)]
                 schedule = sch.odd_schedule(size, p=p)
-                assert schedule.steps == tuple(steps) and schedule.p == params.p
+                assert tuple(schedule.steps) == tuple(steps) and schedule.p == params.p
 
     def test_odd_approximate(self):
         pi = np.pi
@@ -721,86 +775,33 @@ class TestBuilderSteps:
                               oracle_step(pi), walk_step(pi / 2.0)]
                 steps.append(walk_step(-pi * n / 4.0))
                 schedule = sch.odd_schedule(size, deterministic=False, p=p)
-                assert schedule.steps == tuple(steps) and schedule.p == count
+                assert tuple(schedule.steps) == tuple(steps) and schedule.p == count
 
 
-# SHA-256 of render_schedule over every_builder(n), n = 3..299, in order
-# (1,262 schedules); it pins the schedule text byte for byte.
-SCHEDULE_TEXT_DIGEST = "2030f9921fa950ca10b896ec9e569f1476ca03addc19e30122c4556583946ed0"
+def step_text(schedule):
+    """n, p, variant and finishing rule, then each iterate step, a BLOCK
+    marker and each tail step, a step as its kind and float.hex(parameter)."""
+    lines = [f"{schedule.n} {schedule.p} {schedule.variant} {schedule.finishing_rule.value}"]
+    lines += [f"{step.kind.value} {float.hex(step.parameter)}" for step in schedule.iterate]
+    lines.append("BLOCK")
+    lines += [f"{step.kind.value} {float.hex(step.parameter)}" for step in schedule.tail]
+    return "\n".join(lines) + "\n"
 
 
-class TestScheduleText:
-    def test_round_trip(self):
-        for n in (3, 8, 9, 12, 33, 64, 101, 1024, 1025):
-            for schedule in every_builder(n):
-                parsed = sch.parse_schedule(sch.render_schedule(schedule))
-                assert parsed == schedule
-                assert parsed.iterate == ()
-        schedule = sch.deterministic_schedule(GraphSize(12), 2)
-        assert sch.parse_schedule(sch.render_schedule(schedule)) == schedule
+# SHA-256 of step_text over every_builder(n), n = 3..299, in order (1,262
+# schedules); it pins every builder's block, tail and metadata bit for bit
+SCHEDULE_STEP_DIGEST = "34a3cb696ae07fa4f9b5f755ba09346280ccdf91c17882c5c87590a0cd9fc793"
 
-    def test_every_builder_renders_the_pinned_text(self):
-        digest = hashlib.sha256()
-        count = 0
-        for n in range(3, 300):
-            for schedule in every_builder(n):
-                digest.update(sch.render_schedule(schedule).encode())
-                count += 1
-        assert count == 1262
-        assert digest.hexdigest() == SCHEDULE_TEXT_DIGEST
 
-    def test_header_carries_metadata(self):
-        text = sch.render_schedule(sch.odd_schedule(GraphSize(9)))
-        header = text.splitlines()[0]
-        assert header.startswith("SCHEDULE ")
-        assert "n=9" in header and "variant=odd-deterministic" in header
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            sch.parse_schedule("WALK 1.0\n")
-        with pytest.raises(ValueError):
-            sch.parse_schedule("SCHEDULE n=4 p=1 variant=x finishing=none\nSPIN 0.3\n")
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_parse_rejects_non_finite_parameters(self, value):
-        text = f"SCHEDULE n=8 p=1 variant=x finishing=none\nWALK {value}\n"
-        with pytest.raises(ValueError, match=f"WALK {value}"):
-            sch.parse_schedule(text)
-
-    def test_iterate_must_lead_the_steps(self):
-        # the block and the tail are stored apart, so the steps always begin
-        # with the iterate; a block without p >= 1 repetitions, or without
-        # its spectrum, is refused
-        iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
-        tail = (walk_step(1.0),)
-        spectrum = numeric_spectrum(iterate, GraphSize(8))
-        schedule = Schedule(tail, p=2, iterate=iterate, spectrum=spectrum)
-        assert schedule.iterate == iterate and schedule.steps == iterate * 2 + tail
-        for p in (0, -1, None):
-            with pytest.raises(ValueError):
-                Schedule(tail, p=p, iterate=iterate, spectrum=spectrum)
-        with pytest.raises(ValueError, match="spectrum.*tail"):
-            Schedule(tail, p=2, iterate=iterate)
-
-    def test_spectrum_needs_an_iterate_and_leaves_equality_alone(self):
-        size = GraphSize(12)
-        built = sch.deterministic_schedule(size)
-        with pytest.raises(ValueError, match="spectrum"):
-            Schedule(built.tail, p=built.p, spectrum=built.spectrum)
-        with pytest.raises(ValueError, match="spectrum.*tail"):
-            Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
-                     p=built.p, iterate=built.iterate)
-        numeric = Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
-                           p=built.p, iterate=built.iterate,
-                           spectrum=numeric_spectrum(built.iterate, size))
-        assert numeric.spectrum is not built.spectrum
-        assert numeric == built and hash(numeric) == hash(built)
-
-    def test_seventeen_digit_round_trip_of_parameters(self):
-        schedule = sch.approx_schedule(GraphSize(13), finishing="none")
-        parsed = sch.parse_schedule(sch.render_schedule(schedule))
-        for a, b in zip(schedule.steps, parsed.steps):
-            assert a.parameter == b.parameter
+def test_every_builder_makes_the_pinned_steps():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(3, 300):
+        for schedule in every_builder(n):
+            digest.update(step_text(schedule).encode())
+            count += 1
+    assert count == 1262
+    assert digest.hexdigest() == SCHEDULE_STEP_DIGEST
 
 
 class TestScheduleShape:
@@ -835,13 +836,9 @@ class TestScheduleShape:
             steps, unrolled = schedule.steps, schedule.iterate * schedule.p + schedule.tail
             length = len(unrolled)
             assert len(steps) == length
-            assert list(steps) == list(unrolled)
-            assert list(reversed(steps)) == list(reversed(unrolled))
-            assert steps == unrolled and unrolled == steps
-            assert not steps != unrolled
-            assert steps != unrolled[:-1] and unrolled[1:] != steps
-            assert steps != unrolled[:-1] + (walk_step(123.0),)
-            assert steps != list(unrolled)
+            assert tuple(steps) == unrolled
+            assert tuple(reversed(steps)) == tuple(reversed(unrolled))
+            assert tuple(steps) != unrolled[:-1] + (walk_step(123.0),)
             for index in (0, 1, length - 1, -1, -2, -length):
                 assert steps[index] == unrolled[index]
             block = len(schedule.iterate) * schedule.p
@@ -851,27 +848,30 @@ class TestScheduleShape:
             for index in (length, -length - 1):
                 with pytest.raises(IndexError):
                     steps[index]
-            assert hash(steps) == hash(unrolled)
             assert steps.index(schedule.tail[0]) <= block
             assert unrolled[-1] in steps
 
     @pytest.mark.parametrize("n", [9, 12, 64])
-    def test_parsed_text_equals_and_hashes_like_the_built_schedule(self, n):
+    def test_flat_form_has_the_steps_but_not_the_block(self, n):
+        # equality compares the stored block and tail, so a schedule and its
+        # all-tail form differ although they run the same steps
         for schedule in every_builder(n):
-            parsed = sch.parse_schedule(sch.render_schedule(schedule))
-            assert parsed.iterate == () and parsed.tail == tuple(schedule.steps)
-            assert parsed.p == schedule.p
-            assert parsed == schedule and schedule == parsed
-            assert hash(parsed) == hash(schedule)
-            assert flat(schedule) == schedule and hash(flat(schedule)) == hash(schedule)
-            assert len({schedule, parsed, flat(schedule)}) == 1
+            unrolled = flat(schedule)
+            assert unrolled.iterate == () and unrolled.tail == tuple(schedule.steps)
+            assert unrolled.p == schedule.p
+            assert tuple(unrolled.steps) == tuple(schedule.steps)
+            assert unrolled != schedule and schedule != unrolled
+            assert unrolled == flat(schedule) and hash(unrolled) == hash(flat(schedule))
+            assert len({schedule, unrolled, flat(schedule)}) == 2
 
     def test_metadata_and_steps_both_count_for_equality(self):
         iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
         block = dict(iterate=iterate, spectrum=numeric_spectrum(iterate, GraphSize(8)))
         schedule = Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3, **block)
-        assert schedule == Schedule(iterate * 3 + (walk_step(1.0),), FinishingRule.COHERENT,
-                                    n=8, p=3)
+        again = Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3, **block)
+        assert schedule == again and hash(schedule) == hash(again)
+        unrolled = Schedule(iterate * 3 + (walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3)
+        assert schedule != unrolled and tuple(schedule.steps) == tuple(unrolled.steps)
         for other in (Schedule((walk_step(1.0),), FinishingRule.NONE, n=8, p=3, **block),
                       Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=12, p=3, **block),
                       Schedule((walk_step(1.5),), FinishingRule.COHERENT, n=8, p=3, **block),
@@ -881,12 +881,61 @@ class TestScheduleShape:
         with pytest.raises(ValueError, match="spectrum"):
             Schedule((walk_step(1.0),), FinishingRule.COHERENT, n=8, p=3, iterate=iterate)
 
+    @pytest.mark.parametrize("route", sorted(LARGE))
+    def test_equality_and_hash_never_walk_the_steps(self, monkeypatch, route):
+        # two schedules of up to 3.3 million steps (det at n = 2^40) compare
+        # by their block and tail, O(len(iterate) + len(tail))
+        build, n, _ = self.LARGE[route]
+        first, second = build(GraphSize(n)), build(GraphSize(n))
+        longer = dataclasses.replace(first, p=first.p + 1)
+
+        def refuse(self, *args):
+            raise AssertionError("the steps were walked")
+
+        monkeypatch.setattr(ScheduleSteps, "__iter__", refuse)
+        monkeypatch.setattr(ScheduleSteps, "__getitem__", refuse)
+        assert first is not second and first.p > 10 ** 5
+        assert route != "det" or len(first.steps) > 3 * 10 ** 6
+        assert first == second and hash(first) == hash(second)
+        assert first != longer and len({first, second, longer}) == 2
+
+    def test_iterate_must_lead_the_steps(self):
+        # the block and the tail are stored apart, so the steps always begin
+        # with the iterate; a block without p >= 1 repetitions, or without
+        # its spectrum, is refused
+        iterate = (oracle_step(np.pi), walk_step(np.pi / 2.0))
+        tail = (walk_step(1.0),)
+        spectrum = numeric_spectrum(iterate, GraphSize(8))
+        schedule = Schedule(tail, p=2, iterate=iterate, spectrum=spectrum)
+        assert schedule.iterate == iterate and tuple(schedule.steps) == iterate * 2 + tail
+        for p in (0, -1, None):
+            with pytest.raises(ValueError):
+                Schedule(tail, p=p, iterate=iterate, spectrum=spectrum)
+        with pytest.raises(ValueError, match="spectrum.*tail"):
+            Schedule(tail, p=2, iterate=iterate)
+
+    def test_spectrum_needs_an_iterate_and_leaves_equality_alone(self):
+        size = GraphSize(12)
+        built = sch.deterministic_schedule(size)
+        with pytest.raises(ValueError, match="spectrum"):
+            Schedule(built.tail, p=built.p, spectrum=built.spectrum)
+        with pytest.raises(ValueError, match="spectrum.*tail"):
+            Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
+                     p=built.p, iterate=built.iterate)
+        numeric = Schedule(built.tail, built.finishing_rule, n=12, variant=built.variant,
+                           p=built.p, iterate=built.iterate,
+                           spectrum=numeric_spectrum(built.iterate, size))
+        assert numeric.spectrum is not built.spectrum
+        assert numeric == built and hash(numeric) == hash(built)
+
     def test_hand_built_steps_are_all_tail(self):
         steps = (walk_step(0.5), oracle_step(1.0))
         schedule = Schedule(steps, p=7)
         assert schedule.tail == steps and schedule.iterate == ()
-        assert schedule.steps == steps and len(schedule.steps) == 2
+        assert tuple(schedule.steps) == steps and len(schedule.steps) == 2
         assert schedule.oracle_queries == 1
+        listed = Schedule(list(steps), p=7)
+        assert listed.tail == steps and listed == schedule and hash(listed) == hash(schedule)
 
 
 class TestSizeBounds:
