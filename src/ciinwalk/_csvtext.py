@@ -36,6 +36,12 @@ leading zeros left NUL.  A row of 2 ints and 5 floats is 26 words, copied
 from the planes into one (rows, 26) array; `bytes.translate` then drops the
 NUL bytes.
 
+Memory.  A block takes its temporaries from a `_Scratch`, which every
+later block of the same render reuses, so the render allocates them once,
+about 3.2 MB at 4,096 rows, and the allocator has none to give back to
+the system after each block and fault in again.  The text goes out in
+pieces of `_PIECE_ROWS` rows, so its two copies stay small.
+
 Byte order.  A word's first text byte is its low byte, and the tables are
 read back from bytes as native words, so the layout holds on little-endian
 machines only; importing the module elsewhere raises.
@@ -44,7 +50,9 @@ machines only; importing the module elsewhere raises.
 from __future__ import annotations
 
 import functools
+import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -55,6 +63,9 @@ _E16, _E17 = 10 ** 16, 10 ** 17
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for 53-bit significands
 _TIE = 2.0 ** -40  # fractions this close to 1/2 are left to `%.17g`
 _ZEROS = 0x3030303030303030  # '0' in every byte of a word
+# rows per bytes object of text: its two copies (the words' bytes, then
+# without their NULs) stay small beside a block's temporaries
+_PIECE_ROWS = 1024
 
 
 def _table(texts) -> np.ndarray:
@@ -101,7 +112,54 @@ _BCD_STEPS = ((109951163, 40, 0x00000000FFFFFFFF, 10_000, 32),
               (103, 10, 0x000F000F000F000F, 10, 8))
 
 
-def _bcd8(x: np.ndarray) -> None:
+class _Scratch:
+    """The temporaries of a block, taken in turn from byte buffers that are
+    kept from block to block, so a render allocates them once.
+
+    Calling it takes the next array; leaving `frame()` gives back every
+    array taken within it, so the buffers hold only the most that a block
+    holds at once.  A function takes its outputs before it opens its frame.
+    An array that would overrun a buffer starts the next one, which is
+    added, as large as all before it, where there is none.  Unless `keep`,
+    every array is taken new instead, where there is no next block to
+    reuse them.
+    """
+
+    def __init__(self, keep: bool = False) -> None:
+        self._keep = keep
+        self._buffers: list[np.ndarray] = []
+        self._top = (0, 0)  # the buffer and offset of the next array
+
+    def __call__(self, shape, dtype=np.float64) -> np.ndarray:
+        if not self._keep:
+            return np.empty(shape, dtype)
+        nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * np.dtype(dtype).itemsize
+        buffer, start = self._top
+        while buffer < len(self._buffers) and start + nbytes > len(self._buffers[buffer]):
+            buffer, start = buffer + 1, 0
+        if buffer == len(self._buffers):
+            self._buffers.append(np.empty(max(nbytes, sum(map(len, self._buffers))), np.uint8))
+        self._top = buffer, start + -(-nbytes // 64) * 64
+        return self._buffers[buffer][start:start + nbytes].view(dtype).reshape(shape)
+
+    def frame(self) -> _Frame:
+        return _Frame(self)
+
+
+class _Frame:
+    """Gives back, on exit, the arrays taken from a `_Scratch` since entry."""
+
+    def __init__(self, scratch: _Scratch) -> None:
+        self._scratch = scratch
+
+    def __enter__(self) -> None:
+        self._top = self._scratch._top
+
+    def __exit__(self, *exc) -> None:
+        self._scratch._top = self._top
+
+
+def _bcd8(x: np.ndarray, scratch: _Scratch | None = None) -> None:
     """Replace each uint64 x < 10^8 with its 8 decimal digits, one per byte,
     the first in the low byte (so the text's order in memory).
 
@@ -114,13 +172,16 @@ def _bcd8(x: np.ndarray) -> None:
     half, as (v << w) - q (d 2^w - 1).  No lane's product reaches the next
     lane, whose bits the mask drops from the quotients.
     """
-    for multiplier, shift, lanes, divisor, width in _BCD_STEPS:
-        q = x * multiplier
-        q >>= shift
-        q &= lanes
-        q *= divisor * 2 ** width - 1
-        x <<= width
-        x -= q
+    scratch = _Scratch() if scratch is None else scratch
+    with scratch.frame():
+        q = scratch(x.shape, np.uint64)
+        for multiplier, shift, lanes, divisor, width in _BCD_STEPS:
+            np.multiply(x, multiplier, out=q)
+            q >>= shift
+            q &= lanes
+            q *= divisor * 2 ** width - 1
+            x <<= width
+            x -= q
 
 
 # cached: s = 16 - e takes one value per decade of the doubles, about 635
@@ -140,13 +201,17 @@ def _pow10(s: int) -> tuple[float, float, int]:
     return hi, ((num << 52) - int(hi * 2.0 ** 52) * den) / (den << 52), a
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scaled = _SPLIT * x
-    high = scaled - (scaled - x)
-    return high, x - high
+def _split(x: np.ndarray, high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into high + low, written to the two arrays."""
+    np.multiply(x, _SPLIT, out=high)
+    np.subtract(high, x, out=low)
+    np.subtract(high, low, out=high)
+    np.subtract(x, high, out=low)
+    return high, low
 
 
-def _scaled(m: np.ndarray, e2: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(m: np.ndarray, e2: np.ndarray, e10: np.ndarray,
+            scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Floor and fraction of m 2^e2 10^(16 - e10), to within 2^-46 where it
     is below 10^17.
 
@@ -155,25 +220,44 @@ def _scaled(m: np.ndarray, e2: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray,
     has no fma); m lo, the rounding of the sums and lo itself each err by
     about 2^-105 of the product.
     """
-    s = 16 - e10
-    first = int(s.min())
-    table = np.zeros((3, int(s.max()) - first + 1))
-    for k in np.flatnonzero(np.bincount(s - first)):
-        table[:, k] = _pow10(first + int(k))
-    hi, lo, a = table.take(s - first, axis=1)
-    p = m * hi
-    m1, m2 = _split(m)
-    h1, h2 = _split(hi)
-    err = ((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2
-    e2 = e2 + a.astype(np.int32)
-    big = np.ldexp(p, e2)
-    whole = np.floor(big)
-    frac = (big - whole) + np.ldexp(err + m * lo, e2)
-    carry = np.floor(frac)
-    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry
+    n = len(m)
+    whole, frac = scratch(n, np.int64), scratch(n)
+    with scratch.frame():
+        s = np.subtract(16, e10, out=scratch(n, np.int64))
+        first = int(s.min())
+        # rows hi, lo, a, then hi's split: splitting hi per decade splits
+        # every value's hi
+        table = np.zeros((5, int(s.max()) - first + 1))
+        s -= first
+        for k in np.flatnonzero(np.bincount(s)):
+            table[:3, k] = _pow10(first + int(k))
+        _split(table[0], table[3], table[4])
+        hi = table[0].take(s, out=scratch(n), mode="clip")
+        np.multiply(m, hi, out=frac)  # p, then big, then the fraction
+        m1, m2 = _split(m, scratch(n), scratch(n))
+        h1 = table[3].take(s, out=hi, mode="clip")
+        h2 = table[4].take(s, out=scratch(n), mode="clip")
+        # ((m1 h1 - p) + m1 h2 + m2 h1) + m2 h2, summed in that order
+        err = np.multiply(m1, h1, out=scratch(n))
+        err -= frac
+        err += np.multiply(m1, h2, out=m1)
+        err += np.multiply(m2, h1, out=h1)
+        err += np.multiply(m2, h2, out=h2)
+        # the exponent a and lo go through the arrays of the split
+        e2 = np.add(e2, table[2].take(s, out=h1, mode="clip"), out=scratch(n, np.int32),
+                    casting="unsafe", dtype=np.int32)
+        big = np.ldexp(frac, e2, out=frac)
+        np.floor(big, out=whole, casting="unsafe")
+        big -= whole  # whole holds floor(big) exactly
+        err += np.multiply(m, table[1].take(s, out=h2, mode="clip"), out=h2)
+        frac += np.ldexp(err, e2, out=err)
+        carry = np.floor(frac, out=s, casting="unsafe")
+        whole += carry
+        frac -= carry
+    return whole, frac
 
 
-def _decade_shift(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
+def _decade_shift(whole: np.ndarray, frac: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """-1 where whole + frac < 10^16 - 0.05, +1 where it is >= 10^17 - 0.5,
     else 0.
 
@@ -181,33 +265,51 @@ def _decade_shift(whole: np.ndarray, frac: np.ndarray) -> np.ndarray:
     round to the same 17 digits (10^16 in the upper decade), so either
     decade is right there and the accepted range never rounds up to 10^17.
     """
-    return (((whole - _E17) + frac >= -0.5).astype(np.int64)
-            - ((whole - _E16) + frac < -0.05))
+    n = len(whole)
+    shift = scratch(n, np.int64)
+    with scratch.frame():
+        gap, total = scratch(n, np.int64), scratch(n)
+        up, down = scratch(n, bool), scratch(n, bool)
+        np.greater_equal(np.add(np.subtract(whole, _E17, out=gap), frac, out=total), -0.5, out=up)
+        np.less(np.add(np.subtract(whole, _E16, out=gap), frac, out=total), -0.05, out=down)
+        np.subtract(up, down, out=shift, dtype=np.int64)
+    return shift
 
 
-def float_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def float_digits(magnitude: np.ndarray,
+                 scratch: _Scratch | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of finite positive values as integers in
     [10^16, 10^17), their decimal exponents, and a mask of the values too
     close to a rounding tie (or a decade) for these digits to be sure."""
-    m, e2 = np.frexp(magnitude)
-    e10 = np.floor(np.log10(magnitude)).astype(np.int64)
-    whole, frac = _scaled(m, e2, e10)
-    # log10 can miss the decade by one next to a power of ten
-    rows = np.arange(len(magnitude))
-    shift = _decade_shift(whole, frac)
-    for _ in range(2):
-        rows, shift = rows[shift != 0], shift[shift != 0]
-        if not len(rows):
-            break
-        e10[rows] += shift
-        whole[rows], frac[rows] = _scaled(m[rows], e2[rows], e10[rows])
-        shift = _decade_shift(whole[rows], frac[rows])
-    unsure = abs(frac - 0.5) < _TIE
-    unsure[rows[shift != 0]] = True
-    return whole + (frac > 0.5), e10, unsure
+    scratch = _Scratch() if scratch is None else scratch
+    n = len(magnitude)
+    digits, e10, unsure = scratch(n, np.int64), scratch(n, np.int64), scratch(n, bool)
+    with scratch.frame():
+        m, e2 = np.frexp(magnitude, out=(scratch(n), scratch(n, np.int32)))
+        with scratch.frame():
+            np.floor(np.log10(magnitude, out=scratch(n)), out=e10, casting="unsafe")
+        whole, frac = _scaled(m, e2, e10, scratch)
+        # log10 can miss the decade by one next to a power of ten; the few
+        # values it misses are redone with temporaries of their own
+        with scratch.frame():
+            shift = _decade_shift(whole, frac, scratch)
+            rows = np.flatnonzero(shift)
+            shift = shift[rows]
+        for _ in range(2):
+            if not len(rows):
+                break
+            e10[rows] += shift
+            whole[rows], frac[rows] = _scaled(m[rows], e2[rows], e10[rows], _Scratch())
+            shift = _decade_shift(whole[rows], frac[rows], _Scratch())
+            rows, shift = rows[shift != 0], shift[shift != 0]
+        off = np.subtract(frac, 0.5, out=scratch(n))
+        np.less(np.abs(off, out=off), _TIE, out=unsure)
+        unsure[rows] = True
+        np.add(whole, np.greater(frac, 0.5, out=scratch(n, bool)), out=digits)
+    return digits, e10, unsure
 
 
-def _float_words(values: np.ndarray) -> np.ndarray:
+def _float_words(values: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """(4, 5, k) uint64: `'%.17g'` of each float64 of the (5, k) values,
     then a comma, or a newline after the last column, NUL-padded; the sign,
     digits and point in words 0-2, the exponent and separator in word 3.
@@ -217,48 +319,73 @@ def _float_words(values: np.ndarray) -> np.ndarray:
     """
     rows = values.shape[1]
     flat = values.ravel()
-    special = ~np.isfinite(flat)
-    zero = flat == 0.0
-    magnitude = abs(flat)
-    magnitude[zero | special] = 1.0
-    digits, e10, unsure = float_digits(magnitude)
-    digits[zero] = 0  # a zero's one digit is written as '0'
-    first, rest = np.divmod(digits.view(np.uint64), 10 ** 16)
-    bcd = np.empty((2, len(flat)), dtype=np.uint64)
-    np.divmod(rest, 10 ** 8, out=(bcd[0], bcd[1]))
-    _bcd8(bcd)
-    # the trailing zero digits of an 8-digit group are its top zero bytes;
-    # each byte is below 16, so the double nearest the word has the word's
-    # bit length as its frexp exponent
-    count = (np.frexp(bcd.astype(np.float64))[1] + 7) >> 3
-    e10 += 400
-    layout = _POINT.take(e10) + np.where(count[1], count[1] + 12, count[0] + 4)
-    e10[-rows:] += 800  # the last column's separator is the newline
-    bcd |= _ZEROS
-    words = np.empty((4, len(flat)), dtype=np.uint64)
-    # the 24 bytes: sign, '0000', the first digit, two groups of eight
-    # digits and two NULs; bytes 1-5 of the first word are '0' before the
-    # first digit goes into byte 5
-    text = words[:3]
-    sign = (flat.view(np.uint64) >> 63) * ord("-")
-    text[0] = sign | 0x0000303030303000 | first << 40 | bcd[0] << 48
-    text[1] = bcd[0] >> 16 | bcd[1] << 48
-    text[2] = bcd[1] >> 16
-    shifted = text << 8
-    shifted[1:] |= text[:-1] >> 56
-    mask = np.empty_like(shifted)
-    text &= _MASKS[0].take(layout, axis=1, out=mask, mode="clip")
-    shifted &= _MASKS[1].take(layout, axis=1, out=mask, mode="clip")
-    text |= shifted
-    text |= _MASKS[2].take(layout, axis=1, out=mask, mode="clip")
-    _EXPONENT.take(e10, out=words[3], mode="clip")
-    for i in (unsure | special).nonzero()[0]:
-        raw = b"%.17g" % flat[i] + (b"\n" if i >= len(flat) - rows else b",")
-        words[:, i] = np.frombuffer(raw.ljust(32, b"\0"), dtype=np.uint64)
+    n = len(flat)
+    # the digits first, then the words, so that the digits' temporaries
+    # are given back before the words are taken
+    special = np.isfinite(flat, out=scratch(n, bool))
+    np.logical_not(special, out=special)
+    zero = np.equal(flat, 0.0, out=scratch(n, bool))
+    magnitude = np.abs(flat, out=scratch(n))
+    np.copyto(magnitude, 1.0, where=zero)
+    np.copyto(magnitude, 1.0, where=special)
+    digits, e10, unsure = float_digits(magnitude, scratch)
+    np.copyto(digits, 0, where=zero)  # a zero's one digit is written as '0'
+    words = scratch((4, n), np.uint64)
+    with scratch.frame():
+        first = digits.view(np.uint64)
+        bcd = scratch((2, n), np.uint64)
+        with scratch.frame():
+            rest = scratch(n, np.uint64)
+            np.divmod(first, 10 ** 16, out=(first, rest))
+            np.divmod(rest, 10 ** 8, out=(bcd[0], bcd[1]))
+        _bcd8(bcd, scratch)
+        layout = _POINT.take(np.add(e10, 400, out=e10), out=scratch(n, np.int64), mode="clip")
+        with scratch.frame():
+            # the trailing zero digits of an 8-digit group are its top zero
+            # bytes; each byte is below 16, so the double nearest the word
+            # has the word's bit length as its frexp exponent
+            mantissa, count = scratch(n), scratch((2, n), np.int32)
+            for group, bits in zip(bcd, count):
+                np.frexp(group, out=(mantissa, bits))
+            count += 7
+            count >>= 3
+            count[0] += 4
+            long = np.not_equal(count[1], 0, out=scratch(n, bool))
+            np.add(count[1], 12, out=count[0], where=long)
+            layout += count[0]
+        e10[-rows:] += 800  # the last column's separator is the newline
+        bcd |= _ZEROS
+        # the 24 bytes: sign, '0000', the first digit, two groups of eight
+        # digits and two NULs; bytes 1-5 of the first word are '0' before
+        # the first digit goes into byte 5
+        text = words[:3]
+        np.right_shift(flat.view(np.uint64), 63, out=text[0])
+        text[0] *= ord("-")
+        text[0] |= 0x0000303030303000
+        text[0] |= np.left_shift(first, 40, out=first)
+        text[0] |= np.left_shift(bcd[0], 48, out=first)
+        np.right_shift(bcd[0], 16, out=text[1])
+        text[1] |= np.left_shift(bcd[1], 48, out=first)
+        np.right_shift(bcd[1], 16, out=text[2])
+        # last word first, so each word shifts in the top byte of the word
+        # before it while that is still unmasked
+        shifted, mask = scratch(n, np.uint64), scratch(n, np.uint64)
+        for j in (2, 1, 0):
+            np.left_shift(text[j], 8, out=shifted)
+            if j:
+                shifted |= np.right_shift(text[j - 1], 56, out=mask)
+            text[j] &= _MASKS[0, j].take(layout, out=mask, mode="clip")
+            shifted &= _MASKS[1, j].take(layout, out=mask, mode="clip")
+            text[j] |= shifted
+            text[j] |= _MASKS[2, j].take(layout, out=mask, mode="clip")
+        _EXPONENT.take(e10, out=words[3], mode="clip")
+        for i in np.flatnonzero(np.logical_or(unsure, special, out=unsure)):
+            raw = b"%.17g" % flat[i] + (b"\n" if i >= n - rows else b",")
+            words[:, i] = np.frombuffer(raw.ljust(32, b"\0"), dtype=np.uint64)
     return words.reshape(4, 5, rows)
 
 
-def _int_words(values: np.ndarray) -> np.ndarray:
+def _int_words(values: np.ndarray, scratch: _Scratch) -> np.ndarray:
     """(3, k) uint64: `'%d,' % v` of each int64 v, NUL-padded; the sign in
     the first byte, the digits right-aligned before the comma in the last.
 
@@ -266,29 +393,54 @@ def _int_words(values: np.ndarray) -> np.ndarray:
     down one byte; |v| <= 2^63 has at most 19 digits, so the byte shifted
     out is a zero.
     """
-    negative = values.view(np.uint64) >> 63
-    magnitude = np.abs(values).view(np.uint64)  # -2^63 wraps to 2^63 unsigned
-    groups = np.empty((3, len(values)), dtype=np.uint64)
-    rest, groups[2] = np.divmod(magnitude, 10 ** 8)
-    np.divmod(rest, 10 ** 8, out=(groups[0], groups[1]))
-    _bcd8(groups)
-    words = groups >> 8
-    words[:2] |= groups[1:] << 56
-    words |= _INT_ZEROS.take(np.searchsorted(_POWERS_U64, magnitude, side="right"), axis=1)
-    words[0] |= negative * ord("-")
+    n = len(values)
+    words = scratch((3, n), np.uint64)
+    with scratch.frame():
+        # -2^63 wraps to 2^63 unsigned
+        magnitude = np.abs(values, out=scratch(n, np.int64)).view(np.uint64)
+        groups = scratch((3, n), np.uint64)
+        rest = np.divmod(magnitude, 10 ** 8, out=(scratch(n, np.uint64), groups[2]))[0]
+        np.divmod(rest, 10 ** 8, out=(groups[0], groups[1]))
+        _bcd8(groups, scratch)
+        np.right_shift(groups, 8, out=words)
+        words[:2] |= np.left_shift(groups[1:], 56, out=groups[1:])
+        count = np.searchsorted(_POWERS_U64, magnitude, side="right")
+        words |= _INT_ZEROS.take(count, axis=1, out=groups, mode="clip")
+        words[0] |= np.multiply(np.right_shift(values.view(np.uint64), 63, out=rest), ord("-"),
+                                out=rest)
     return words
 
 
-def csv_lines(t, block: slice) -> bytes:
-    """The CSV rows of a block of samples of the `Trajectory` t, as ASCII."""
+def csv_blocks(t, rows: int) -> Iterator[bytes]:
+    """The CSV rows of the `Trajectory` t as ASCII, in blocks of `rows` rows,
+    each handed out in pieces of at most `_PIECE_ROWS` rows.
+
+    Every block takes its temporaries from one `_Scratch`, so only the
+    first block of several allocates them.
+    """
+    scratch = _Scratch(keep=len(t) > rows)
+    for start in range(0, len(t), rows):
+        with scratch.frame():
+            yield from _lines(t, slice(start, start + rows), scratch)
+
+
+def _lines(t, block: slice, scratch: _Scratch) -> Iterator[bytes]:
+    """The CSV rows of a block of samples of the `Trajectory` t, in pieces
+    of at most `_PIECE_ROWS` rows."""
     rows = len(t.step[block])
-    floats = _float_words(np.concatenate((t.probabilities[block].T,
-                                          t.walk_time_so_far[None, block])))
-    ints = _int_words(np.concatenate((t.step[block], t.queries_so_far[block]))).reshape(3, 2, rows)
+    values = scratch((5, rows))
+    values[:4] = t.probabilities[block].T
+    values[4] = t.walk_time_so_far[block]
+    counts = scratch((2, rows), np.int64)
+    counts[0] = t.step[block]
+    counts[1] = t.queries_so_far[block]
+    floats = _float_words(values, scratch)
+    ints = _int_words(counts.ravel(), scratch).reshape(3, 2, rows)
     # one row of 26 words: step, p1..p4, queries_so_far, walk_time_so_far
-    line = np.empty((rows, 26), dtype=np.uint64)
+    line = scratch((rows, 26), np.uint64)
     line[:, 0:3] = ints[:, 0].T
     line[:, 3:19].reshape(rows, 4, 4)[...] = floats[:, :4].transpose(2, 1, 0)
     line[:, 19:22] = ints[:, 1].T
     line[:, 22:26] = floats[:, 4].T
-    return line.tobytes().translate(None, b"\0")
+    for start in range(0, rows, _PIECE_ROWS):
+        yield line[start:start + _PIECE_ROWS].tobytes().translate(None, b"\0")

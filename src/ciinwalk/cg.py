@@ -8,6 +8,10 @@ and its same-side superposition with splitting 2/sqrt(n), so the success
 probability peaks near 1/2 at time pi/2 * sqrt(n); the far side of the graph
 stays essentially untouched.  The Laplacian convention would only add a
 global phase (the graph is regular), so the adjacency is used throughout.
+
+`cg_evolve` holds its output plus one block of samples (about 1 MB): it
+evolves the samples in the blocks of `dynamics._blocks`, whose docstring
+says why they keep the bits of a single pass.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RunReport, Trajectory, uniform_state
+from .dynamics import RunReport, Trajectory, _blocks, uniform_state
 from .graphs import GraphSize, reduced_adjacency
 
 
@@ -99,10 +103,12 @@ def cg_evolve(config: CGConfig, marked: int = 0) -> RunReport:
     energies, vectors = np.linalg.eigh(h)
     coeffs = vectors.T @ uniform_state(config.size)
     times = _sample_times(config.total_time, config.dt)
-    # states[:, k] = exp(-i H t_k) |s> in walk coordinates
-    states = vectors @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
-    probs = np.abs(states) ** 2
     count = len(times)
+    probs = np.empty((4, count))
+    for lo, hi in _blocks(count):
+        # exp(-i H t_k) |s> in walk coordinates, one block of samples at a time
+        phases = np.exp(-1j * np.outer(energies, times[lo:hi]))
+        probs[:, lo:hi] = np.abs(vectors @ (phases * coeffs[:, None])) ** 2
     return RunReport(
         trajectory=Trajectory(np.arange(count), probs.T, np.zeros(count, dtype=np.int64), times),
         final_success_probability=float(probs[0, -1]),

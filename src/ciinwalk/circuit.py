@@ -200,6 +200,9 @@ def compile_schedule(schedule: Schedule, m: int, marked: int = 0) -> CircuitProg
     Every oracle step becomes exactly one controlled-phase gate, so the
     gate-level query count equals the schedule's oracle step count (a
     measure-and-check confirmation stays classical and is not compiled).
+    The iterate is compiled once and its gates repeated p times, then the
+    tail's gates follow: the gates of `schedule.steps` in order, with
+    O(len(iterate) + len(tail)) fragments built.
     """
     n = 2 ** m
     if schedule.n is None or schedule.n != n:
@@ -207,10 +210,16 @@ def compile_schedule(schedule: Schedule, m: int, marked: int = 0) -> CircuitProg
             f"schedule metadata n={schedule.n} does not match 2^{m} = {n}; "
             "only power-of-two side sizes compile to circuits"
         )
+    repeats = schedule.p if schedule.iterate else 0
+    gates = _step_gates(schedule.iterate, m, marked) * repeats
+    return CircuitProgram(m + 1, gates + _step_gates(schedule.tail, m, marked))
+
+
+def _step_gates(steps, m: int, marked: int) -> tuple[Gate, ...]:
     gates: list[Gate] = []
-    for step in schedule.steps:
+    for step in steps:
         if step.kind is StepKind.WALK:
             gates.extend(walk_circuit(m, step.parameter).gates)
         else:
             gates.extend(oracle_circuit(m, marked, step.parameter).gates)
-    return CircuitProgram(m + 1, tuple(gates))
+    return tuple(gates)

@@ -415,14 +415,13 @@ class RunReport:
         block of `_CSV_BLOCK` rows is rendered in numpy by `_csvtext`, whose
         docstring gives the method.  Written to a file, each block goes out
         as soon as it is rendered, so memory stays in proportion to one
-        block; the bytes are those of the returned text.
+        block, whose temporaries every later block reuses; the bytes are
+        those of the returned text.
         """
-        from ._csvtext import csv_lines
+        from ._csvtext import csv_blocks
 
-        t = self.trajectory
         text = chain([",".join(self.CSV_HEADER).encode("ascii") + b"\n"],
-                     (csv_lines(t, slice(start, start + _CSV_BLOCK))
-                      for start in range(0, len(t), _CSV_BLOCK)))
+                     csv_blocks(self.trajectory, _CSV_BLOCK))
         if file is None:
             return b"".join(text).decode("ascii")
         file.writelines(text)
@@ -529,14 +528,18 @@ def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
 
 
 # index pairs per block in `walk_full` and `_split_full`: the 128 KiB blocks
-# that one pass touches (four at most) fit in L2 together
+# that one pass touches (four at most) fit in L2 together.  `cg.cg_evolve`
+# evolves its samples in the same blocks, not to fit L2 (a block's phases
+# alone are 512 KiB to 1 MiB) but because none is short, which keeps the
+# bits of one pass
 _WALK_BLOCK = 8192
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
     """The (lo, hi) ranges that cover [0, n) in blocks of `_WALK_BLOCK` index
-    pairs.  The last block runs to n, so it is the longest, and no block is
-    short: elementwise numpy loops can round a short tail differently."""
+    pairs or samples.  The last block runs to n, so it is the longest, and no
+    block is short: elementwise numpy loops can round a short tail
+    differently, and a one-column matrix product takes another path."""
     starts = range(0, max(n - _WALK_BLOCK + 1, 1), _WALK_BLOCK)
     return list(zip(starts, [*starts[1:], n]))
 

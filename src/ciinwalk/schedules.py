@@ -339,11 +339,12 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
     if n % 2 == 0:
         raise UnsupportedSizeError(f"odd-path schedule requires odd n, got {n}")
     if deterministic:
-        # the largest n tested; the unwinding walk, -pi n/4 as a double,
-        # costs 1 - P up to 1e-10 below about 2^36 and 9e-9 below this bound
-        if n > 2**40 + 1:
+        # the largest n where a dense sweep keeps the 1e-9 claim: the
+        # unwinding walk, -pi n/4 as a double, costs 1 - P up to 1e-10 below
+        # about 2^36, 5.6e-10 below this bound and 8.9e-9 below 2^40
+        if n > 2**38 + 1:
             raise UnsupportedSizeError(
-                f"deterministic odd-path schedule is tested up to n = 2^40 + 1, got {n}")
+                f"deterministic odd-path schedule is tested up to n = 2^38 + 1, got {n}")
         if p is None:
             p = odd_p_min(size)
         params = odd_params(size, p)

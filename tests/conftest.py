@@ -14,12 +14,13 @@ import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import tracemalloc  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from ciinwalk import dynamics  # noqa: E402
+from ciinwalk import circuit, dynamics  # noqa: E402
 from ciinwalk import schedules as sch  # noqa: E402
 from ciinwalk.dynamics import (  # noqa: E402
     FinishingRule,
@@ -49,6 +50,18 @@ def random_state(rng, dim):
 
 def fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+def traced_peak(call, *args, **kwargs):
+    """Run call(*args, **kwargs) under tracemalloc and return its result and
+    the peak of the memory traced meanwhile, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +265,18 @@ def run_stepwise(state, schedule, size, marked=0, sample_every=1):
         if index % sample_every == 0 or index == len(schedule.steps):
             samples.append((index, group_probabilities(state, size, marked)))
     return state, samples
+
+
+def compile_stepwise(schedule, m, marked=0):
+    """Reference compiler: one walk or oracle fragment per step of
+    `schedule.steps`, in order.  `compile_schedule` must give the same gates."""
+    gates = []
+    for step in schedule.steps:
+        if step.kind is StepKind.WALK:
+            gates.extend(circuit.walk_circuit(m, step.parameter).gates)
+        else:
+            gates.extend(circuit.oracle_circuit(m, marked, step.parameter).gates)
+    return circuit.CircuitProgram(m + 1, tuple(gates))
 
 
 def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis="walk"):

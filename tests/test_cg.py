@@ -5,6 +5,8 @@ from ciinwalk import cg, dynamics
 from ciinwalk.cg import CGConfig, cg_evolve, cg_hamiltonian, cg_prediction, rotation_pair_gap
 from ciinwalk.graphs import GraphSize, reduced_adjacency
 
+from conftest import traced_peak
+
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["gamma", "total_time", "dt"])
@@ -35,6 +37,28 @@ class TestTrajectoryColumns:
         assert np.array_equal(trajectory.walk_time_so_far, times)
         assert trajectory.step.tolist() == list(range(3001))
         assert not trajectory.queries_so_far.any()
+
+    @pytest.mark.parametrize("n", [4, 1024, 2 ** 40])
+    @pytest.mark.parametrize("r", [-1, 0, 1, 2])
+    def test_blocks_keep_the_bits_of_one_pass(self, n, r):
+        # two blocks of samples, the second one up to two samples longer
+        k = 2 * dynamics._WALK_BLOCK + r
+        config = CGConfig(GraphSize(n), 1.0 / n, (k - 1) * 0.37, 0.37)
+        trajectory = cg_evolve(config).trajectory
+        times, probabilities = reference_columns(config)
+        assert len(trajectory) == len(times) == k
+        assert trajectory.probabilities.tobytes() == probabilities.tobytes()
+
+    def test_holds_its_output_plus_one_block(self):
+        config = CGConfig(GraphSize(1024), 1.0 / 1024, 200_000 * 0.01, 0.01)
+        report, peak = traced_peak(cg_evolve, config)
+        t = report.trajectory
+        assert len(t) == 200_001
+        output = sum(column.nbytes for column in
+                     (t.step, t.probabilities, t.queries_so_far, t.walk_time_so_far))
+        # one pass over all samples takes about 16 MB more: (4, k) complex
+        # temporaries for the whole run
+        assert peak <= output + 2 * 2 ** 20
 
 
 class TestHamiltonian:

@@ -18,9 +18,9 @@ from ciinwalk.circuit import (
 from ciinwalk.dynamics import Schedule, apply_schedule, oracle_step, uniform_state, walk_full, walk_step
 from ciinwalk.errors import DimensionMismatchError, UnsupportedSizeError
 from ciinwalk.graphs import GraphSize
-from ciinwalk.schedules import deterministic_schedule
+from ciinwalk.schedules import approx_schedule, deterministic_schedule
 
-from conftest import FullAdjacency, random_state, run_stepwise
+from conftest import FullAdjacency, compile_stepwise, random_state, run_stepwise
 
 
 def dense_walk(m, t):
@@ -273,6 +273,17 @@ class TestCompileSchedule:
         a = compile_schedule(first, 3, marked=5)
         b = compile_schedule(second, 3, marked=5)
         assert [type(g) for g in a.gates] == [type(g) for g in b.gates]
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_block_compiled_once_gives_the_gates_of_every_step(self, m):
+        size = GraphSize(2 ** m)
+        built = [deterministic_schedule(size), approx_schedule(size),
+                 approx_schedule(size, finishing="none")]
+        for schedule in built:
+            assert schedule.iterate
+            for marked in (0, 5, 2 ** (m + 1) - 1):
+                program = compile_schedule(schedule, m, marked)
+                assert program == compile_stepwise(schedule, m, marked)
 
     def test_oracle_query_gates_match_schedule_steps(self):
         size = GraphSize(8)

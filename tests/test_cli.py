@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,6 +14,8 @@ from ciinwalk import dynamics, schedules
 from ciinwalk.cli import main
 from ciinwalk.dynamics import group_probabilities, marked_state, walk_full, walk_reduced
 from ciinwalk.graphs import GraphSize
+
+from conftest import traced_peak
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -201,12 +202,7 @@ class TestWriteReport:
         report = dynamics.RunReport(dynamics.Trajectory(counts[:, 0], values[:, :4],
                                                         counts[:, 1], values[:, 4]), 0.5, 7, 1.0)
         path = tmp_path / "trajectory.csv"
-        tracemalloc.start()
-        try:
-            ciinwalk.cli._write_report(report, path, "csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(ciinwalk.cli._write_report, report, path, "csv")
         # the text of one block at a time, not of the whole file
         assert peak < path.stat().st_size / 4
         assert path.read_bytes() == report.to_csv().encode("ascii")
@@ -500,6 +496,10 @@ class TestParserReuse:
 PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30"): {
         "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
+    },
+    # 25,001 samples: three blocks of `cg_evolve`, the last one longer
+    ("fig3-cg", "--N", "256", "--total-time", "250"): {
+        "fig3-cg.csv": "01e007c2df4399d7e55884d71acba11a5babe64b31567561a57f1457e134a1b6",
     },
     ("fig3-cg", "--N", "256", "--total-time", "30", "--format", "json"): {
         "fig3-cg.json": "d15e513cbee7525094f96d498d15d59c8e109cbb419a01877c4b460ef651a165",

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -50,6 +49,7 @@ from conftest import (
     reference_csv,
     reference_json,
     run_stepwise,
+    traced_peak,
 )
 
 
@@ -287,12 +287,7 @@ class TestObservables:
     def test_group_probabilities_square_one_half_at_a_time(self, rng):
         size = GraphSize(2 ** 14)
         state = random_state(rng, size.N)
-        tracemalloc.start()
-        try:
-            group_probabilities(state, size, marked=size.n + 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(group_probabilities, state, size, marked=size.n + 5)
         # one float buffer as long as a half; squaring the whole state at
         # once takes twice that
         assert peak <= 8 * size.n + 4096
@@ -526,12 +521,7 @@ class TestFullSpaceSplit:
         state = random_state(rng, size.N)
         longest = max(hi - lo for lo, hi in dynamics._blocks(n))
         assert longest < 2 * block
-        tracemalloc.start()
-        try:
-            dynamics._split_full(state, size, marked=n + 7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(dynamics._split_full, state, size, marked=n + 7)
         # two complex buffers of the longest block, plus a few small objects;
         # one half alone takes n * 16 bytes, eight times as much
         assert peak <= 2 * 16 * longest + 4096
@@ -1235,6 +1225,20 @@ class TestRunReportSerialization:
             assert 10 ** 16 - 1 <= scaled < 10 ** 17
             assert flagged == (abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 ** -40)
         assert 0 < unsure.sum() < len(values) // 10
+
+    def test_later_blocks_reuse_the_first_blocks_temporaries(self, rng):
+        count = 3 * dynamics._CSV_BLOCK
+        values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-30, 30, size=(count, 5))
+        counts = rng.integers(-2 ** 40, 2 ** 40, size=(count, 2))
+        trajectory = Trajectory(counts[:, 0], values[:, :4], counts[:, 1], values[:, 4])
+        pieces = _csvtext.csv_blocks(trajectory, dynamics._CSV_BLOCK)
+        first = len(next(pieces))
+        size, peak = traced_peak(lambda: first + sum(map(len, pieces)))
+        header, _, rows = reference_csv(RunReport(trajectory, 0.5, 7, 1.0)).partition("\n")
+        assert size == len(rows)
+        # only a piece of text at a time: a block that took temporaries of
+        # its own would peak near 3 MB
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_streamed_and_returned_text_match_at_block_edges(self, rng, extra):

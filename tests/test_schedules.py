@@ -811,7 +811,7 @@ class TestScheduleShape:
     # builder, side size n, and the documented query count for p iterations
     LARGE = {
         "det": (sch.deterministic_schedule, 2 ** 40, lambda p: 4 * p + 2),
-        "odd": (sch.odd_schedule, 2 ** 40 + 1, lambda p: 4 * p + 2),
+        "odd": (sch.odd_schedule, 2 ** 38 + 1, lambda p: 4 * p + 2),
         "odd-approx": (lambda size: sch.odd_schedule(size, deterministic=False), 2 ** 40 + 1,
                        lambda p: 2 * p + 1),
         "approx": (sch.approx_schedule, 2 ** 36, lambda p: 2 * p + 2),
@@ -941,8 +941,8 @@ class TestScheduleShape:
 class TestSizeBounds:
     @pytest.mark.parametrize("build, bound, lattice, text, miss", [
         (sch.deterministic_schedule, 2**60, 4, "up to n = 2^60,", 1e-10),
-        # the unwinding walk's rounding: 9.9e-10 at this bound
-        (sch.odd_schedule, 2**40 + 1, 2, "up to n = 2^40 + 1,", 1e-9),
+        # the unwinding walk's rounding: 3.8e-11 at this bound
+        (sch.odd_schedule, 2**38 + 1, 2, "up to n = 2^38 + 1,", 1e-10),
     ])
     def test_exact_routes_refuse_sizes_past_their_tested_bound(self, build, bound, lattice,
                                                                text, miss):
@@ -953,3 +953,10 @@ class TestSizeBounds:
         assert 1.0 - report.final_success_probability <= miss
         with pytest.raises(UnsupportedSizeError, match=re.escape(text)):
             build(GraphSize(bound + lattice))
+
+    # odd sizes below the old bound, 2^40 + 1, where the unwinding walk's
+    # rounding costs 1 - P = 1.2e-9 and 8.9e-9, past the 1e-9 claim
+    @pytest.mark.parametrize("n", [349_999_614_973, 1_095_327_574_687])
+    def test_odd_route_refuses_sizes_where_it_misses_the_claim(self, n):
+        with pytest.raises(UnsupportedSizeError, match=re.escape("up to n = 2^38 + 1,")):
+            sch.odd_schedule(GraphSize(n))
