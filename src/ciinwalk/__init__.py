@@ -24,7 +24,6 @@ from .dynamics import (
     apply_schedule,
     entangled_fidelity,
     marked_state,
-    measure_and_check,
     oracle_phase,
     success_probability,
     uniform_state,

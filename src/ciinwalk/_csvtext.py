@@ -36,11 +36,11 @@ leading zeros left NUL.  A row of 2 ints and 5 floats is 26 words, copied
 from the planes into one (rows, 26) array; `bytes.translate` then drops the
 NUL bytes.
 
-Memory.  A block takes its temporaries from a `_Scratch`, which every
-later block of the same render reuses, so the render allocates them once,
-about 3.2 MB at 4,096 rows, and the allocator has none to give back to
-the system after each block and fault in again.  The text goes out in
-pieces of `_PIECE_ROWS` rows, so its two copies stay small.
+Memory.  A block takes its temporaries from a `_Scratch`, one buffer sized
+from its row count (about 2.5 MB at 4,096 rows) that every block of the
+render reuses, so the allocator has none to give back to the system after
+each block and fault in again.  The text goes out in pieces of
+`_PIECE_ROWS` rows, so its two copies stay small.
 
 Byte order.  A word's first text byte is its low byte, and the tables are
 read back from bytes as native words, so the layout holds on little-endian
@@ -49,6 +49,7 @@ machines only; importing the module elsewhere raises.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -66,6 +67,10 @@ _ZEROS = 0x3030303030303030  # '0' in every byte of a word
 # rows per bytes object of text: its two copies (the words' bytes, then
 # without their NULs) stay small beside a block's temporaries
 _PIECE_ROWS = 1024
+# the most bytes a row's temporaries take at once in `_lines`, and the most
+# arrays held at once, each of which alignment can lengthen by 63 bytes
+_ROW_BYTES = 607
+_LIVE_ARRAYS = 19
 
 
 def _table(texts) -> np.ndarray:
@@ -113,50 +118,35 @@ _BCD_STEPS = ((109951163, 40, 0x00000000FFFFFFFF, 10_000, 32),
 
 
 class _Scratch:
-    """The temporaries of a block, taken in turn from byte buffers that are
-    kept from block to block, so a render allocates them once.
+    """The temporaries of a block of `rows` rows, taken in turn from one
+    byte buffer that every block of a render reuses, so a render allocates
+    them once.
 
-    Calling it takes the next array; leaving `frame()` gives back every
-    array taken within it, so the buffers hold only the most that a block
-    holds at once.  A function takes its outputs before it opens its frame.
-    An array that would overrun a buffer starts the next one, which is
-    added, as large as all before it, where there is none.  Unless `keep`,
-    every array is taken new instead, where there is no next block to
-    reuse them.
+    Calling it takes the next array, at a multiple of 64 bytes into the
+    buffer; leaving `frame()` gives back every array taken within it, so
+    the buffer needs only the most that a block holds at once: `_ROW_BYTES`
+    a row, plus the alignment.  A function takes its outputs before it
+    opens its frame.  An array that would overrun the buffer is taken new,
+    as is every array of a `_Scratch()` of no rows.
     """
 
-    def __init__(self, keep: bool = False) -> None:
-        self._keep = keep
-        self._buffers: list[np.ndarray] = []
-        self._top = (0, 0)  # the buffer and offset of the next array
+    def __init__(self, rows: int = 0) -> None:
+        self._buffer = np.empty(rows and rows * _ROW_BYTES + _LIVE_ARRAYS * 64, np.uint8)
+        self._top = 0  # the offset of the next array
 
     def __call__(self, shape, dtype=np.float64) -> np.ndarray:
-        if not self._keep:
-            return np.empty(shape, dtype)
         nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * np.dtype(dtype).itemsize
-        buffer, start = self._top
-        while buffer < len(self._buffers) and start + nbytes > len(self._buffers[buffer]):
-            buffer, start = buffer + 1, 0
-        if buffer == len(self._buffers):
-            self._buffers.append(np.empty(max(nbytes, sum(map(len, self._buffers))), np.uint8))
-        self._top = buffer, start + -(-nbytes // 64) * 64
-        return self._buffers[buffer][start:start + nbytes].view(dtype).reshape(shape)
+        start = self._top
+        if start + nbytes > len(self._buffer):
+            return np.empty(shape, dtype)
+        self._top = start + -(-nbytes // 64) * 64
+        return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
 
-    def frame(self) -> _Frame:
-        return _Frame(self)
-
-
-class _Frame:
-    """Gives back, on exit, the arrays taken from a `_Scratch` since entry."""
-
-    def __init__(self, scratch: _Scratch) -> None:
-        self._scratch = scratch
-
-    def __enter__(self) -> None:
-        self._top = self._scratch._top
-
-    def __exit__(self, *exc) -> None:
-        self._scratch._top = self._top
+    @contextlib.contextmanager
+    def frame(self) -> Iterator[None]:
+        top = self._top
+        yield
+        self._top = top
 
 
 def _bcd8(x: np.ndarray, scratch: _Scratch | None = None) -> None:
@@ -415,10 +405,10 @@ def csv_blocks(t, rows: int) -> Iterator[bytes]:
     """The CSV rows of the `Trajectory` t as ASCII, in blocks of `rows` rows,
     each handed out in pieces of at most `_PIECE_ROWS` rows.
 
-    Every block takes its temporaries from one `_Scratch`, so only the
-    first block of several allocates them.
+    Every block takes its temporaries from one `_Scratch` sized for a
+    block, so the render allocates them once.
     """
-    scratch = _Scratch(keep=len(t) > rows)
+    scratch = _Scratch(min(rows, len(t)))
     for start in range(0, len(t), rows):
         with scratch.frame():
             yield from _lines(t, slice(start, start + rows), scratch)

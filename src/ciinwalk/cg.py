@@ -116,20 +116,3 @@ def cg_evolve(config: CGConfig, marked: int = 0) -> RunReport:
         total_walk_time=float(config.total_time),
     )
 
-
-def rotation_pair_gap(size: GraphSize, gamma: float) -> float:
-    """Energy splitting of the two avoided-crossing eigenstates.
-
-    Identifies the pair by overlap with (|b1> -+ |b3>) / sqrt(2) rather than
-    by eigenvalue order, which is what the 2/sqrt(n) prediction refers to.
-    """
-    energies, vectors = np.linalg.eigh(cg_hamiltonian(size, gamma))
-    minus = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2)
-    plus = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
-    i_minus = int(np.argmax(np.abs(vectors.T @ minus)))
-    i_plus = int(np.argmax(np.abs(vectors.T @ plus)))
-    if i_minus == i_plus:
-        overlaps = np.abs(vectors.T @ plus)
-        overlaps[i_minus] = -1.0
-        i_plus = int(np.argmax(overlaps))
-    return float(abs(energies[i_plus] - energies[i_minus]))

@@ -44,10 +44,10 @@ sign of a zero imaginary part, which can change the sign of a zero
 coefficient but no probability.
 
 A `Schedule` stores its repeated block once: `iterate`, its count `p` and
-the `tail` that follows.  Its `steps` are a view of `iterate * p + tail`
-whose length costs O(1) and whose iteration builds no flat tuple, so
-building a schedule, counting its queries and asking for its length cost
-O(len(iterate) + len(tail)), not O(L).  `total_walk_time` is the
+the `tail` that follows, which is all that `apply_schedule` reads.  Its
+`steps` count `iterate * p + tail` in O(1) and iterate it with no flat
+tuple, so building a schedule, counting its queries and asking for its
+length cost O(len(iterate) + len(tail)), not O(L).  `total_walk_time` is the
 chronological sum of the walk times, the one the step loop adds, which a
 p-fold product would not round the same way; `_running_total` adds the
 block's p repeats in O(log p) with those bits, and adds with no builtin
@@ -79,16 +79,14 @@ run holds the text of one block, not of the whole trajectory; the CLI
 writes its CSV files that way.  The text is the same either way.
 
 At n = 2 a full state (N = 4) has the shape of a reduced one, so
-`apply_schedule`, `group_probabilities` and `measure_and_check` refuse
-n = 2 rather than guess.
+`apply_schedule` and `group_probabilities` refuse n = 2 rather than
+guess.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
@@ -140,59 +138,39 @@ class FinishingRule(Enum):
     COHERENT = "coherent"
 
 
-class ScheduleSteps(Sequence):
-    """Read-only chronological view of `iterate * p + tail`.
+class ScheduleSteps:
+    """Chronological steps of `iterate * p + tail`, never stored flat.
 
     `len()` costs O(1), and iteration walks the block p times and then the
-    tail without building the flat tuple.  An index gives one step, a slice
-    a tuple of steps.  The view defines no equality of its own: compare
-    `tuple(steps)`, or the `Schedule`s that own the views.
+    tail.  The view has no index, slice or equality of its own: read the
+    steps through `tuple(steps)`, or compare the `Schedule`s that own them.
     """
 
-    __slots__ = ("_iterate", "_p", "_tail", "_block")
+    __slots__ = ("_iterate", "_p", "_tail")
 
     def __init__(self, iterate, p, tail):
         self._iterate, self._tail = iterate, tail
         self._p = p if iterate else 0
-        self._block = len(iterate) * self._p
 
     def __len__(self) -> int:
-        return self._block + len(self._tail)
+        return len(self._iterate) * self._p + len(self._tail)
 
     def __iter__(self):
         return chain(chain.from_iterable(repeat(self._iterate, self._p)), self._tail)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._step, range(len(self))[index]))
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("schedule step index out of range")
-        return self._step(index)
-
-    def _step(self, index):
-        if index < self._block:
-            return self._iterate[index % len(self._iterate)]
-        return self._tail[index - self._block]
-
-    def __repr__(self) -> str:
-        return f"ScheduleSteps({self._iterate!r} * {self._p} + {self._tail!r})"
 
 
 @dataclass(frozen=True)
 class IterateSpectrum:
     """Closed-form eigendecomposition of an iterate, in dual coordinates.
 
-    The iterate's unitary is V diag(e^{i phases}) V^dagger, with V the
+    The iterate's unitary is V diag(e^{i phi}) V^dagger, with V the
     unitary `eigenstates` (one eigenvector per column).  The columns come
     in two pairs, (0, 1) and (2, 3), and each pair spans a plane that the
     iterate keeps, where it is a rotation times a phase: `angles` holds, per
     column, the centre of its pair (row 0) and its split (row 1), opposite
-    within a pair, and the eigenphases are their sums.  Kept apart, j times
-    a centre and j times a split round apart, so the phase between the
-    states of a pair after j iterates, 2 j split, keeps the relative
+    within a pair, and the eigenphases phi are their sums.  Kept apart,
+    j times a centre and j times a split round apart, so the phase between
+    the states of a pair after j iterates, 2 j split, keeps the relative
     precision of the split.  Columns 0 and 1 are the +- states of the
     rotation that the search route makes, whose split is `lambda_plus`.
     """
@@ -201,12 +179,8 @@ class IterateSpectrum:
     eigenstates: np.ndarray
     angles: np.ndarray
 
-    @property
-    def phases(self) -> np.ndarray:
-        return self.angles[0] + self.angles[1]
-
     def apply_powers(self, coeffs: np.ndarray, turns) -> np.ndarray:
-        """U^j c = V e^{i j phases} V^dagger c for dual coordinates c: shape
+        """U^j c = V e^{i j phi} V^dagger c for dual coordinates c: shape
         (4,) for one j, (4, k) for k of them.  V^dagger c is divided by the
         squared norms of V's columns as rounded: a column whose norm rounds
         off 1 would scale its share of the state."""
@@ -222,11 +196,12 @@ class Schedule:
 
     A schedule is a block of steps, `iterate`, repeated p times, then the
     steps of `tail`.  `steps` is the chronological `ScheduleSteps` view of
-    `iterate * p + tail`: steps[0] is applied first.  A builder records its
-    iterate, whose unitary is `schedule_matrix(iterate, size)`, with that
-    unitary's closed-form `spectrum`, and puts the tuning walk and the
-    finishing map in the tail.  An iterate and its spectrum come together:
-    either without the other is refused.  A hand-built
+    `iterate * p + tail`, with only a length and an iteration, the first
+    step applied first.  A builder records its iterate, whose unitary is
+    `schedule_matrix(iterate, size)`, with that unitary's closed-form
+    `spectrum`, and puts the tuning walk and the finishing map in the
+    tail.  An iterate and its spectrum come together: either without the
+    other is refused.  A hand-built
     `Schedule(steps, rule, ...)` has no iterate: its steps are all tail,
     and `p` is metadata only.  `n` and `variant` are metadata; the circuit
     compiler checks `n`.
@@ -833,13 +808,13 @@ def apply_schedule(
         walk_times.append(walk_time)
 
     record(0)
-    steps, last = schedule.steps, len(schedule.steps)
-    iterate, p = schedule.iterate, schedule.p
-    done, inside = 0, None
-    if iterate:
+    last = len(schedule.steps)
+    done = last - len(schedule.tail)  # the block's steps, none without an iterate
+    inside = None
+    if schedule.iterate:
         inside, (coeffs, queries, walk_time, tau) = _run_block(
-            coeffs, iterate, p, sample_every, dual, schedule.spectrum, sample_basis == "dual")
-        steps, done = schedule.tail, len(iterate) * p
+            coeffs, schedule.iterate, schedule.p, sample_every, dual, schedule.spectrum,
+            sample_basis == "dual")
         if done % sample_every == 0 or done == last:
             record(done)
     # C-ordered complex copies: the bits of the real matrix, no cast per step
@@ -847,7 +822,7 @@ def apply_schedule(
     from_dual = np.ascontiguousarray(dual.matrix, dtype=complex)
     walk_phases = {}
     oracle_phases = {}
-    for index, step in enumerate(steps, start=done + 1):
+    for index, step in enumerate(schedule.tail, start=done + 1):
         parameter = step.parameter
         if step.kind is StepKind.WALK:
             phases = walk_phases.get(parameter)
@@ -883,44 +858,3 @@ def apply_schedule(
         total_walk_time=walk_time,
     )
 
-
-def measure_and_check(
-    state: np.ndarray,
-    size: GraphSize,
-    marked: int,
-    rng: np.random.Generator,
-) -> tuple[int, bool]:
-    """Classical finish: measure, confirm with one oracle query, claim a vertex.
-
-    Measures the final distribution, queries the oracle on the outcome x, and
-    returns x if marked, else (x + n) mod N.  The boolean reports whether the
-    claimed vertex is in fact the marked one.
-    """
-    _check_unambiguous(size)
-    state = np.asarray(state)
-    marked = _check_vertex(size, marked)
-    if _is_reduced(state):
-        groups = np.abs(state) ** 2
-        groups = groups / groups.sum()
-        group = rng.choice(4, p=groups)
-        n = size.n
-        side, local = divmod(marked, n)
-        if group == 0:
-            outcome = marked
-        elif group == 1:
-            outcome = size.opposite(marked)
-        else:
-            # uniform over the n - 1 vertices of that side other than the
-            # marked vertex or its opposite, which share the index `local`
-            index = int(rng.integers(0, n - 1))
-            if index >= local:
-                index += 1
-            outcome = (side if group == 2 else 1 - side) * n + index
-    else:
-        prob = np.abs(state) ** 2
-        outcome = int(rng.choice(state.shape[0], p=prob / prob.sum()))
-    if outcome == marked:
-        claimed = outcome
-    else:
-        claimed = size.opposite(outcome)
-    return claimed, claimed == marked

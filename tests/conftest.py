@@ -10,17 +10,21 @@ import csv  # noqa: E402
 import dataclasses  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from functools import cached_property  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import sys  # noqa: E402
 import tracemalloc  # noqa: E402
 from fractions import Fraction  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from ciinwalk import circuit, dynamics  # noqa: E402
+from ciinwalk.cg import cg_hamiltonian  # noqa: E402
 from ciinwalk import schedules as sch  # noqa: E402
 from ciinwalk.dynamics import (  # noqa: E402
     FinishingRule,
@@ -28,6 +32,8 @@ from ciinwalk.dynamics import (  # noqa: E402
     RunReport,
     StepKind,
     Trajectory,
+    _check_unambiguous,
+    _is_reduced,
     group_probabilities,
     oracle_phase,
     success_probability,
@@ -36,6 +42,8 @@ from ciinwalk.dynamics import (  # noqa: E402
 )
 from ciinwalk.errors import DimensionMismatchError  # noqa: E402
 from ciinwalk.graphs import REDUCED_DIM, GraphSize, _check_vertex, dual_basis  # noqa: E402
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -50,6 +58,20 @@ def random_state(rng, dim):
 
 def fidelity(a, b):
     return abs(np.vdot(a, b)) ** 2
+
+
+def bench_module(name):
+    """The module bench/<name>.py, loaded once as `bench_<name>`; the bench
+    is no package, and its modules import `ciinwalk` from the path the
+    tests use."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules while the class is built
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def traced_peak(call, *args, **kwargs):
@@ -163,6 +185,71 @@ def xi_state(size: GraphSize, dual_coords: bool = False) -> np.ndarray:
     if dual_coords:
         return coeffs
     return dual_basis(size).from_dual(coeffs)
+
+
+def spectrum_phases(spectrum: IterateSpectrum) -> np.ndarray:
+    """The iterate's eigenphases phi, each the sum of its centre and split."""
+    return spectrum.angles[0] + spectrum.angles[1]
+
+
+def rotation_pair_gap(size: GraphSize, gamma: float) -> float:
+    """Energy splitting of the two avoided-crossing eigenstates.
+
+    Identifies the pair by overlap with (|b1> -+ |b3>) / sqrt(2) rather than
+    by eigenvalue order, which is what the 2/sqrt(n) prediction refers to.
+    """
+    energies, vectors = np.linalg.eigh(cg_hamiltonian(size, gamma))
+    minus = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2)
+    plus = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
+    i_minus = int(np.argmax(np.abs(vectors.T @ minus)))
+    i_plus = int(np.argmax(np.abs(vectors.T @ plus)))
+    if i_minus == i_plus:
+        overlaps = np.abs(vectors.T @ plus)
+        overlaps[i_minus] = -1.0
+        i_plus = int(np.argmax(overlaps))
+    return float(abs(energies[i_plus] - energies[i_minus]))
+
+
+def measure_and_check(
+    state: np.ndarray,
+    size: GraphSize,
+    marked: int,
+    rng: np.random.Generator,
+) -> tuple[int, bool]:
+    """Classical finish: measure, confirm with one oracle query, claim a vertex.
+
+    Measures the final distribution, queries the oracle on the outcome x, and
+    returns x if marked, else (x + n) mod N.  The boolean reports whether the
+    claimed vertex is in fact the marked one.
+    """
+    _check_unambiguous(size)
+    state = np.asarray(state)
+    marked = _check_vertex(size, marked)
+    if _is_reduced(state):
+        groups = np.abs(state) ** 2
+        groups = groups / groups.sum()
+        group = rng.choice(4, p=groups)
+        n = size.n
+        side, local = divmod(marked, n)
+        if group == 0:
+            outcome = marked
+        elif group == 1:
+            outcome = size.opposite(marked)
+        else:
+            # uniform over the n - 1 vertices of that side other than the
+            # marked vertex or its opposite, which share the index `local`
+            index = int(rng.integers(0, n - 1))
+            if index >= local:
+                index += 1
+            outcome = (side if group == 2 else 1 - side) * n + index
+    else:
+        prob = np.abs(state) ** 2
+        outcome = int(rng.choice(state.shape[0], p=prob / prob.sum()))
+    if outcome == marked:
+        claimed = outcome
+    else:
+        claimed = size.opposite(outcome)
+    return claimed, claimed == marked
 
 
 def every_builder(n):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ciinwalk.cg import CGConfig, cg_evolve, rotation_pair_gap
+from ciinwalk.cg import CGConfig, cg_evolve
 from ciinwalk.circuit import compile_schedule, reconstruct_unitary, simulate, walk_circuit
 from ciinwalk.dynamics import (
     StepKind,
@@ -28,7 +28,7 @@ from ciinwalk.errors import MappingUnavailableError
 from ciinwalk.graphs import GraphSize, dual_basis, reduced_adjacency
 from ciinwalk import schedules as sch
 
-from conftest import FullAdjacency, WalkBasis, random_state, reduce_operator
+from conftest import FullAdjacency, WalkBasis, random_state, reduce_operator, rotation_pair_gap
 
 
 def report(number, ok, detail):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ciinwalk import cg, dynamics
-from ciinwalk.cg import CGConfig, cg_evolve, cg_hamiltonian, cg_prediction, rotation_pair_gap
+from ciinwalk.cg import CGConfig, cg_evolve, cg_hamiltonian, cg_prediction
 from ciinwalk.graphs import GraphSize, reduced_adjacency
 
-from conftest import traced_peak
+from conftest import rotation_pair_gap, traced_peak
 
 
 class TestConfig:

@@ -23,7 +23,6 @@ from ciinwalk.dynamics import (
     entangled_fidelity,
     group_probabilities,
     marked_state,
-    measure_and_check,
     oracle_phase,
     oracle_step,
     success_probability,
@@ -44,11 +43,13 @@ from conftest import (
     exact_phases,
     fidelity,
     flat,
+    measure_and_check,
     numeric_spectrum,
     random_state,
     reference_csv,
     reference_json,
     run_stepwise,
+    spectrum_phases,
     traced_peak,
 )
 
@@ -980,7 +981,7 @@ class TestBlockSamples:
         dual = dual_basis(size)
         spectrum = sch.deterministic_schedule(size).spectrum
         states = spectrum.eigenstates
-        unitary = dual.from_dual(states @ np.diag(np.exp(1j * spectrum.phases))
+        unitary = dual.from_dual(states @ np.diag(np.exp(1j * spectrum_phases(spectrum)))
                                  @ states.conj().T @ dual.to_dual(np.eye(4)))
         vector = random_state(rng, 4)
         for stride in (1, 3):
@@ -1239,6 +1240,25 @@ class TestRunReportSerialization:
         # only a piece of text at a time: a block that took temporaries of
         # its own would peak near 3 MB
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("count", [1, 41, 1000, dynamics._CSV_BLOCK])
+    def test_a_block_takes_every_temporary_from_its_buffer(self, rng, count):
+        class Checked(_csvtext._Scratch):
+            def __call__(self, shape, dtype=np.float64):
+                array = super().__call__(shape, dtype)
+                assert np.shares_memory(array, self._buffer), "an array was taken new"
+                return array
+
+        values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-30, 30, size=(count, 5))
+        counts = rng.integers(-2 ** 40, 2 ** 40, size=(count, 2))
+        trajectory = Trajectory(counts[:, 0], values[:, :4], counts[:, 1], values[:, 4])
+        scratch = Checked(count)
+        text = b"".join(_csvtext._lines(trajectory, slice(0, count), scratch))
+        rows = reference_csv(RunReport(trajectory, 0.5, 7, 1.0)).partition("\n")[2]
+        assert text == rows.encode("ascii")
+        if count == dynamics._CSV_BLOCK:
+            # 607 bytes a row, plus 64 bytes of alignment for each live array
+            assert scratch._buffer.nbytes < 2.6e6
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_streamed_and_returned_text_match_at_block_edges(self, rng, extra):

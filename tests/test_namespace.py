@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "entangled_to_marked",
     "mapping_params",
     "marked_state",
-    "measure_and_check",
     "odd_p_min",
     "odd_params",
     "odd_schedule",
