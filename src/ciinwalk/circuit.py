@@ -3,11 +3,13 @@
 For N = 2^(m+1) vertices the CIIN adjacency splits into two commuting terms:
 a bit-flip coupling on the side wire (the interconnect matching) and a
 complete-graph term on the remaining m wires.  Both exponentiate exactly
-with a t-independent gate count: the side wire becomes H . R(0, 2t) . H
-(the scalar e^{it} from K = J - I is folded into the rotation), and the
-complete-graph term becomes a phase on the all-zeros state conjugated by
-Hadamards, which is the generalized diffusion layout.  The resulting circuit
-reproduces exp(-i t A_full) exactly, global phase included.
+with a t-independent gate count: the side wire becomes H . P(2t) . H, a
+phase on side bit 1 (the scalar e^{it} from K = J - I is folded into it),
+and the complete-graph term becomes a phase on the all-zeros state
+conjugated by Hadamards, which is the generalized diffusion layout.  The
+resulting circuit reproduces exp(-i t A_full) exactly, global phase
+included.  An oracle is one phase on the marked vertex's bits, so
+`Hadamard` and `ControlledPhase` are the only gate kinds.
 
 Wire 0 carries the side bit (most significant bit of the vertex index);
 wires 1..m carry the within-side index, most significant first.
@@ -32,34 +34,20 @@ class Hadamard:
 
 
 @dataclass(frozen=True)
-class TwoPhaseRotation:
-    """diag(e^{i theta}, e^{i phi}) on one wire."""
-
-    wire: int
-    theta: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class NotGate:
-    wire: int
-
-
-@dataclass(frozen=True)
 class ControlledPhase:
     """Multiply amplitudes matching `condition` by e^{i phase}.
 
     `condition` has one character per wire: '0' or '1' to constrain that
-    wire, '-' to leave it free.  An all-ones condition with X conjugation on
-    the zero bits realizes a vertex oracle; the free side wire with all-zero
-    walk register realizes the diffusion phase.
+    wire, '-' to leave it free.  The marked vertex's bits realize an
+    oracle, side bit 1 the side-wire walk phase, and the free side wire
+    with all-zero walk register the diffusion phase.
     """
 
     phase: float
     condition: str
 
 
-Gate = Hadamard | TwoPhaseRotation | NotGate | ControlledPhase
+Gate = Hadamard | ControlledPhase
 
 
 @dataclass(frozen=True)
@@ -80,6 +68,8 @@ class CircuitProgram:
                     )
                 if not set(gate.condition) <= CONDITION_CHARS:
                     raise ValueError(f"bad condition string {gate.condition!r}")
+            elif not isinstance(gate, Hadamard):
+                raise ValueError(f"unknown gate {gate!r}")
             elif not 0 <= gate.wire < self.num_wires:
                 raise ValueError(f"gate wire {gate.wire} out of range")
 
@@ -93,11 +83,7 @@ def walk_circuit(m: int, t: float) -> CircuitProgram:
     if m < 1:
         raise UnsupportedSizeError(f"walk circuit requires m >= 1, got {m}")
     top, _, turn, _ = dual_basis(GraphSize(2 ** m)).eigenphases(t).tolist()
-    gates: list[Gate] = [
-        Hadamard(0),
-        TwoPhaseRotation(0, 0.0, turn),
-        Hadamard(0),
-    ]
+    gates: list[Gate] = [Hadamard(0), ControlledPhase(turn, "1" + "-" * m), Hadamard(0)]
     gates += [Hadamard(w) for w in range(1, m + 1)]
     gates.append(ControlledPhase(top, "-" + "0" * m))
     gates += [Hadamard(w) for w in range(1, m + 1)]
@@ -105,14 +91,11 @@ def walk_circuit(m: int, t: float) -> CircuitProgram:
 
 
 def oracle_circuit(m: int, marked: int, theta: float) -> CircuitProgram:
-    """Phase e^{-i theta} on the marked vertex: X-conjugated controlled phase."""
+    """Phase e^{-i theta} on the marked vertex: one phase on its bits."""
     num_wires = m + 1
     if not 0 <= marked < 2 ** num_wires:
         raise IndexError(f"marked vertex {marked} out of range for {2 ** num_wires} vertices")
-    bits = format(marked, f"0{num_wires}b")
-    flips = [NotGate(w) for w, bit in enumerate(bits) if bit == "0"]
-    gates = flips + [ControlledPhase(-theta, "1" * num_wires)] + flips
-    return CircuitProgram(num_wires, tuple(gates))
+    return CircuitProgram(num_wires, (ControlledPhase(-theta, format(marked, f"0{num_wires}b")),))
 
 
 def _condition_slicer(condition: str):
@@ -167,24 +150,8 @@ def simulate(program: CircuitProgram, state: np.ndarray) -> np.ndarray:
             b = view[hi]
             view[lo] = (a + b) * inv_sqrt2
             view[hi] = (a - b) * inv_sqrt2
-        elif isinstance(gate, TwoPhaseRotation):
-            lo = [slice(None)] * program.num_wires
-            hi = list(lo)
-            lo[gate.wire], hi[gate.wire] = 0, 1
-            _rotate(view, tuple(lo), gate.theta)
-            _rotate(view, tuple(hi), gate.phi)
-        elif isinstance(gate, NotGate):
-            lo = [slice(None)] * program.num_wires
-            hi = list(lo)
-            lo[gate.wire], hi[gate.wire] = 0, 1
-            lo, hi = tuple(lo), tuple(hi)
-            tmp = view[lo].copy()
-            view[lo] = view[hi]
-            view[hi] = tmp
-        elif isinstance(gate, ControlledPhase):
-            _rotate(view, _condition_slicer(gate.condition), gate.phase)
         else:
-            raise TypeError(f"unknown gate {gate!r}")
+            _rotate(view, _condition_slicer(gate.condition), gate.phase)
     return out
 
 

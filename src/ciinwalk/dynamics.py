@@ -80,7 +80,9 @@ writes its CSV files that way.  The text is the same either way.
 
 At n = 2 a full state (N = 4) has the shape of a reduced one, so
 `apply_schedule` and `group_probabilities` refuse n = 2 rather than
-guess.
+guess.  `oracle_phase`, `success_probability` and `entangled_fidelity`
+take no size: they read a 4-vector as a reduced state and refuse a
+nonzero `marked` with it.
 """
 
 from __future__ import annotations
@@ -439,8 +441,14 @@ def _is_reduced(state: np.ndarray) -> bool:
 
 def _marked_index(state: np.ndarray, marked: int) -> int:
     """Index of the marked amplitude: 0 on a reduced state, else `marked`,
-    which must lie in [0, N) rather than wrap."""
+    which must lie in [0, N) rather than wrap.  A 4-vector is read as a
+    reduced state, so there `marked` must be 0."""
     if _is_reduced(state):
+        if marked != 0:
+            raise DimensionMismatchError(
+                f"marked vertex {marked} on a 4-vector: n = 2 is ambiguous, a full-space "
+                "state (N = 4) has the shape of a reduced one, whose marked vertex is 0"
+            )
         return 0
     if not 0 <= marked < state.shape[0]:
         raise IndexError(f"marked vertex {marked} out of range for N={state.shape[0]}")
@@ -582,8 +590,8 @@ def walk_full(state: np.ndarray, t: float, size: GraphSize) -> np.ndarray:
 def oracle_phase(state: np.ndarray, theta: float, marked: int = 0) -> np.ndarray:
     """Multiply the marked-vertex amplitude by exp(-i theta).
 
-    For reduced states the marked vertex is coordinate 0 by construction and
-    `marked` is ignored.
+    For reduced states the marked vertex is coordinate 0 by construction, so
+    with a 4-vector `marked` must be 0 (see `_marked_index`).
     """
     state = np.asarray(state, dtype=complex)
     out = state.copy()
@@ -617,10 +625,10 @@ def success_probability(state: np.ndarray, marked: int = 0) -> float:
 def entangled_fidelity(state: np.ndarray, marked: int = 0) -> float:
     """Squared overlap with (|marked> + |opposite>) / sqrt(2)."""
     state = np.asarray(state)
+    marked = _marked_index(state, marked)
     if _is_reduced(state):
         a, b = state[0], state[1]
     else:
-        marked = _marked_index(state, marked)
         n = state.shape[0] // 2
         a, b = state[marked], state[(marked + n) % state.shape[0]]
     return float(abs((a + b) / np.sqrt(2.0)) ** 2)

@@ -7,6 +7,7 @@ rounding residual of the nearest-integer iteration count, which keeps it
 above 1 - 1/n (and above 0.99) at n = 64, 256, 1024.
 """
 
+import math
 import time
 
 import numpy as np
@@ -108,20 +109,32 @@ def test_criterion_3_odd_path_exactness():
 
 
 def test_exact_routes_over_the_whole_domain():
-    # every size the exact routes accept up to 4096, at endpoint sampling
+    """Every size the exact routes accept up to 4096, at endpoint sampling.
+
+    Each route spends 4p + 2 queries; the ceiling in p puts that 0 to 4
+    (deterministic) and 1 to 5 (odd) above the paper's
+    ceil(pi/(2 sqrt 2) sqrt N), as README derives.
+    """
     start = time.perf_counter()
     worst, worst_at = -1.0, None
+    offsets = {}
     for route, sizes, build in (("deterministic", range(8, 4097, 4), sch.deterministic_schedule),
                                 ("odd", range(3, 4096, 2), sch.odd_schedule)):
+        offsets[route] = set()
         for n in sizes:
             size = GraphSize(n)
-            miss = 1.0 - run_schedule_reduced(size, build(size)).final_success_probability
+            schedule = build(size)
+            miss = 1.0 - run_schedule_reduced(size, schedule).final_success_probability
             if miss > worst:
                 worst, worst_at = miss, f"{route} n={n}"
+            paper = math.ceil(np.pi / (2.0 * np.sqrt(2.0)) * np.sqrt(size.N))
+            offsets[route].add(schedule.oracle_queries - paper)
     elapsed = time.perf_counter() - start
     report("2+3", worst <= 1e-12, f"3070 sizes, worst 1 - P = {worst:.2e} at {worst_at}, "
+                                  f"queries - ceil(pi/(2 sqrt 2) sqrt N) in {offsets}, "
                                   f"runtime={elapsed:.2f}s")
     assert worst <= 1e-12
+    assert offsets == {"deterministic": set(range(0, 5)), "odd": set(range(1, 6))}
     with pytest.raises(MappingUnavailableError):
         sch.deterministic_schedule(GraphSize(4))
 

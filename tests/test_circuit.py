@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,20 +9,33 @@ from ciinwalk.circuit import (
     CircuitProgram,
     ControlledPhase,
     Hadamard,
-    NotGate,
-    TwoPhaseRotation,
     compile_schedule,
     oracle_circuit,
     reconstruct_unitary,
     simulate,
     walk_circuit,
 )
-from ciinwalk.dynamics import Schedule, apply_schedule, oracle_step, uniform_state, walk_full, walk_step
+from ciinwalk.dynamics import (
+    Schedule,
+    apply_schedule,
+    oracle_phase,
+    oracle_step,
+    uniform_state,
+    walk_full,
+    walk_step,
+)
 from ciinwalk.errors import DimensionMismatchError, UnsupportedSizeError
 from ciinwalk.graphs import GraphSize
 from ciinwalk.schedules import approx_schedule, deterministic_schedule
 
 from conftest import FullAdjacency, compile_stepwise, random_state, run_stepwise
+
+
+@dataclass(frozen=True)
+class WiredGate:
+    """Not a gate kind of the circuit, though it has a wire."""
+
+    wire: int
 
 
 def dense_walk(m, t):
@@ -104,12 +119,27 @@ class TestOracleCircuit:
         with pytest.raises(IndexError):
             oracle_circuit(2, 8, 1.0)
 
-    def test_x_conjugation_structure(self):
-        program = oracle_circuit(2, 5, 0.3)  # 101 in binary: X on the middle wire
-        kinds = [type(g) for g in program.gates]
-        assert kinds == [NotGate, ControlledPhase, NotGate]
-        assert program.gates[0].wire == 1
-        assert program.gates[1].condition == "111"
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matches_oracle_phase_bit_for_bit(self, m, rng):
+        # from m = 2: at m = 1 a full state is a 4-vector, which oracle_phase
+        # reads as a reduced state
+        dim = 2 ** (m + 1)
+        thetas = [0.0, -0.0, np.pi, -np.pi, 0.3, -1.7, float(rng.uniform(-7.0, 7.0))]
+        for marked in range(dim):
+            for theta in thetas:
+                program = oracle_circuit(m, marked, theta)
+                state = random_state(rng, dim)
+                expected = oracle_phase(state, theta, marked)
+                assert simulate(program, state).tobytes() == expected.tobytes()
+                block = random_block(rng, dim, 3)
+                out = simulate(program, block)
+                for col in range(3):
+                    expected = oracle_phase(block[:, col], theta, marked)
+                    assert out[:, col].tobytes() == expected.tobytes()
+
+    def test_one_phase_on_the_marked_bits(self):
+        program = oracle_circuit(2, 5, 0.3)  # 101 in binary
+        assert program.gates == (ControlledPhase(-0.3, "101"),)
 
 
 class TestSimulate:
@@ -146,10 +176,10 @@ class TestSimulate:
         out = simulate(program, state)
         assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
 
-    def test_two_phase_rotation(self):
-        program = CircuitProgram(1, (TwoPhaseRotation(0, 0.4, -0.9),))
+    def test_phase_on_one_wire(self):
+        program = CircuitProgram(1, (ControlledPhase(-0.9, "1"),))
         out = simulate(program, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-        assert abs(out[0] - np.exp(0.4j) / np.sqrt(2)) < 1e-15
+        assert out[0] == 1 / np.sqrt(2)
         assert abs(out[1] - np.exp(-0.9j) / np.sqrt(2)) < 1e-15
 
 
@@ -190,14 +220,8 @@ class TestBatchedSimulate:
         for num_wires in (1, 2, 3):
             gates = []
             for _ in range(40):
-                kind = int(rng.integers(0, 4))
-                wire = int(rng.integers(0, num_wires))
-                if kind == 0:
-                    gates.append(Hadamard(wire))
-                elif kind == 1:
-                    gates.append(TwoPhaseRotation(wire, *rng.uniform(-7.0, 7.0, size=2)))
-                elif kind == 2:
-                    gates.append(NotGate(wire))
+                if rng.integers(0, 2) == 0:
+                    gates.append(Hadamard(int(rng.integers(0, num_wires))))
                 else:
                     condition = "".join(rng.choice(list("01-"), size=num_wires))
                     gates.append(ControlledPhase(float(rng.uniform(-7.0, 7.0)), condition))
@@ -291,12 +315,14 @@ class TestCompileSchedule:
         program = compile_schedule(schedule, 3)
         oracle_gates = [
             g for g in program.gates
-            if isinstance(g, ControlledPhase) and g.condition == "1" * 4
+            if isinstance(g, ControlledPhase) and "-" not in g.condition
         ]
         from ciinwalk.dynamics import StepKind
 
         oracle_steps = sum(1 for s in schedule.steps if s.kind is StepKind.ORACLE)
         assert len(oracle_gates) == oracle_steps == schedule.oracle_queries
+        walk_steps = len(schedule.steps) - oracle_steps
+        assert len(program.gates) == walk_steps * (2 * 3 + 4) + oracle_steps
 
 
 class TestCircuitProgram:
@@ -317,12 +343,11 @@ class TestCircuitProgram:
         (ControlledPhase(0.1, "0x"), "bad condition string '0x'"),
         (ControlledPhase(0.1, "2-"), "bad condition string '2-'"),
         (Hadamard(-1), "gate wire -1 out of range"),
-        (TwoPhaseRotation(2, 0.1, 0.2), "gate wire 2 out of range"),
-        (TwoPhaseRotation(-1, 0.1, 0.2), "gate wire -1 out of range"),
-        (NotGate(2), "gate wire 2 out of range"),
-        (NotGate(-1), "gate wire -1 out of range"),
+        ("x", "unknown gate 'x'"),
+        (WiredGate(0), r"unknown gate WiredGate\(wire=0\)"),
     ])
     def test_refuses_each_malformed_gate(self, gate, message):
-        # every gate kind is checked against the register, below and above it
+        # each gate kind is checked against the register, and an object of
+        # any other kind is refused, with or without a wire
         with pytest.raises(ValueError, match=message):
             CircuitProgram(2, (Hadamard(0), gate))

@@ -228,6 +228,18 @@ class TestOraclePhase:
         with pytest.raises(IndexError):
             oracle_phase(random_state(rng, 10), 0.5, marked=10)
 
+    def test_refuses_a_marked_vertex_on_a_4_vector(self):
+        # a full n = 2 state has the shape of a reduced one, whose marked
+        # vertex is coordinate 0: any other vertex is refused, not ignored
+        state = np.array([1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j])
+        for call in (lambda marked: oracle_phase(state, np.pi, marked),
+                     lambda marked: success_probability(state, marked),
+                     lambda marked: entangled_fidelity(state, marked)):
+            call(0)
+            for marked in (1, 3, 4, -1):
+                with pytest.raises(DimensionMismatchError, match="n = 2 is ambiguous"):
+                    call(marked)
+
 
 class TestObservables:
     def test_entangled_state_values(self):

@@ -78,11 +78,10 @@ class TestSiteFormulas:
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 63), t=TIMES)
     def test_walk_circuit_angles(self, m, t):
-        gates = circuit.walk_circuit(m, t).gates
-        rotation = next(g for g in gates if isinstance(g, circuit.TwoPhaseRotation))
-        phase = next(g for g in gates if isinstance(g, circuit.ControlledPhase))
-        assert same_bits(rotation.phi, 2.0 * t) and same_bits(rotation.theta, 0.0)
-        assert same_bits(phase.phase, -t * 2**m)
+        side, phase = (g for g in circuit.walk_circuit(m, t).gates
+                       if isinstance(g, circuit.ControlledPhase))
+        assert side.condition == "1" + "-" * m and same_bits(side.phase, 2.0 * t)
+        assert phase.condition == "-" + "0" * m and same_bits(phase.phase, -t * 2**m)
 
 
 # built before any patch, so that only the run forms phases under it
