@@ -110,8 +110,12 @@ def _write_report(report: RunReport, path: Path, fmt: str) -> None:
 
 
 def _write_table(rows, header, path: Path, fmt: str) -> None:
+    """Rows of ints, floats and bools as CSV, each float as '%.17g', which
+    round-trips a double, or as JSON, where each float is a number."""
     if fmt == "csv":
-        path.write_text("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+        path.write_text("".join(
+            ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in [header, *rows]))
     else:
         payload = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(payload, sort_keys=True, indent=2))
@@ -202,8 +206,8 @@ def _run_fig4(args) -> int:
                                 np.zeros(args.samples, dtype=np.int64), times)
         _write_report(RunReport(trajectory, float(probs[0, -1]), 0, float(args.t_max)),
                       _out_path(args), "csv")
-    else:  # the table's JSON, whose floats are strings
-        rows = [[index, *(format(p, ".17g") for p in column), 0, format(t, ".17g")]
+    else:
+        rows = [[index, *column, 0, t]
                 for index, (column, t) in enumerate(zip(probs.T.tolist(), times.tolist()))]
         _write_table(rows, RunReport.CSV_HEADER, _out_path(args), args.format)
     print(f"fig4-walk: N={size.N} samples={args.samples} max |p(2pi) - p(0)| = {drift:.3g}, "
@@ -285,7 +289,7 @@ def _run_sweep_determinism(args) -> int:
                                 sample_every=len(schedule.steps))
         final = report.final_success_probability
         worst = min(worst, final)
-        rows.append([n, schedule.p, format(final, ".17g")])
+        rows.append([n, schedule.p, final])
     _write_table(rows, ("n", "p", "final_probability"), _out_path(args), args.format)
     print(
         f"sweep-determinism: variant={args.variant} sizes={len(n_values)} "
@@ -305,10 +309,7 @@ def _run_sweep_queries(args) -> int:
         queries, walk_time = schedule.oracle_queries, schedule.total_walk_time
         ratio = queries / np.sqrt(size.N)
         last_ratio = ratio
-        rows.append(
-            [n, size.N, schedule.p, queries,
-             format(ratio, ".17g"), format(walk_time, ".17g")]
-        )
+        rows.append([n, size.N, schedule.p, queries, ratio, walk_time])
     _write_table(rows, ("n", "N", "p", "queries", "queries_per_sqrtN", "total_walk_time"),
                  _out_path(args), args.format)
     print(
@@ -366,8 +367,7 @@ def _run_verify_circuit(args) -> int:
     pipeline_ok = success >= 1.0 - 1e-9
     checks.append(("pipeline-success", m, success, pipeline_ok))
     ok &= pipeline_ok
-    rows = [[name, level, format(value, ".17g"), passed] for name, level, value, passed in checks]
-    _write_table(rows, ("check", "m", "value", "passed"), _out_path(args), args.format)
+    _write_table(checks, ("check", "m", "value", "passed"), _out_path(args), args.format)
     for name, level, value, passed in checks:
         print(f"verify-circuit: {name} (m={level}) value={value:.3g} "
               f"{'ok' if passed else 'FAILED'}")
@@ -417,7 +417,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--p", type=int, default=None, help="iteration count override")
         if name == "sweep-determinism":
             p.add_argument("--variant", choices=("deterministic", "odd"),
-                           default="deterministic", help="exact route to sweep")
+                           default="deterministic",
+                           help="exact route to sweep: deterministic for n = 0 mod 4, odd for "
+                                "odd n; n = 2 mod 4 has no exact route (use approx_schedule)")
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0,

@@ -47,30 +47,35 @@ A `Schedule` stores its repeated block once: `iterate`, its count `p` and
 the `tail` that follows, which is all that `apply_schedule` reads.  Its
 `steps` count `iterate * p + tail` in O(1) and iterate it with no flat
 tuple, so building a schedule, counting its queries and asking for its
-length cost O(len(iterate) + len(tail)), not O(L).  `total_walk_time` is the
-chronological sum of the walk times, the one the step loop adds, which a
-p-fold product would not round the same way; `_running_total` adds the
-block's p repeats in O(log p) with those bits, and adds with no builtin
-`sum`, which compensates from Python 3.12 on.
+length cost O(len(iterate) + len(tail)), not O(L).
+
+A walk time so far is the exact sum of |t| over the walk steps so far,
+rounded once to nearest, ties to even.  With D the largest denominator of
+the walk times' `as_integer_ratio()`, a power of two, every D |t| is an
+integer, so the sums are Python ints and one `int / int` true division,
+which CPython rounds correctly, gives the value.  So p repeats of the
+block add p S for its sum S, and `total_walk_time` costs
+O(len(iterate) + len(tail)) whatever p is.  A sum beyond the largest
+double reads inf, as IEEE rounding gives.
 
 A recorded iterate is never stepped.  A builder records its iterate's
 closed-form spectrum (`IterateSpectrum`: eigenstates V and eigenphases phi
 in dual coordinates), and the state after the block is
 V e^{i p phi} V^dagger c.  A sample inside the block, at step
 s = j len(iterate) + r, is P_r V e^{i j phi} V^dagger c, with P_r the fold
-of the iterate's first r steps; one array of exponents serves every j.  So
-a run costs O(len(iterate)) numpy calls, not O(len(iterate) p), and memory
-in proportion to its samples.  Each p phi is one rounded product, so the
-block's error does not grow with p; its walk phases take their multiples
-of pi exactly, where a fold of the float steps carries fl(pi) n in each.
-So a `Schedule` refuses an iterate without its spectrum; hand-built steps
-go in the tail.  Each sample's step and query count are exact, and its
-walk time is the step loop's chronological sum, bit for bit (`np.cumsum`
-adds in that order).  Its probabilities are not the loop's bit for bit,
-and the loop's fl(pi) n makes them differ by up to about 1e-11 at n near
-4096.  Only the tail, at most five steps for every builder, goes through
-the step loop, and so do hand-built schedules without a recorded
-iterate, bit for bit as before.
+of the iterate's first r steps; one array of exponents serves every j.  Its
+walk time is j S plus the exact sum of the iterate's first r walk times,
+rounded once.  So a run costs O(len(iterate)) numpy calls, not
+O(len(iterate) p), and time and memory in proportion to its samples.  Each
+p phi is one rounded product, so the block's error does not grow with p;
+its walk phases take their multiples of pi exactly, where a fold of the
+float steps carries fl(pi) n in each.  So a `Schedule` refuses an iterate
+without its spectrum; hand-built steps go in the tail.  Each sample's step,
+query count and walk time are those of the step loop.  Its probabilities
+are not the loop's bit for bit, and the loop's fl(pi) n makes them differ
+by up to about 1e-11 at n near 4096.  Only the tail, at most five steps
+for every builder, goes through the step loop, and so do hand-built
+schedules without a recorded iterate, bit for bit as before.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -91,7 +96,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import BinaryIO
 
 import numpy as np
@@ -115,6 +120,11 @@ class ScheduleStep:
 
     kind: StepKind
     parameter: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.parameter):
+            raise ValueError(f"a {self.kind.value} step needs a finite parameter, "
+                             f"got {self.parameter!r}")
 
 
 def walk_step(t: float) -> ScheduleStep:
@@ -248,78 +258,38 @@ class Schedule:
 
     @property
     def total_walk_time(self) -> float:
-        # a chronological sum: a p-fold product of the block's sum rounds
-        # differently
-        block = _running_total(0.0, _walk_lengths(self.iterate), self.p if self.iterate else 0)
-        return _running_total(block, _walk_lengths(self.tail))
+        """The exact sum of |t| over the walk steps of `steps`, rounded once
+        to nearest, ties to even: p times the iterate's exact sum plus the
+        tail's, in O(len(iterate) + len(tail)).  inf past the largest
+        double."""
+        scale, lengths = _time_units(chain(self.iterate, self.tail))
+        width = len(self.iterate)
+        block = self.p * sum(lengths[:width]) if self.iterate else 0
+        return _rounded(block + sum(lengths[width:]), scale)
 
 
 def _oracle_count(steps) -> int:
     return sum(1 for s in steps if s.kind is StepKind.ORACLE)
 
 
-def _walk_lengths(steps) -> list[float]:
-    return [abs(s.parameter) for s in steps if s.kind is StepKind.WALK]
+def _time_units(steps) -> tuple[int, list[int]]:
+    """The steps' walk times as exact ints: D, the largest denominator of
+    their `as_integer_ratio()`, a power of two, and D |t| for each step, 0
+    for an oracle step."""
+    ratios = [abs(s.parameter).as_integer_ratio() if s.kind is StepKind.WALK else (0, 1)
+              for s in steps]
+    scale = max((den for _, den in ratios), default=1)
+    return scale, [num * (scale // den) for num, den in ratios]
 
 
-def _running_total(total: float, values, repeats: int = 1) -> float:
-    """`total` plus `values` repeated `repeats` times, added one at a time
-    from left to right, as a loop of `+=` adds them, bit for bit.
-
-    The values must not be negative.  Stepping costs O(len(values)) per
-    repeat; this costs that per binade [2^(e-1), 2^e) the total passes
-    through, O(log) in `repeats`.  Inside one binade every double is a
-    multiple of one ulp u, so x + v rounds to x plus v rounded to a multiple
-    of u: a constant, unless v is a tie (an odd multiple of u/2), which
-    rounds to even and so depends on the parity of x/u.  So once one repeat
-    has run inside the binade, the increment per repeat is constant, or,
-    with a tie, the increment per two repeats is; each such increment is
-    measured by stepping, and the repeats that stay below 2^e are added in
-    one multiplication, which is exact there.
-    """
-    values = tuple(values)
-    ties = set()  # binade exponents at which some value is a tie
-    for value in values:
-        num, den = value.as_integer_ratio() if math.isfinite(value) else (0, 1)
-        if num:
-            ties.add((num & -num).bit_length() - den.bit_length() + 54)
-    floor = limit = 0.0  # the binade [floor, limit) of the total, once measured
-    while repeats:
-        start = total
-        for value in values:
-            total += value
-        repeats -= 1
-        if total == start:
-            break  # a repeat that adds nothing adds nothing again
-        if not floor <= start <= total < limit:
-            # a new binade: measure it on the next repeat; subnormal totals
-            # and the top binade are only stepped
-            exponent = math.frexp(total)[1]
-            floor = limit = 0.0
-            if -1021 <= exponent <= 1023:
-                limit = math.ldexp(1.0, exponent)
-                room = limit - limit * 2.0 ** -53  # the largest double below limit
-                floor, tie = 0.5 * limit, exponent in ties
-            continue
-        if tie:
-            later = total
-            for value in values * 2:
-                later += value
-            if later == total:
-                break  # so does the repeat after total, and every later one
-            if repeats < 2 or not later < limit:
-                continue
-            increment, period = later - total, 2
-        else:
-            increment, period = total - start, 1
-        # the repeats that keep the total below limit; both terms are
-        # multiples of the binade's ulp, so `//` is exact
-        count = int((room - total) // increment)
-        if count * period > repeats:
-            count = repeats // period
-        total += count * increment
-        repeats -= count * period
-    return total
+def _rounded(units: int, scale: int) -> float:
+    """units / scale rounded once to nearest, ties to even, as CPython's int
+    true division rounds it; inf past the largest double, where the
+    division raises."""
+    try:
+        return units / scale
+    except OverflowError:
+        return math.inf
 
 
 # rows per block in `RunReport.to_csv` and `RunReport.to_json`
@@ -700,7 +670,7 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
 
 
 def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis,
-               spectrum: IterateSpectrum, dual_samples: bool):
+               spectrum: IterateSpectrum, dual_samples: bool, lengths, scale: int):
     """Run a repeated block without stepping it.
 
     With L = len(iterate) and e = `sample_every`, the block is sampled at
@@ -713,20 +683,21 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
     coordinates when `dual_samples` and in walk coordinates otherwise,
     queries, walk times, signed walk times mod pi; None when no sample falls
     inside the block) and the state, queries, walk time and signed walk
-    time mod pi after the block.
+    time mod pi after the block.  Walk times come in and go out as exact
+    ints over `scale` (`_time_units`): `lengths` holds the iterate's.
     """
     width = len(iterate)
     # one iterate's accounting after each of its first r steps, r = 0..L
-    oracles, lengths, taus = [0], [], [0.0]
+    oracles, taus = [0], [0.0]
+    units = list(accumulate(lengths, initial=0))
     for step in iterate:
         walk = step.kind is StepKind.WALK
         oracles.append(oracles[-1] + (not walk))
-        lengths.append(abs(step.parameter) if walk else 0.0)
         taus.append((taus[-1] + step.parameter) % np.pi if walk else taus[-1])
+    block = units[-1]
     start = dual.to_dual(coeffs)
     end = dual.from_dual(spectrum.apply_powers(start, p))
-    after = (end, p * oracles[-1], _running_total(0.0, _walk_lengths(iterate), p),
-             (p * taus[-1]) % np.pi)
+    after = (end, p * oracles[-1], p * block, (p * taus[-1]) % np.pi)
     if sample_every >= width * p:
         return None, after
     stops = np.arange(sample_every, width * p, sample_every)
@@ -740,10 +711,10 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
         states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
     if not dual_samples:
         states = dual.from_dual(states)
-    # chronological sums of walk times, added in the step loop's order
-    elapsed = np.cumsum(np.tile(lengths, int(turns[-1]) + 1))
+    elapsed = [_rounded(j * block + units[r], scale)
+               for j, r in zip(turns.tolist(), offsets.tolist())]
     samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
-               elapsed[stops - 1], (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
+               elapsed, (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
     return samples, after
 
 
@@ -806,23 +777,25 @@ def apply_schedule(
     # step-loop samples, one entry per sample
     sampled, rows, query_counts, walk_times = [], [], [], []
     queries = 0
-    walk_time = 0.0
+    scale, lengths = _time_units(chain(schedule.iterate, schedule.tail))
+    width = len(schedule.iterate)
+    units = 0  # the exact walk time so far, over scale
     tau = 0.0  # signed total walk time mod pi: the complement's period
 
     def record(step_index):
         sampled.append(step_index)
         rows.append(probabilities(coeffs, tau))
         query_counts.append(queries)
-        walk_times.append(walk_time)
+        walk_times.append(_rounded(units, scale))
 
     record(0)
     last = len(schedule.steps)
     done = last - len(schedule.tail)  # the block's steps, none without an iterate
     inside = None
     if schedule.iterate:
-        inside, (coeffs, queries, walk_time, tau) = _run_block(
+        inside, (coeffs, queries, units, tau) = _run_block(
             coeffs, schedule.iterate, schedule.p, sample_every, dual, schedule.spectrum,
-            sample_basis == "dual")
+            sample_basis == "dual", lengths[:width], scale)
         if done % sample_every == 0 or done == last:
             record(done)
     # C-ordered complex copies: the bits of the real matrix, no cast per step
@@ -830,14 +803,14 @@ def apply_schedule(
     from_dual = np.ascontiguousarray(dual.matrix, dtype=complex)
     walk_phases = {}
     oracle_phases = {}
-    for index, step in enumerate(schedule.tail, start=done + 1):
+    for index, (step, length) in enumerate(zip(schedule.tail, lengths[width:]), start=done + 1):
         parameter = step.parameter
         if step.kind is StepKind.WALK:
             phases = walk_phases.get(parameter)
             if phases is None:
                 phases = walk_phases[parameter] = np.exp(1j * dual.eigenphases(parameter))
             _walk(coeffs, phases, to_dual, from_dual, out=coeffs)
-            walk_time += abs(parameter)
+            units += length
             tau = (tau + parameter) % np.pi
         else:
             phase = oracle_phases.get(parameter)
@@ -863,6 +836,6 @@ def apply_schedule(
         trajectory=Trajectory(*columns),
         final_success_probability=final,
         oracle_queries=queries,
-        total_walk_time=walk_time,
+        total_walk_time=_rounded(units, scale),
     )
 

@@ -124,10 +124,21 @@ def deterministic_p_min(size: GraphSize) -> int:
     )
 
 
+def _no_exact_route(route: str, sizes: str, n: int) -> UnsupportedSizeError:
+    """The refusal of an exact route at a size of the other class, or at
+    n = 2 mod 4, where no exact route exists and the approximate one is
+    the route to use."""
+    if n % 4 == 2:
+        use = "n = 2 mod 4 has no exact route; use approx_schedule"
+    else:
+        use = "use odd_schedule" if n % 2 else "use deterministic_schedule"
+    return UnsupportedSizeError(f"{route} requires {sizes}, got {n}: {use}")
+
+
 def deterministic_params(size: GraphSize, p: int) -> DeterministicParams:
     n = size.n
     if n % 4 != 0:
-        raise UnsupportedSizeError(f"deterministic schedule requires n = 0 mod 4, got {n}")
+        raise _no_exact_route("deterministic schedule", "n = 0 mod 4", n)
     p_min = deterministic_p_min(size)
     if p < p_min:
         raise ThetaNotRealError(f"p={p} is below p_min={p_min} for n={n}")
@@ -199,7 +210,7 @@ def odd_p_min(size: GraphSize) -> int:
 def odd_params(size: GraphSize, p: int) -> OddPathParams:
     n = size.n
     if n % 2 == 0:
-        raise UnsupportedSizeError(f"odd-path schedule requires odd n, got {n}")
+        raise _no_exact_route("odd-path schedule", "odd n", n)
     p_min = odd_p_min(size)
     if p < p_min:
         raise ThetaNotRealError(f"p={p} is below p_min={p_min} for n={n}")
@@ -337,7 +348,7 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
     """
     n = size.n
     if n % 2 == 0:
-        raise UnsupportedSizeError(f"odd-path schedule requires odd n, got {n}")
+        raise _no_exact_route("odd-path schedule", "odd n", n)
     if deterministic:
         # the largest n where a dense sweep keeps the 1e-9 claim: the
         # unwinding walk, -pi n/4 as a double, costs 1 - P up to 1e-10 below

@@ -369,7 +369,8 @@ def compile_stepwise(schedule, m, marked=0):
 def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis="walk"):
     """Reference 4-dim executor: `apply_schedule` stepping through the public
     `walk_reduced` and `oracle_phase`, one call per step, each with a fresh
-    phase.  `apply_schedule` must match it bit for bit.
+    phase, and adding the walk times as `Fraction`s, each sample's rounded
+    once by `float`.  `apply_schedule` must match it bit for bit.
     """
     coeffs = np.asarray(state, dtype=complex)
     if coeffs.shape == (4,):
@@ -379,7 +380,7 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
     dual = dual_basis(size)
     sampled, rows, query_counts, walk_times = [], [], [], []
     queries = 0
-    walk_time = 0.0
+    walk_time = Fraction(0)
     tau = 0.0
 
     def record(step_index):
@@ -393,13 +394,13 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
         sampled.append(step_index)
         rows.append(probs)
         query_counts.append(queries)
-        walk_times.append(walk_time)
+        walk_times.append(float(walk_time))
 
     record(0)
     for index, step in enumerate(schedule.steps, start=1):
         if step.kind is StepKind.WALK:
             coeffs = walk_reduced(coeffs, step.parameter, dual)
-            walk_time += abs(step.parameter)
+            walk_time += Fraction(abs(step.parameter))
             tau = (tau + step.parameter) % np.pi
         else:
             coeffs = oracle_phase(coeffs, step.parameter)
@@ -412,7 +413,7 @@ def apply_stepwise(state, schedule, size, sample_every=1, marked=0, sample_basis
         queries += 1
         final += float(group_probabilities(coeffs, size)[1])
     return RunReport(Trajectory(sampled, rows, query_counts, walk_times), final, queries,
-                     walk_time)
+                     float(walk_time))
 
 
 def trajectory_rows(report):

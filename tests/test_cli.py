@@ -47,6 +47,11 @@ class TestConfigHandling:
         assert code == 1
         assert "odd" in capsys.readouterr().err
 
+    def test_size_2_mod_4_names_the_approximate_route(self, tmp_path, monkeypatch, capsys):
+        code = run_in(tmp_path, monkeypatch, ["sweep-determinism", "--n-list", "10"])
+        assert code == 1
+        assert "n = 2 mod 4 has no exact route; use approx_schedule" in capsys.readouterr().err
+
     def test_approx_variant_has_no_determinism_sweep(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as info:
             run_in(
@@ -313,6 +318,32 @@ class TestExperiments:
         assert "walk-equivalence" in out and "pipeline-success" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig4-walk", "--n", "9", "--samples", "17"],
+    ["sweep-determinism", "--n-list", "8,12"],
+    ["sweep-queries", "--n-list", "64,256"],
+    ["verify-circuit", "--m-max", "2", "--trials", "2", "--pipeline-m", "3"],
+], ids=" ".join)
+def test_json_tables_write_the_numbers_of_their_csv_text(tmp_path, monkeypatch, argv):
+    # one table in both formats: the JSON holds numbers, whose '.17g' text
+    # is the CSV's
+    assert run_in(tmp_path, monkeypatch, argv) == 0
+    assert run_in(tmp_path, monkeypatch, [*argv, "--format", "json"]) == 0
+    with open(tmp_path / f"{argv[0]}.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    records = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert [sorted(record) for record in records] == [sorted(row) for row in rows]
+    for row, record in zip(rows, records):
+        for key, text in row.items():
+            value = record[key]
+            if key in ("check", "passed"):  # verify-circuit's name and verdict
+                assert text == str(value)
+            else:
+                assert type(value) in (int, float)
+                assert text == (format(value, ".17g") if type(value) is float else str(value))
+                assert float(text) == value
+
+
 class TestWalkUnitary:
     """verify-circuit's dense exp(-i t A) is one `walk_full` column, permuted;
     it equals the column-by-column build bit for bit."""
@@ -493,6 +524,12 @@ class TestParserReuse:
 # probabilities lie within 1e-13 of a 40-digit stepping
 # (`tests/test_dynamics.py`, `TestBlockSamples`), and within 3e-15 of one
 # whose iterate takes its multiples of pi exactly.
+# Walk times are exact sums rounded once (`test_walk_times_are_exact_sums`),
+# not chronological float sums: that moved the walk-time values of the
+# fig5-dual JSON, the fig6-compare deterministic CSV and both sweep-queries
+# files, and nothing else in them.  A table's JSON writes its floats as
+# numbers, not strings: that moved the fig4-walk and sweep-queries JSON
+# digests, and no value.
 PINNED_OUTPUTS = {
     ("fig3-cg", "--N", "256", "--total-time", "30"): {
         "fig3-cg.csv": "9803c006f9f67473d80f1c1e78713c688c2fb06ce906631d5a974e805943b49d",
@@ -508,16 +545,16 @@ PINNED_OUTPUTS = {
         "fig4-walk.csv": "df316634e2819756d7bd01db26589fc4eaeb492b7c9409bdac3528466c0d115b",
     },
     ("fig4-walk", "--n", "9", "--format", "json"): {
-        "fig4-walk.json": "56503949ba565784b8fe96f2fea8455322f9937a7a98d6f408c3a8e89730026b",
+        "fig4-walk.json": "e21bdbb6be354c8b1f53cbbb6041bc36e312af2a3d5230b54698deed5a180f6f",
     },
     ("fig5-dual", "--n", "64", "--format", "json"): {
-        "fig5-dual.json": "b48aea5b7efc340f5f76ad8981b23a8ac473b5538519e316f30313834d317d78",
+        "fig5-dual.json": "7d04dba1b7cde84dd40d1048aedeae2e480b6e3a835da200f9cbbe5b63f5c960",
     },
     ("fig6-compare", "--N", "24"): {
         "fig6-compare-approx.csv":
             "17373dc17885283c9710fd3e1e71200ab5ad037da05dc622418031ee8bed18b5",
         "fig6-compare-deterministic.csv":
-            "f5250a0d1eeb07f335e10167e2992f8f8f241e8e818229de7c74771f698991ca",
+            "c4b6600c49b89c6d3eec043266e1cb8e70c6881edabbf0537a8a01d334c43eb0",
     },
     ("fig7-oddpath", "--N", "130"): {
         "fig7-oddpath.csv": "3d5be7e69c8ab405ce621b4e69ef1bf9f594926ad78afce0968d572ac331b2f1",
@@ -531,10 +568,10 @@ PINNED_OUTPUTS = {
             "b0c578acc14d163831b50a238a0821f3deae57c722f6ad1195ef71dcbcc2e3cd",
     },
     ("sweep-queries",): {
-        "sweep-queries.csv": "634097cd3e6ff9d9c97380eb6781b2ff38d6dd7810bab3f602d8530f4ac853f1",
+        "sweep-queries.csv": "3549805c6c78f13e1e12dc10e8166f41349c7458ead45f17a65d41786eaed020",
     },
     ("sweep-queries", "--format", "json"): {
-        "sweep-queries.json": "643f9a53fc5522d57757e2950f0637ab3daa5cc8ce081fe8007da2a6f38223ab",
+        "sweep-queries.json": "17a1d3d9e03790bd143dc96e427ec729b43e3a7f792551352f11289de9bbcdb4",
     },
     ("verify-circuit", "--m-max", "3", "--trials", "2", "--pipeline-m", "4", "--seed", "7"): {
         "verify-circuit.csv": "6f73bcf66671aa4f9b17fc8d9aeeb6fe438036902e142a60794bbdfc0c9e2a23",

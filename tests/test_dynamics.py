@@ -1,7 +1,12 @@
 import csv
 import io
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ciinwalk
 from ciinwalk import _csvtext, dynamics
 from ciinwalk import schedules as sch
 from ciinwalk.cli import _bare, main
@@ -1035,34 +1041,88 @@ class TestBlockSamples:
                 assert len(walked) == sum(s.kind is StepKind.WALK for s in schedule.steps)
 
 
-class TestRunningTotal:
-    """`_running_total` jumps through each binade; `np.cumsum`, which adds
-    left to right, is the reference."""
+def exact_times(steps):
+    """Each step's |t| as a `Fraction`, 0 for an oracle step."""
+    return [Fraction(abs(s.parameter)) if s.kind is StepKind.WALK else Fraction(0)
+            for s in steps]
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        start=st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -52, 17.3, 2.0 ** 40 + 0.5,
-                                         5e-324, 1e300]),
-                        st.floats(0.0, 1e6)),
-        values=st.lists(st.one_of(
-            # ties: pi/2 is an odd multiple of half an ulp in [16, 32), and
-            # 2^-53 of half an ulp in [1, 2)
-            st.sampled_from([np.pi / 2, np.pi, 0.5, 1.5, 0.1, 1e-17, 2.0 ** -53, 2.0 ** -60,
-                             0.0, 2 * np.pi / 7, 1.0 + 2.0 ** -52, 1e-300, 5e-324]),
-            st.floats(0.0, 100.0)), max_size=6),
-        repeats=st.integers(0, 5000),
-    )
-    def test_matches_a_left_to_right_sum(self, start, values, repeats):
-        added = np.cumsum(np.concatenate(([start], np.tile(values, repeats))))[-1]
-        assert dynamics._running_total(start, values, repeats).hex() == float(added).hex()
 
-    def test_builder_walk_times(self):
-        # total_walk_time against the flat chronological sum, at sizes whose
-        # p reaches 10^4
-        for n in (12, 1024, 2 ** 20, 2 ** 28, 2 ** 28 + 1):
-            for schedule in every_builder(n):
-                lengths = [abs(s.parameter) for s in schedule.steps if s.kind is StepKind.WALK]
-                assert schedule.total_walk_time.hex() == float(np.cumsum(lengths)[-1]).hex()
+@pytest.mark.parametrize("n", [12, 1024, 2 ** 20, 2 ** 28, 2 ** 28 + 1, 2 ** 38 + 1, 2 ** 40])
+def test_walk_times_are_exact_sums(n):
+    # each walk time is the exact sum of the walk times so far, rounded
+    # once: the builders' totals, and every sample of sampled runs against
+    # `Fraction` prefix sums of the flat steps
+    size = GraphSize(n)
+    for schedule in every_builder(n):
+        exact = schedule.p * sum(exact_times(schedule.iterate)) + sum(exact_times(schedule.tail))
+        report = apply_schedule(uniform_state(size), schedule, size,
+                                sample_every=len(schedule.steps))
+        assert schedule.total_walk_time.hex() == report.total_walk_time.hex() == \
+            float(exact).hex()
+        if n > 2 ** 20:
+            continue
+        prefix = list(itertools.accumulate(exact_times(schedule.steps), initial=Fraction(0)))
+        width = len(schedule.iterate)
+        for every in (1, 3, width - 1, width + 1):
+            times = apply_schedule(uniform_state(size), schedule, size,
+                                   sample_every=every).trajectory
+            assert [t.hex() for t in times.walk_time_so_far.tolist()] == \
+                [float(prefix[s]).hex() for s in times.step.tolist()]
+
+
+def test_hand_built_walk_times_are_exact_sums():
+    # the smallest and a huge length: the sums need every bit down to 2^-1074
+    size = GraphSize(5)
+    tail = (walk_step(5e-324), oracle_step(0.5), walk_step(-1e300), walk_step(5e-324),
+            walk_step(1.0), walk_step(2.0 ** -53), walk_step(2.0 ** -53))
+    schedule = Schedule(tail)
+    report = apply_schedule(uniform_state(size), schedule, size)
+    prefix = list(itertools.accumulate(exact_times(tail), initial=Fraction(0)))
+    assert [t.hex() for t in report.trajectory.walk_time_so_far.tolist()] == \
+        [float(total).hex() for total in prefix]
+    assert schedule.total_walk_time == report.total_walk_time == float(prefix[-1])
+    # 1 + 2^-53 + 2^-53 is exact as a double, which no left-to-right float sum gives
+    short = Schedule(tail[4:])
+    assert short.total_walk_time == 1.0 + 2.0 ** -52
+
+
+def test_a_total_past_the_largest_double_is_inf():
+    size = GraphSize(5)
+    schedule = Schedule((walk_step(1e308), walk_step(1e308)))
+    with np.errstate(over="ignore", invalid="ignore"):  # such walks have NaN phases
+        report = apply_schedule(uniform_state(size), schedule, size)
+    assert schedule.total_walk_time == report.total_walk_time == math.inf
+    assert report.trajectory.walk_time_so_far.tolist() == [0.0, 1e308, math.inf]
+
+
+@pytest.mark.parametrize("make", [walk_step, oracle_step])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_steps_are_refused(make, value):
+    kind = make(0.0).kind.value
+    with pytest.raises(ValueError, match=f"{kind} step needs a finite parameter, got {value!r}"):
+        make(value)
+
+
+def test_block_samples_take_memory_in_proportion_to_their_count():
+    # four samples of a det 2^40 run (p = 411,775 iterates of 8 steps);
+    # per-step walk times of the block would take 26 MB
+    size = GraphSize(2 ** 40)
+    schedule = sch.deterministic_schedule(size)
+    report, peak = traced_peak(apply_schedule, uniform_state(size), schedule, size,
+                               sample_every=len(schedule.steps) // 2)
+    assert len(report.trajectory) == 4
+    assert peak < 2 ** 20
+
+
+def test_import_loads_no_exact_arithmetic_module():
+    # `fractions` and `decimal` cost milliseconds to import; the exact walk
+    # times are Python ints
+    code = ("import sys, ciinwalk, ciinwalk.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ciinwalk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSizeTwoRefused:

@@ -942,6 +942,16 @@ class TestSizeBounds:
         with pytest.raises(UnsupportedSizeError, match=re.escape(text)):
             build(GraphSize(bound + lattice))
 
+    @pytest.mark.parametrize("n", [10, 4094])
+    def test_sizes_2_mod_4_name_the_approximate_route(self, n):
+        size = GraphSize(n)
+        for build in (sch.deterministic_schedule, sch.odd_schedule,
+                      lambda size: sch.deterministic_params(size, 1),
+                      lambda size: sch.odd_params(size, 1)):
+            with pytest.raises(UnsupportedSizeError, match=re.escape(
+                    f"got {n}: n = 2 mod 4 has no exact route; use approx_schedule")):
+                build(size)
+
     # odd sizes below the old bound, 2^40 + 1, where the unwinding walk's
     # rounding costs 1 - P = 1.2e-9 and 8.9e-9, past the 1e-9 claim
     @pytest.mark.parametrize("n", [349_999_614_973, 1_095_327_574_687])
