@@ -18,6 +18,13 @@ drift after one 2*pi period, and the gap to the reduced data at sample
 verify-circuit compares each walk circuit with the dense exp(-i t A), which
 it builds from one `walk_full` column through the graph's automorphisms.
 
+sweep-determinism builds each size's schedule with the scalar builder and
+evaluates the sizes in chunks of `_SWEEP_CHUNK`, each chunk in one stacked
+pass of `dynamics._final_probabilities`, whose values are bit for bit those
+of an endpoint `apply_schedule` run per size.  So a long range holds one
+chunk of schedules at a time.  Its summary line gives the smallest final
+probability, and the largest 1 - P with the first n where it occurs.
+
 `main` builds its argument parser once per process, on the first call, and
 parses every later `argv` with that same parser.
 
@@ -44,6 +51,7 @@ from .dynamics import (
     FinishingRule,
     RunReport,
     Trajectory,
+    _final_probabilities,
     apply_schedule,
     entangled_fidelity,
     group_probabilities,
@@ -274,26 +282,39 @@ def _run_fig7(args) -> int:
     return 0
 
 
+# sizes per stacked pass of sweep-determinism.  A size holds about 2.5 kB
+# of schedule and 2 kB of stacked operands, so a chunk takes about 4.5 MB;
+# chunks of 8,192 sizes took 36 MB, twice the peak RSS of a 16,383-size
+# sweep, and ran no faster
+_SWEEP_CHUNK = 1024
+
+
+def _endpoint_rows(chunk, build):
+    """(n, p, final success probability) for each size of the chunk: its
+    schedules are built one by one and evaluated in one stacked pass."""
+    schedules = [build(GraphSize(n)) for n in chunk]
+    finals = _final_probabilities(schedules).tolist()
+    return zip(chunk, [schedule.p for schedule in schedules], finals)
+
+
 @_experiment("sweep-determinism")
 def _run_sweep_determinism(args) -> int:
     n_values = _parse_n_list(args.n_list) if args.n_list is not None else list(range(8, 65, 4))
-    rows = []
-    worst = 1.0
-    for n in n_values:
-        size = GraphSize(n)
-        if args.variant == "odd":
-            schedule = sch.odd_schedule(size, deterministic=True, p=args.p)
-        else:
-            schedule = sch.deterministic_schedule(size, args.p)
-        report = apply_schedule(uniform_state(size), schedule, size,
-                                sample_every=len(schedule.steps))
-        final = report.final_success_probability
-        worst = min(worst, final)
-        rows.append([n, schedule.p, final])
+    if args.variant == "odd":
+        build = functools.partial(sch.odd_schedule, deterministic=True, p=args.p)
+    else:
+        build = functools.partial(sch.deterministic_schedule, p=args.p)
+    # one chunk of schedules at a time
+    rows = [row for start in range(0, len(n_values), _SWEEP_CHUNK)
+            for row in _endpoint_rows(n_values[start:start + _SWEEP_CHUNK], build)]
     _write_table(rows, ("n", "p", "final_probability"), _out_path(args), args.format)
+    worst = min(1.0, min(final for _, _, final in rows))
+    # the first size with the largest miss
+    worst_n, _, worst_final = max(rows, key=lambda row: 1.0 - row[2])
     print(
         f"sweep-determinism: variant={args.variant} sizes={len(n_values)} "
-        f"min final probability={worst:.12f}"
+        f"min final probability={worst:.12f}, "
+        f"largest 1 - P = {1.0 - worst_final:.2e} at n={worst_n}"
     )
     return 0 if worst >= 1.0 - 1e-9 else VERIFICATION_FAILURE
 

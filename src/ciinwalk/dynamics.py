@@ -77,6 +77,12 @@ by up to about 1e-11 at n near 4096.  Only the tail, at most five steps
 for every builder, goes through the step loop, and so do hand-built
 schedules without a recorded iterate, bit for bit as before.
 
+A sweep that needs only final probabilities runs many schedules of one
+builder at once (`_final_probabilities`): a size axis leads every operand,
+through the block's stacked spectra and then each tail step, in one numpy
+call a step for all sizes.  Each value is bit for bit that of the
+schedule's own endpoint run of `apply_schedule`.
+
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
 Given a binary file, it writes each block's bytes there as it goes, so a
@@ -102,7 +108,16 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .graphs import REDUCED_DIM, DualBasis, GraphSize, _check_vertex, dual_basis
+from .graphs import (
+    REDUCED_DIM,
+    DualBasis,
+    GraphSize,
+    _check_vertex,
+    _dual_matrix,
+    _eigenphases,
+    _eigenvalues,
+    dual_basis,
+)
 
 
 class StepKind(Enum):
@@ -185,6 +200,10 @@ class IterateSpectrum:
     the states of a pair after j iterates, 2 j split, keeps the relative
     precision of the split.  Columns 0 and 1 are the +- states of the
     rotation that the search route makes, whose split is `lambda_plus`.
+
+    A spectrum may also stack the spectra of several iterates along leading
+    axes S: `eigenstates` of shape S + (4, 4), `angles` S + (2, 4) and
+    `lambda_plus` S.
     """
 
     lambda_plus: float
@@ -193,13 +212,25 @@ class IterateSpectrum:
 
     def apply_powers(self, coeffs: np.ndarray, turns) -> np.ndarray:
         """U^j c = V e^{i j phi} V^dagger c for dual coordinates c: shape
-        (4,) for one j, (4, k) for k of them.  V^dagger c is divided by the
-        squared norms of V's columns as rounded: a column whose norm rounds
-        off 1 would scale its share of the state."""
-        centre, split = np.exp(1j * np.multiply.outer(self.angles, turns))
-        left = self.eigenstates.conj().T
-        weights = left @ coeffs / (left @ self.eigenstates).diagonal().real
-        return self.eigenstates @ (centre * split * weights.reshape((4,) + (1,) * np.ndim(turns)))
+        (4,) for one j, (4, k) for k of them.  A stack takes c of shape
+        S + (4,) and turns of shape S + T, each iterate its own, and gives
+        S + (4,) + T; each iterate's slice has the bits of its own call, as
+        every product runs per slice with that call's operand layouts.
+        V^dagger c is divided by the squared norms of V's columns as
+        rounded: a column whose norm rounds off 1 would scale its share of
+        the state."""
+        lead = self.eigenstates.ndim - 2
+        turns = np.asarray(turns)
+        extra = (1,) * (turns.ndim - lead)
+        angles = self.angles.swapaxes(0, lead)  # centre and split first
+        turns = turns.reshape(turns.shape[:lead] + (1,) + turns.shape[lead:])
+        centre, split = np.exp(1j * (angles.reshape(angles.shape + extra) * turns))
+        left = self.eigenstates.conj().swapaxes(-1, -2)
+        weights = ((left @ coeffs[..., np.newaxis])[..., 0]
+                   / (left @ self.eigenstates).diagonal(0, -2, -1).real)
+        rotated = centre * split * weights.reshape(weights.shape + extra)
+        columns = rotated.reshape(rotated.shape[:lead + 1] + (-1,))
+        return (self.eigenstates @ columns).reshape(rotated.shape)
 
 
 @dataclass(frozen=True)
@@ -839,3 +870,64 @@ def apply_schedule(
         total_walk_time=_rounded(units, scale),
     )
 
+
+def _final_probabilities(schedules) -> np.ndarray:
+    """The final success probability of each schedule from the uniform
+    state, bit for bit `apply_schedule(uniform_state(size), schedule, size,
+    sample_every=len(schedule.steps)).final_success_probability`, in one
+    stacked pass over the schedules.
+
+    The schedules come from one builder: each has a recorded iterate, its
+    `n` and the COHERENT finishing rule, and all share one pattern of step
+    kinds; each has its own p and parameters.  A size axis leads every
+    operand, and each step is one stacked numpy call: the block through
+    the stacked spectra (`IterateSpectrum.apply_powers`), then each tail
+    step through `_walk` or the oracle.  Every matrix product runs per
+    size with the operand layouts of the run of one schedule, and every
+    elementwise operation is one rounded operation per entry, so each
+    size keeps its bits.  Two operations are spelt out instead: the
+    oracle's complex multiply on coefficient 0, in real operations, which
+    round as the scalar product of the step loop does, and the final
+    |c_0|^2, through the scalar `abs` and `**` of `success_probability`,
+    which numpy's array loops may round otherwise.
+    """
+    schedules = list(schedules)
+    if not schedules:
+        return np.empty(0)
+    pattern = [step.kind for step in chain(schedules[0].iterate, schedules[0].tail)]
+    for schedule in schedules:
+        if not schedule.iterate:
+            raise ValueError("a stacked evaluation needs a recorded iterate in every schedule")
+        if schedule.n is None:
+            raise ValueError("a stacked evaluation needs the size n of every schedule")
+        if schedule.finishing_rule is not FinishingRule.COHERENT:
+            raise ValueError(f"a stacked evaluation needs the COHERENT finishing rule, "
+                             f"got {schedule.finishing_rule.value}")
+        if [step.kind for step in chain(schedule.iterate, schedule.tail)] != pattern:
+            raise ValueError("a stacked evaluation needs one step pattern, but the "
+                             "schedules mix step patterns")
+    n = np.array([float(schedule.n) for schedule in schedules])[:, np.newaxis]
+    matrix = _dual_matrix(n[..., np.newaxis])
+    # the C-ordered complex copies of the step loop, one slice per size
+    to_dual = np.ascontiguousarray(np.swapaxes(matrix, -1, -2), dtype=complex)
+    from_dual = matrix.astype(complex)
+    uniform = np.ascontiguousarray(from_dual[..., :1])
+    spectra = IterateSpectrum(np.array([s.spectrum.lambda_plus for s in schedules]),
+                              np.stack([s.spectrum.eigenstates for s in schedules]),
+                              np.stack([s.spectrum.angles for s in schedules]))
+    block = spectra.apply_powers((to_dual @ uniform)[..., 0],
+                                 np.array([s.p for s in schedules]))
+    coeffs = from_dual @ block[..., np.newaxis]
+    eigenvalues = _eigenvalues(n)
+    head = coeffs[:, 0, 0]
+    for index, step in enumerate(schedules[0].tail):
+        parameters = np.array([s.tail[index].parameter for s in schedules])
+        if step.kind is StepKind.WALK:
+            phases = np.exp(1j * _eigenphases(eigenvalues, parameters))
+            _walk(coeffs, phases[..., np.newaxis], to_dual, from_dual, out=coeffs)
+        else:
+            phase = np.exp(-1j * parameters)
+            re, im = head.real.copy(), head.imag.copy()
+            head.real = re * phase.real - im * phase.imag
+            head.imag = re * phase.imag + im * phase.real
+    return np.array([float(abs(c) ** 2) for c in head])

@@ -91,30 +91,21 @@ class DualBasis:
     @cached_property
     def matrix(self) -> np.ndarray:
         """4 x 4 orthogonal matrix; columns are the dual vectors in walk coords."""
-        n = self.size.n
-        s = np.sqrt(n - 1.0)
-        return np.array(
-            [
-                [1.0, -1.0, s, -s],
-                [1.0, 1.0, -s, -s],
-                [s, -s, -1.0, 1.0],
-                [s, s, 1.0, 1.0],
-            ]
-        ) / np.sqrt(2.0 * n)
+        return _dual_matrix(float(self.size.n))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """(n, n-2, -2, 0), built once per instance and read-only."""
-        n = self.size.n
-        values = np.array([n, n - 2.0, -2.0, 0.0])
+        values = _eigenvalues(float(self.size.n))
         values.setflags(write=False)
         return values
 
     def eigenphases(self, times) -> np.ndarray:
         """The eigenphases -t lambda of exp(-i t A), one row per eigenvalue,
         for walk times of any shape.  Every walk phase of the package is
-        formed here; exp(1j * phase) has the bits of exp(-1j * t * lambda)."""
-        return np.multiply.outer(-self.eigenvalues, times)
+        formed here, by `_eigenphases`; exp(1j * phase) has the bits of
+        exp(-1j * t * lambda)."""
+        return _eigenphases(self.eigenvalues, times)
 
     def to_dual(self, state: np.ndarray) -> np.ndarray:
         """Walk-basis coordinates -> dual coordinates."""
@@ -123,6 +114,47 @@ class DualBasis:
     def from_dual(self, coeffs: np.ndarray) -> np.ndarray:
         """Dual coordinates -> walk-basis coordinates."""
         return self.matrix @ np.asarray(coeffs)
+
+
+# The closed forms of `DualBasis`, for a side size n as a float, or for an
+# array of floats that stacks sizes along leading axes S.  Each entry comes
+# from n through the same correctly rounded operations at every shape, so a
+# size in a stack gets the bits of its own `DualBasis`.
+
+# the dual vectors' entries: the constant ones, and the signs of the
+# sqrt(n - 1) ones; each entry has one of the two, so their sum is exact
+_UNIT_ENTRIES = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+_ROOT_SIGNS = np.array([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, -1.0],
+                        [1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+# (n, n-2, -2, 0) as n (1, 1, 0, 0) + (0, -2, -2, 0): the products and the
+# sums with zero are exact, and n + (-2) rounds as n - 2.0 does
+_EIGEN_SCALE = np.array([1.0, 1.0, 0.0, 0.0])
+_EIGEN_SHIFT = np.array([0.0, -2.0, -2.0, 0.0])
+
+
+def _dual_matrix(n) -> np.ndarray:
+    """The dual vectors as columns in walk coordinates, each entry +-1 or
+    +-sqrt(n - 1) over sqrt(2n).  n is a float, or an array of shape
+    S + (1, 1), which gives shape S + (4, 4)."""
+    return (_UNIT_ENTRIES + np.sqrt(n - 1.0) * _ROOT_SIGNS) / np.sqrt(2.0 * n)
+
+
+def _eigenvalues(n) -> np.ndarray:
+    """(n, n-2, -2, 0).  n is a float, or an array of shape S + (1,), which
+    gives shape S + (4,)."""
+    return n * _EIGEN_SCALE + _EIGEN_SHIFT
+
+
+def _eigenphases(eigenvalues: np.ndarray, times) -> np.ndarray:
+    """-t lambda, one row per eigenvalue.  One size's eigenvalues, shape
+    (4,), take walk times of any shape T and give shape (4,) + T.  A stack
+    of sizes' eigenvalues, shape S + (4,), takes one time per size, shape
+    S, and gives shape S + (4,).  Each phase is the one product
+    (-lambda) t."""
+    if eigenvalues.ndim == 1:
+        return np.multiply.outer(-eigenvalues, times)
+    return -eigenvalues * np.asarray(times)[..., np.newaxis]
 
 
 def dual_basis(size: GraphSize) -> DualBasis:

@@ -47,7 +47,7 @@ from .errors import (
     ThetaNotRealError,
     UnsupportedSizeError,
 )
-from .graphs import GraphSize, dual_basis
+from .graphs import DualBasis, GraphSize, dual_basis
 
 PI = math.pi
 
@@ -283,7 +283,8 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
     else:
         raise ValueError(f"unknown finishing mode {finishing!r}")
     return Schedule(tail, rule, n=size.n, variant="approx", p=params.p,
-                    iterate=_approx_steps(params), spectrum=_approx_spectrum(params))
+                    iterate=_approx_steps(params),
+                    spectrum=_approx_spectrum(params, dual_basis(size)))
 
 
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -332,7 +333,7 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
         variant="deterministic",
         p=params.p,
         iterate=iterate,
-        spectrum=_slowed_spectrum(n, params.theta),
+        spectrum=_slowed_spectrum(dual_basis(size), params.theta),
     )
 
 
@@ -407,7 +408,7 @@ def odd_schedule(size: GraphSize, deterministic: bool = True, p: int | None = No
 _HALF = math.sqrt(0.5)
 
 
-def _slowed_spectrum(n: int, theta: float) -> IterateSpectrum:
+def _slowed_spectrum(dual: DualBasis, theta: float) -> IterateSpectrum:
     """Spectrum of the deterministic iterate, U = W(pi/n) O(-theta) W(pi/2)
     O(-theta) W(pi/n) O(theta) W(pi/2) O(theta) as an operator product.
 
@@ -420,18 +421,20 @@ def _slowed_spectrum(n: int, theta: float) -> IterateSpectrum:
     diag(-1, 1) on (0, 3) and e^{2i pi/n} diag(-1, 1) on (1, 2), so the
     (1, 2) block is e^{4i pi/n} times the (0, 3) block: eigenphases
     +-lambda and 4 pi/n +- lambda, with the same eigenstates on each pair.
+    `dual` is the builder's `DualBasis` of the size n.
     """
+    n = dual.size.n
     lam = 2.0 * math.asin(2.0 * math.sqrt(n - 1.0) / n * math.sin(theta / 2.0))
     gamma = math.atan((n - 2.0) / n * math.tan(theta / 2.0))
     lead = cmath.exp(-1j * gamma) * _HALF
-    spin = 2.0 * dual_basis(GraphSize(n)).eigenphases(PI / n).item(2)
+    spin = 2.0 * dual.eigenphases(PI / n).item(2)
     states = [[lead, -lead, 0, 0], [0, 0, lead, -lead], [0, 0, _HALF, _HALF],
               [_HALF, _HALF, 0, 0]]
     return IterateSpectrum(lam, np.array(states, dtype=complex),
                            np.array([[0.0, 0.0, spin, spin], [lam, -lam, lam, -lam]]))
 
 
-def _approx_spectrum(params: ApproxParams) -> IterateSpectrum:
+def _approx_spectrum(params: ApproxParams, dual: DualBasis) -> IterateSpectrum:
     """Spectrum of the approximate iterate, W(t2) O(pi) W(t1) O(pi).
 
     W(t1) is diag(1, w, w, 1) in dual coordinates, w = e^{2i t1}, because
@@ -455,10 +458,10 @@ def _approx_spectrum(params: ApproxParams) -> IterateSpectrum:
     decides which eigenstate carries +lambda_+.  On (1, 2),
     Im x = 2 g sin t1 cos(tau/2) >= 0 and |y| = r sin t1 > 0, so the
     formulas divide by no small number; mu is not lambda_+ unless
-    n = 0 mod 4.
+    n = 0 mod 4.  `dual` is the builder's `DualBasis` of the size n.
     """
     n, t1, lam = params.n, params.t1, params.lambda_plus
-    minus_tau, _, double_t2, _ = dual_basis(GraphSize(n)).eigenphases(params.t2).tolist()
+    minus_tau, _, double_t2, _ = dual.eigenphases(params.t2).tolist()
     half = -minus_tau / 2.0
     turn = cmath.exp(-1j * half)
     below = 4 * nint(n / 4.0) < n

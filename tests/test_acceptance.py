@@ -18,6 +18,7 @@ from ciinwalk.cg import CGConfig, cg_evolve
 from ciinwalk.circuit import compile_schedule, reconstruct_unitary, simulate, walk_circuit
 from ciinwalk.dynamics import (
     StepKind,
+    _final_probabilities,
     apply_schedule,
     entangled_fidelity,
     oracle_phase,
@@ -109,28 +110,38 @@ def test_criterion_3_odd_path_exactness():
 
 
 def test_exact_routes_over_the_whole_domain():
-    """Every size the exact routes accept up to 4096, at endpoint sampling.
+    """Every size the exact routes accept up to 16,384, at endpoint sampling.
 
-    Each route spends 4p + 2 queries; the ceiling in p puts that 0 to 4
-    (deterministic) and 1 to 5 (odd) above the paper's
+    The sizes go through the stacked evaluation of `sweep-determinism`
+    (`dynamics._final_probabilities`), which must give each size the bits
+    of its own `apply_schedule` run; that is checked at the 3,070 sizes up
+    to 4096.  Each route spends 4p + 2 queries; the ceiling in p puts that
+    0 to 4 (deterministic) and 1 to 5 (odd) above the paper's
     ceil(pi/(2 sqrt 2) sqrt N), as README derives.
     """
     start = time.perf_counter()
     worst, worst_at = -1.0, None
     offsets = {}
-    for route, sizes, build in (("deterministic", range(8, 4097, 4), sch.deterministic_schedule),
-                                ("odd", range(3, 4096, 2), sch.odd_schedule)):
-        offsets[route] = set()
-        for n in sizes:
-            size = GraphSize(n)
-            schedule = build(size)
-            miss = 1.0 - run_schedule_reduced(size, schedule).final_success_probability
-            if miss > worst:
-                worst, worst_at = miss, f"{route} n={n}"
-            paper = math.ceil(np.pi / (2.0 * np.sqrt(2.0)) * np.sqrt(size.N))
-            offsets[route].add(schedule.oracle_queries - paper)
+    count = 0
+    for route, sizes, build in (("deterministic", range(8, 16385, 4), sch.deterministic_schedule),
+                                ("odd", range(3, 16384, 2), sch.odd_schedule)):
+        schedules = [build(GraphSize(n)) for n in sizes]
+        finals = _final_probabilities(schedules)
+        checked = [schedule for schedule in schedules if schedule.n <= 4096]
+        run = [run_schedule_reduced(GraphSize(schedule.n), schedule).final_success_probability
+               for schedule in checked]
+        assert finals[:len(checked)].tobytes() == np.array(run).tobytes()
+        misses = 1.0 - finals
+        at = int(np.argmax(misses))
+        if misses[at] > worst:
+            worst, worst_at = float(misses[at]), f"{route} n={sizes[at]}"
+        offsets[route] = {
+            schedule.oracle_queries
+            - math.ceil(np.pi / (2.0 * np.sqrt(2.0)) * np.sqrt(GraphSize(n).N))
+            for n, schedule in zip(sizes, schedules)}
+        count += len(sizes)
     elapsed = time.perf_counter() - start
-    report("2+3", worst <= 1e-12, f"3070 sizes, worst 1 - P = {worst:.2e} at {worst_at}, "
+    report("2+3", worst <= 1e-12, f"{count} sizes, worst 1 - P = {worst:.2e} at {worst_at}, "
                                   f"queries - ceil(pi/(2 sqrt 2) sqrt N) in {offsets}, "
                                   f"runtime={elapsed:.2f}s")
     assert worst <= 1e-12

@@ -291,6 +291,30 @@ class TestExperiments:
         assert len(lines) == 6
         assert "min final probability" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("variant, sizes", [("deterministic", range(8, 1025, 4)),
+                                                ("odd", range(3, 1024, 2))])
+    def test_sweep_determinism_names_its_worst_size(self, tmp_path, monkeypatch, capsys,
+                                                    variant, sizes):
+        n_list = f"{sizes[0]},{sizes[1]},...,{sizes[-1]}"
+        code = run_in(tmp_path, monkeypatch,
+                      ["sweep-determinism", "--variant", variant, "--n-list", n_list])
+        assert code == 0
+        # the largest miss, and the first size where it occurs, from one
+        # apply_schedule run per size
+        build = schedules.odd_schedule if variant == "odd" else schedules.deterministic_schedule
+        worst, worst_n = -1.0, None
+        for n in sizes:
+            size = GraphSize(n)
+            schedule = build(size)
+            miss = 1.0 - dynamics.apply_schedule(
+                dynamics.uniform_state(size), schedule, size,
+                sample_every=len(schedule.steps)).final_success_probability
+            if miss > worst:
+                worst, worst_n = miss, n
+        out = capsys.readouterr().out
+        assert out.endswith(f"min final probability={min(1.0, 1.0 - worst):.12f}, "
+                            f"largest 1 - P = {worst:.2e} at n={worst_n}\n")
+
     def test_sweep_determinism_odd_variant(self, tmp_path, monkeypatch):
         # unaligned progression end acts as an inclusive bound (9,13,17,...,23 -> ends at 21)
         code = run_in(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -917,6 +918,89 @@ class TestEndpointFold:
                         apply_schedule(state, schedule, size, sample_every=every,
                                        marked=int(rng.integers(0, size.N)) if len(state) > 4 else 0)
                         assert all(length < width for length in folded)
+
+
+def endpoint_probabilities(schedules):
+    """Each schedule's final success probability from the uniform state,
+    one `apply_schedule` run each."""
+    finals = []
+    for schedule in schedules:
+        size = GraphSize(schedule.n)
+        finals.append(apply_schedule(uniform_state(size), schedule, size,
+                                     sample_every=len(schedule.steps)).final_success_probability)
+    return np.array(finals)
+
+
+class TestStackedEndpoints:
+    """`dynamics._final_probabilities` runs the schedules of one builder
+    together, and must give each the bits of its own `apply_schedule` run."""
+
+    @pytest.mark.parametrize("route", ["deterministic", "odd"])
+    def test_p_override_sweeps_match_apply_schedule(self, route):
+        # p_min + 3 at every size, so p differs from schedule to schedule
+        if route == "odd":
+            schedules = [sch.odd_schedule(GraphSize(n), p=sch.odd_p_min(GraphSize(n)) + 3)
+                         for n in range(3, 1024, 2)]
+        else:
+            schedules = [sch.deterministic_schedule(
+                GraphSize(n), sch.deterministic_p_min(GraphSize(n)) + 3)
+                for n in range(8, 2049, 4)]
+        assert len({schedule.p for schedule in schedules}) > 10
+        stacked = dynamics._final_probabilities(schedules)
+        assert stacked.tobytes() == endpoint_probabilities(schedules).tobytes()
+
+    def test_a_cli_p_override_sweep_writes_the_apply_schedule_values(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-determinism", "--n-list", "8,12,...,64", "--p", "6"]) == 0
+        rows = list(csv.reader(io.StringIO(Path("sweep-determinism.csv").read_text())))[1:]
+        schedules = [sch.deterministic_schedule(GraphSize(int(n)), 6) for n, _, _ in rows]
+        written = np.array([float(final) for _, _, final in rows])
+        assert written.tobytes() == endpoint_probabilities(schedules).tobytes()
+
+    def test_an_empty_list_gives_an_empty_array(self):
+        finals = dynamics._final_probabilities([])
+        assert finals.shape == (0,) and finals.dtype == np.float64
+
+    @pytest.mark.parametrize("spoil, complaint", [
+        (flat, "recorded iterate"),
+        (lambda s: dataclasses.replace(s, n=None), "size n"),
+        (lambda s: dataclasses.replace(s, finishing_rule=FinishingRule.MEASURE_AND_CHECK),
+         "COHERENT finishing rule, got measure-and-check"),
+        (lambda s: dataclasses.replace(s, finishing_rule=FinishingRule.NONE),
+         "COHERENT finishing rule, got none"),
+    ], ids=["no iterate", "no n", "measure-and-check", "none"])
+    def test_refuses_a_schedule_it_cannot_stack(self, spoil, complaint):
+        good = [sch.deterministic_schedule(GraphSize(n)) for n in (8, 12, 16)]
+        for position in range(3):
+            schedules = list(good)
+            schedules[position] = spoil(schedules[position])
+            with pytest.raises(ValueError, match=complaint):
+                dynamics._final_probabilities(schedules)
+
+    def test_refuses_mixed_step_patterns(self):
+        det = sch.deterministic_schedule(GraphSize(8))
+        swapped = (det.tail[1],) + (det.tail[0],) + det.tail[2:]
+        mixes = [
+            # the approximate schedule's iterate and tail are shorter
+            dataclasses.replace(sch.approx_schedule(GraphSize(12)),
+                                finishing_rule=FinishingRule.COHERENT),
+            # one step kind out of place, in the tail or in the iterate
+            dataclasses.replace(sch.deterministic_schedule(GraphSize(12)), tail=swapped),
+            dataclasses.replace(sch.deterministic_schedule(GraphSize(12)),
+                                iterate=det.iterate[1:] + det.iterate[:1]),
+        ]
+        for other in mixes:
+            for schedules in ([det, other], [other, det]):
+                with pytest.raises(ValueError, match="mix step patterns"):
+                    dynamics._final_probabilities(schedules)
+
+    def test_routes_of_one_step_pattern_stack_together(self):
+        # the deterministic and odd routes share their pattern of kinds
+        schedules = [sch.deterministic_schedule(GraphSize(n)) for n in range(8, 200, 4)]
+        schedules[1::2] = [sch.odd_schedule(GraphSize(n)) for n in range(9, 200, 8)]
+        stacked = dynamics._final_probabilities(schedules)
+        assert stacked.tobytes() == endpoint_probabilities(schedules).tobytes()
 
 
 def mp_stepped_dual_probabilities(schedule, size, sample_every, digits=40):

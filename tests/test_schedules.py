@@ -283,7 +283,7 @@ class TestIterateSpectrum:
     @pytest.mark.parametrize("n", [5, 8, 9, 12, 30, 64])
     def test_approx_eigenphases_and_states(self, n):
         size = GraphSize(n)
-        spectrum = sch._approx_spectrum(sch.approx_params(size))
+        spectrum = sch._approx_spectrum(sch.approx_params(size), dual_basis(size))
         dual = dual_basis(size).matrix
         iterate = sch.schedule_matrix(sch.approx_schedule(size).iterate, size)
         block = (dual.T @ iterate @ dual)[np.ix_([0, 3], [0, 3])]
@@ -297,7 +297,7 @@ class TestIterateSpectrum:
         size = GraphSize(n)
         dual = dual_basis(size).matrix
         for theta in rng.uniform(0.05, np.pi, size=20):
-            spectrum = sch._slowed_spectrum(n, float(theta))
+            spectrum = sch._slowed_spectrum(dual_basis(size), float(theta))
             steps = sch._slowed_steps(n, float(theta)) + sch._slowed_steps(n, -float(theta))
             block = (dual.T @ sch.schedule_matrix(steps, size) @ dual)[np.ix_([0, 3], [0, 3])]
             self.check_block_spectrum(
@@ -327,17 +327,18 @@ class TestIterateSpectrum:
 
     def test_deterministic_theta_pi_lambda(self):
         n = 16
-        spectrum = sch._slowed_spectrum(n, np.pi)
+        spectrum = sch._slowed_spectrum(dual_basis(GraphSize(n)), np.pi)
         assert abs(spectrum.lambda_plus - 2 * np.arcsin(2 * np.sqrt(n - 1.0) / n)) < 1e-14
 
     def test_rotation_count_identity_n12(self):
         size = GraphSize(12)
         params = sch.deterministic_params(size, 2)
-        lam = sch._slowed_spectrum(12, params.theta).lambda_plus
+        lam = sch._slowed_spectrum(dual_basis(size), params.theta).lambda_plus
         assert abs(2 * lam - np.arccos(1 / np.sqrt(12))) < 1e-12
 
     def test_approx_small_angle_limit_n1024(self):
-        spectrum = sch._approx_spectrum(sch.approx_params(GraphSize(1024)))
+        size = GraphSize(1024)
+        spectrum = sch._approx_spectrum(sch.approx_params(size), dual_basis(size))
         assert abs(spectrum.lambda_plus - 2 * np.sqrt(1023.0) / 1024.0) < 1e-4
 
     @pytest.mark.parametrize("n", [*range(3, 41), 63, 64, 65, 66, 67, 255, 256, 257, 258,
@@ -366,15 +367,16 @@ class TestIterateSpectrum:
         size = GraphSize(n)
         det = sch.deterministic_schedule(size)
         theta = sch.deterministic_params(size, det.p).theta
-        lam = sch._slowed_spectrum(n, theta).lambda_plus
+        lam = sch._slowed_spectrum(dual_basis(size), theta).lambda_plus
         assert np.abs(np.exp(1j * spectrum_phases(det.spectrum)) - np.exp(1j * np.array(
             [lam, -lam, 4 * np.pi / n + lam, 4 * np.pi / n - lam]))).max() <= 1e-15
         approx = sch.approx_schedule(size)
         lam = sch.approx_params(size).lambda_plus
         assert np.abs(np.exp(1j * spectrum_phases(approx.spectrum)) - np.exp(1j * np.array(
             [lam - np.pi, np.pi - lam, 2 * np.pi / n + lam, 2 * np.pi / n - lam]))).max() <= 1e-14
-        for schedule, spectrum in ((det, sch._slowed_spectrum(n, theta)),
-                                   (approx, sch._approx_spectrum(sch.approx_params(size)))):
+        dual = dual_basis(size)
+        for schedule, spectrum in ((det, sch._slowed_spectrum(dual, theta)),
+                                   (approx, sch._approx_spectrum(sch.approx_params(size), dual))):
             assert schedule.spectrum.eigenstates.tobytes() == spectrum.eigenstates.tobytes()
 
 
