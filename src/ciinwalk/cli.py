@@ -20,10 +20,11 @@ it builds from one `walk_full` column through the graph's automorphisms.
 
 sweep-determinism builds each size's schedule with the scalar builder and
 evaluates the sizes in chunks of `_SWEEP_CHUNK`, each chunk in one stacked
-pass of `dynamics._final_probabilities`, whose values are bit for bit those
-of an endpoint `apply_schedule` run per size.  So a long range holds one
-chunk of schedules at a time.  Its summary line gives the smallest final
-probability, and the largest 1 - P with the first n where it occurs.
+pass of `dynamics._final_probabilities` through the runner that also steps
+every `apply_schedule` run, so each value is bit for bit that of an
+endpoint run per size.  A long range holds one chunk of schedules at a
+time.  Its summary line gives the smallest final probability, and the
+largest 1 - P with the first n where it occurs.
 
 `main` builds its argument parser once per process, on the first call, and
 parses every later `argv` with that same parser.

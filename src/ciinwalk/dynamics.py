@@ -19,7 +19,7 @@ exactly-zero component, which no probability sees.
 
 `apply_schedule` runs an L-step schedule on a full-space state in O(N + L),
 not O(N L).  It projects the state once onto the walk basis of the marked
-vertex and runs the same 4-dim step loop as for reduced states.  The
+vertex and runs the same 4-dim steps as for reduced states.  The
 complement of the walk subspace holds no amplitude on the marked vertex, so
 every oracle leaves it alone, and it lies in the adjacency eigenspaces 0
 (side-symmetric part) and -2 (side-antisymmetric part).  After a signed
@@ -34,14 +34,19 @@ and <b, a> and returns (||a||^2 + ||b||^2)/2 and
 (||a||^2 - ||b||^2)/4 + i Im<b, a>/2, which equal the three scalars for
 sym = (a + b)/2 and asym = (a - b)/2; so it builds no full-length array.
 
-The step loop computes exp(-i t lambda) once per distinct walk time and
-exp(-i theta) once per distinct oracle angle, and updates its own copy of
-the 4 coefficients in place.  Each step runs the numpy operations of the
-public `walk_reduced` and `oracle_phase`, in the same operand order, so its
-outputs are bit-identical to stepping through those functions.  A cache
-keyed by a float merges 0.0 and -0.0; their phases can differ only in the
-sign of a zero imaginary part, which can change the sign of a zero
-coefficient but no probability.
+One private runner, `_run_stack`, steps every 4-dim state: a run of
+`apply_schedule` hands it one, and a sweep that needs only final
+probabilities (`_final_probabilities`) a chunk of sizes from the uniform
+state.  It runs k states under k schedules of one pattern of step kinds,
+k along a leading axis of every operand (none for one state): the block
+through the stacked spectra, then each walk step of the tail in one numpy
+call for the whole stack and each oracle step in float arithmetic on each
+state's coefficient 0.  No state's bits depend on the stack around it,
+and each step has the bits of the public `walk_reduced` and
+`oracle_phase`.  It returns the final success probabilities and the
+states at the tail steps that the caller samples; the accounting, the
+samples inside the block and the full-space complement stay with
+`apply_schedule`.
 
 A `Schedule` stores its repeated block once: `iterate`, its count `p` and
 the `tail` that follows, which is all that `apply_schedule` reads.  Its
@@ -54,9 +59,9 @@ rounded once to nearest, ties to even.  With D the largest denominator of
 the walk times' `as_integer_ratio()`, a power of two, every D |t| is an
 integer, so the sums are Python ints and one `int / int` true division,
 which CPython rounds correctly, gives the value.  So p repeats of the
-block add p S for its sum S, and `total_walk_time` costs
-O(len(iterate) + len(tail)) whatever p is.  A sum beyond the largest
-double reads inf, as IEEE rounding gives.
+block add p S for its sum S.  A schedule tallies its queries and walk
+times once (`_tallies`), in O(len(iterate) + len(tail)) whatever p is.  A
+sum beyond the largest double reads inf, as IEEE rounding gives.
 
 A recorded iterate is never stepped.  A builder records its iterate's
 closed-form spectrum (`IterateSpectrum`: eigenstates V and eigenphases phi
@@ -71,17 +76,11 @@ p phi is one rounded product, so the block's error does not grow with p;
 its walk phases take their multiples of pi exactly, where a fold of the
 float steps carries fl(pi) n in each.  So a `Schedule` refuses an iterate
 without its spectrum; hand-built steps go in the tail.  Each sample's step,
-query count and walk time are those of the step loop.  Its probabilities
-are not the loop's bit for bit, and the loop's fl(pi) n makes them differ
-by up to about 1e-11 at n near 4096.  Only the tail, at most five steps
-for every builder, goes through the step loop, and so do hand-built
-schedules without a recorded iterate, bit for bit as before.
-
-A sweep that needs only final probabilities runs many schedules of one
-builder at once (`_final_probabilities`): a size axis leads every operand,
-through the block's stacked spectra and then each tail step, in one numpy
-call a step for all sizes.  Each value is bit for bit that of the
-schedule's own endpoint run of `apply_schedule`.
+query count and walk time are those of stepping every step.  Its
+probabilities are not bit for bit those, and stepping's fl(pi) n makes
+them differ by up to about 1e-11 at n near 4096.  Only the tail, at most
+five steps for every builder, is stepped, and so are hand-built schedules
+without a recorded iterate.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -101,8 +100,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import BinaryIO
 
 import numpy as np
@@ -280,12 +280,8 @@ class Schedule:
     @property
     def oracle_queries(self) -> int:
         """Oracle steps, plus one confirmation query for measure-and-check."""
-        count = _oracle_count(self.tail)
-        if self.iterate:
-            count += self.p * _oracle_count(self.iterate)
-        if self.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
-            count += 1
-        return count
+        _, _, tail = self._tallies
+        return tail[-1][0] + (self.finishing_rule is FinishingRule.MEASURE_AND_CHECK)
 
     @property
     def total_walk_time(self) -> float:
@@ -293,24 +289,37 @@ class Schedule:
         to nearest, ties to even: p times the iterate's exact sum plus the
         tail's, in O(len(iterate) + len(tail)).  inf past the largest
         double."""
-        scale, lengths = _time_units(chain(self.iterate, self.tail))
-        width = len(self.iterate)
-        block = self.p * sum(lengths[:width]) if self.iterate else 0
-        return _rounded(block + sum(lengths[width:]), scale)
+        scale, _, tail = self._tallies
+        return _rounded(tail[-1][1], scale)
 
+    @cached_property
+    def _tallies(self):
+        """A run's accounting, made once: the scale D (see the module
+        docstring), then for the iterate, from the start, and for the tail,
+        from the end of the block, the row (queries, D times the walk time,
+        signed walk time mod pi) after r steps, r = 0, 1, ...  The last is
+        the complement's turn.  Only walk steps are read for D."""
+        walk, half_turn = StepKind.WALK, np.pi
+        ratios = [step.parameter.as_integer_ratio()
+                  for step in self.iterate + self.tail if step.kind is walk]
+        scale = max([den for _, den in ratios], default=1)
+        lengths = iter([abs(num) * (scale // den) for num, den in ratios])
 
-def _oracle_count(steps) -> int:
-    return sum(1 for s in steps if s.kind is StepKind.ORACLE)
+        def tally(steps, queries, units, tau):
+            rows = [(queries, units, tau)]
+            for step in steps:
+                if step.kind is walk:
+                    units += next(lengths)
+                    tau = (tau + step.parameter) % half_turn
+                else:
+                    queries += 1
+                rows.append((queries, units, tau))
+            return rows
 
-
-def _time_units(steps) -> tuple[int, list[int]]:
-    """The steps' walk times as exact ints: D, the largest denominator of
-    their `as_integer_ratio()`, a power of two, and D |t| for each step, 0
-    for an oracle step."""
-    ratios = [abs(s.parameter).as_integer_ratio() if s.kind is StepKind.WALK else (0, 1)
-              for s in steps]
-    scale = max((den for _, den in ratios), default=1)
-    return scale, [num * (scale // den) for num, den in ratios]
+        block = tally(self.iterate, 0, 0, 0.0)
+        p = self.p if self.iterate else 0
+        queries, units, tau = block[-1]
+        return scale, block, tally(self.tail, p * queries, p * units, (p * tau) % half_turn)
 
 
 def _rounded(units: int, scale: int) -> float:
@@ -700,9 +709,9 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
     return coeffs, (norm_a + norm_b) / 2.0, complex((norm_a - norm_b) / 4.0, cross.imag / 2.0)
 
 
-def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: DualBasis,
-               spectrum: IterateSpectrum, dual_samples: bool, lengths, scale: int):
-    """Run a repeated block without stepping it.
+def _run_block(coeffs: np.ndarray, schedule: Schedule, sample_every: int, dual: DualBasis,
+               dual_samples: bool):
+    """Sample a repeated block without stepping it.
 
     With L = len(iterate) and e = `sample_every`, the block is sampled at
     steps s = e, 2e, ... below L p.  With s = j L + r, the state there is
@@ -712,29 +721,18 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
     exponents, and each P_r is applied to the columns of offset r at once.
     Returns the samples (steps, the 4 x k block of states, in dual
     coordinates when `dual_samples` and in walk coordinates otherwise,
-    queries, walk times, signed walk times mod pi; None when no sample falls
-    inside the block) and the state, queries, walk time and signed walk
-    time mod pi after the block.  Walk times come in and go out as exact
-    ints over `scale` (`_time_units`): `lengths` holds the iterate's.
+    queries, walk times, signed walk times mod pi); at least one sample
+    falls inside the block.  Their accounting is j times the iterate's plus
+    that of its first r steps (`Schedule._tallies`).
     """
+    iterate, p, spectrum = schedule.iterate, schedule.p, schedule.spectrum
+    scale, block, _ = schedule._tallies
+    oracles, units, taus = zip(*block)
     width = len(iterate)
-    # one iterate's accounting after each of its first r steps, r = 0..L
-    oracles, taus = [0], [0.0]
-    units = list(accumulate(lengths, initial=0))
-    for step in iterate:
-        walk = step.kind is StepKind.WALK
-        oracles.append(oracles[-1] + (not walk))
-        taus.append((taus[-1] + step.parameter) % np.pi if walk else taus[-1])
-    block = units[-1]
-    start = dual.to_dual(coeffs)
-    end = dual.from_dual(spectrum.apply_powers(start, p))
-    after = (end, p * oracles[-1], p * block, (p * taus[-1]) % np.pi)
-    if sample_every >= width * p:
-        return None, after
     stops = np.arange(sample_every, width * p, sample_every)
     turns, offsets = np.divmod(stops, width)
     # in dual coordinates, where the eigenstates are given
-    states = spectrum.apply_powers(start, turns)
+    states = spectrum.apply_powers(dual.to_dual(coeffs), turns)
     # samples L apart share their offset, so the first L show every one
     for offset in set(offsets[:width].tolist()) - {0}:
         at = offsets == offset
@@ -742,11 +740,11 @@ def _run_block(coeffs: np.ndarray, iterate, p: int, sample_every: int, dual: Dua
         states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
     if not dual_samples:
         states = dual.from_dual(states)
-    elapsed = [_rounded(j * block + units[r], scale)
+    total = units[-1]
+    elapsed = [_rounded(j * total + units[r], scale)
                for j, r in zip(turns.tolist(), offsets.tolist())]
-    samples = (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
-               elapsed, (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
-    return samples, after
+    return (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
+            elapsed, (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
 
 
 def apply_schedule(
@@ -763,7 +761,8 @@ def apply_schedule(
     `sample_every` steps, and after the last step.  For measure-and-check
     schedules the final success probability is the chance the classical
     procedure outputs the marked vertex (mass on the marked vertex plus its
-    opposite); otherwise it is the marked-vertex probability itself.
+    opposite); otherwise it is the marked-vertex probability itself.  A
+    schedule that records its size `n` runs at that size only.
 
     A full-space state is projected once onto the walk basis of `marked`;
     its complement enters the samples through three scalars (see the module
@@ -771,16 +770,17 @@ def apply_schedule(
     not O(N) a step.  A recorded iterate is never stepped: the state after
     the block and the samples inside it come from powers of the iterate
     through its closed-form spectrum (see the module docstring); only the
-    tail runs through the step loop.
+    tail is stepped, by the runner that also serves stacked sweeps.
     """
     _check_unambiguous(size)
+    if schedule.n is not None and schedule.n != size.n:
+        raise DimensionMismatchError(f"schedule built for n={schedule.n}, run at n={size.n}")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     if sample_basis not in ("walk", "dual"):
         raise ValueError(f"unknown sample basis {sample_basis!r}")
     coeffs = np.asarray(state, dtype=complex)
     if _is_reduced(coeffs):
-        coeffs = coeffs.copy()
         rest_norm, rest_cross = 0.0, 0j
     elif coeffs.shape != (size.N,):
         raise DimensionMismatchError(
@@ -805,129 +805,122 @@ def apply_schedule(
             probs[3] += rest_norm - swing
         return probs
 
-    # step-loop samples, one entry per sample
-    sampled, rows, query_counts, walk_times = [], [], [], []
-    queries = 0
-    scale, lengths = _time_units(chain(schedule.iterate, schedule.tail))
-    width = len(schedule.iterate)
-    units = 0  # the exact walk time so far, over scale
-    tau = 0.0  # signed total walk time mod pi: the complement's period
-
-    def record(step_index):
-        sampled.append(step_index)
-        rows.append(probabilities(coeffs, tau))
-        query_counts.append(queries)
-        walk_times.append(_rounded(units, scale))
-
-    record(0)
     last = len(schedule.steps)
     done = last - len(schedule.tail)  # the block's steps, none without an iterate
-    inside = None
-    if schedule.iterate:
-        inside, (coeffs, queries, units, tau) = _run_block(
-            coeffs, schedule.iterate, schedule.p, sample_every, dual, schedule.spectrum,
-            sample_basis == "dual", lengths[:width], scale)
-        if done % sample_every == 0 or done == last:
-            record(done)
-    # C-ordered complex copies: the bits of the real matrix, no cast per step
-    to_dual = np.ascontiguousarray(dual.matrix.T, dtype=complex)
-    from_dual = np.ascontiguousarray(dual.matrix, dtype=complex)
-    walk_phases = {}
-    oracle_phases = {}
-    for index, (step, length) in enumerate(zip(schedule.tail, lengths[width:]), start=done + 1):
-        parameter = step.parameter
-        if step.kind is StepKind.WALK:
-            phases = walk_phases.get(parameter)
-            if phases is None:
-                phases = walk_phases[parameter] = np.exp(1j * dual.eigenphases(parameter))
-            _walk(coeffs, phases, to_dual, from_dual, out=coeffs)
-            units += length
-            tau = (tau + parameter) % np.pi
-        else:
-            phase = oracle_phases.get(parameter)
-            if phase is None:
-                phase = oracle_phases[parameter] = np.exp(-1j * parameter)
-            coeffs[0] *= phase
-            queries += 1
-        if index % sample_every == 0 or index == last:
-            record(index)
-
-    final = success_probability(coeffs)
-    if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
-        queries += 1
-        final += float(group_probabilities(coeffs, size)[1])
-    columns = (sampled, rows, query_counts, walk_times)
-    if inside is not None:
+    # the samples after the block and after tail steps, as tail positions
+    positions = [step - done for step in range(max(done, 1), last + 1)
+                 if step % sample_every == 0 or step == last]
+    (final,), states = _run_stack(coeffs[:, np.newaxis], [schedule], dual.matrix,
+                                  dual.eigenvalues, schedule.spectrum, positions)
+    scale, _, tallies = schedule._tallies
+    steps, rows, counts, times = [0], [probabilities(coeffs, 0.0)], [0], [0.0]
+    for state, r in zip(states, positions):
+        queries, units, tau = tallies[r]
+        steps.append(done + r)
+        rows.append(probabilities(state, tau))
+        counts.append(queries)
+        times.append(_rounded(units, scale))
+    columns = (steps, rows, counts, times)
+    if sample_every < done:
         # the samples inside the block go between step 0 and the rest
-        stops, states, block_queries, block_times, taus = inside
+        inside = _run_block(coeffs, schedule, sample_every, dual, sample_basis == "dual")
+        stops, states, block_queries, block_times, block_taus = inside
         columns = [np.concatenate((column[:1], values, column[1:])) for column, values in
-                   zip(map(np.asarray, columns), (stops, probabilities(states, taus, True).T,
+                   zip(map(np.asarray, columns), (stops, probabilities(states, block_taus, True).T,
                                                   block_queries, block_times))]
     return RunReport(
         trajectory=Trajectory(*columns),
         final_success_probability=final,
-        oracle_queries=queries,
-        total_walk_time=_rounded(units, scale),
+        oracle_queries=schedule.oracle_queries,
+        total_walk_time=schedule.total_walk_time,
     )
 
 
-def _final_probabilities(schedules) -> np.ndarray:
-    """The final success probability of each schedule from the uniform
-    state, bit for bit `apply_schedule(uniform_state(size), schedule, size,
-    sample_every=len(schedule.steps)).final_success_probability`, in one
-    stacked pass over the schedules.
+def _run_stack(coeffs: np.ndarray, schedules, matrix: np.ndarray, eigenvalues: np.ndarray,
+               spectrum: IterateSpectrum | None, stops=()):
+    """Run 4-dim states, shape S + (4, 1) in walk coordinates, one under
+    each of `schedules`, whose tails share one pattern of step kinds: one
+    state with S = (), or k with S = (k,).  `matrix` (S + (4, 4)) and
+    `eigenvalues` (S + (4,)) are each state's `DualBasis.matrix` and
+    `.eigenvalues`; `spectrum` is the iterates' spectrum, stacked alike, or
+    None without an iterate.  Returns each final success probability under
+    its schedule's finishing rule (measure-and-check adds the opposite
+    vertex's mass, squared as in `group_probabilities`), and the states,
+    S + (4,), at the tail positions in `stops`: r after r tail steps.
 
-    The schedules come from one builder: each has a recorded iterate, its
-    `n` and the COHERENT finishing rule, and all share one pattern of step
-    kinds; each has its own p and parameters.  A size axis leads every
-    operand, and each step is one stacked numpy call: the block through
-    the stacked spectra (`IterateSpectrum.apply_powers`), then each tail
-    step through `_walk` or the oracle.  Every matrix product runs per
-    size with the operand layouts of the run of one schedule, and every
-    elementwise operation is one rounded operation per entry, so each
-    size keeps its bits.  Two operations are spelt out instead: the
-    oracle's complex multiply on coefficient 0, in real operations, which
-    round as the scalar product of the step loop does, and the final
-    |c_0|^2, through the scalar `abs` and `**` of `success_probability`,
-    which numpy's array loops may round otherwise.
+    Every matrix product runs per state with the operand layouts of a run
+    of one, and every elementwise operation rounds once per entry.  Two
+    operations that numpy's array loops may round otherwise are spelt out:
+    the oracle's product on coefficient 0, in float arithmetic per state as
+    numpy's scalar complex product rounds it, and |c_0|^2, through a scalar
+    `abs` and `**`.
     """
+    stack = matrix.shape[:-2]
+    # C-ordered complex copies: the bits of the real matrices, no cast per step
+    to_dual = np.ascontiguousarray(np.swapaxes(matrix, -1, -2), dtype=complex)
+    from_dual = matrix.astype(complex)
+    if spectrum is None:
+        coeffs = coeffs.copy()
+    else:
+        # one power per state, as a column: the block comes out as S + (4, 1)
+        powers = np.array([schedule.p for schedule in schedules]).reshape(stack + (1,))
+        coeffs = from_dual @ spectrum.apply_powers((to_dual @ coeffs)[..., 0], powers)
+    tail = schedules[0].tail
+    states = [coeffs[..., 0].copy()] if 0 in stops else []
+    if tail:
+        # each tail step's phases, formed at once as a walk (`turns`) and as
+        # an oracle (`shifts`); a step reads its kind's.  One state's
+        # eigenvalues, as shape (1, 4), broadcast against its times.
+        parameters = np.array([[step.parameter for step in schedule.tail]
+                               for schedule in schedules]).T.reshape((len(tail),) + stack)
+        turns = np.exp(1j * _eigenphases(eigenvalues.reshape(-1, 4), parameters))[..., np.newaxis]
+        shifts = np.exp(-1j * parameters).reshape(len(tail), len(schedules)).tolist()
+        heads = coeffs.reshape(-1, 4)[:, 0]  # each state's coefficient 0, in place
+    for index, step in enumerate(tail, 1):
+        if step.kind is StepKind.WALK:
+            _walk(coeffs, turns[index - 1], to_dual, from_dual, out=coeffs)
+        else:
+            # c e^{-i theta} in floats, each product and sum rounded once
+            heads[:] = [complex(c.real * z.real - c.imag * z.imag,
+                                c.real * z.imag + c.imag * z.real)
+                        for c, z in zip(heads.tolist(), shifts[index - 1])]
+        if index in stops:
+            states.append(coeffs[..., 0].copy())
+    finals = []
+    for schedule, c in zip(schedules, coeffs.reshape(-1, 4)):
+        final = float(abs(c[0]) ** 2)
+        if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+            final += float((np.abs(c) ** 2)[1])
+        finals.append(final)
+    return finals, states
+
+
+def _final_probabilities(schedules) -> np.ndarray:
+    """Each schedule's final success probability from the uniform state,
+    bit for bit that of its endpoint `apply_schedule` run, in one stacked
+    pass of `_run_stack`.  Each schedule has a recorded iterate and its `n`,
+    all share one pattern of step kinds in the iterate and in the tail, and
+    each has its own p, parameters and finishing rule."""
+    def kinds(schedule):
+        return [step.kind for step in schedule.iterate], [step.kind for step in schedule.tail]
+
     schedules = list(schedules)
     if not schedules:
         return np.empty(0)
-    pattern = [step.kind for step in chain(schedules[0].iterate, schedules[0].tail)]
+    pattern = kinds(schedules[0])
     for schedule in schedules:
         if not schedule.iterate:
             raise ValueError("a stacked evaluation needs a recorded iterate in every schedule")
         if schedule.n is None:
             raise ValueError("a stacked evaluation needs the size n of every schedule")
-        if schedule.finishing_rule is not FinishingRule.COHERENT:
-            raise ValueError(f"a stacked evaluation needs the COHERENT finishing rule, "
-                             f"got {schedule.finishing_rule.value}")
-        if [step.kind for step in chain(schedule.iterate, schedule.tail)] != pattern:
+        if kinds(schedule) != pattern:
             raise ValueError("a stacked evaluation needs one step pattern, but the "
                              "schedules mix step patterns")
     n = np.array([float(schedule.n) for schedule in schedules])[:, np.newaxis]
     matrix = _dual_matrix(n[..., np.newaxis])
-    # the C-ordered complex copies of the step loop, one slice per size
-    to_dual = np.ascontiguousarray(np.swapaxes(matrix, -1, -2), dtype=complex)
-    from_dual = matrix.astype(complex)
-    uniform = np.ascontiguousarray(from_dual[..., :1])
     spectra = IterateSpectrum(np.array([s.spectrum.lambda_plus for s in schedules]),
-                              np.stack([s.spectrum.eigenstates for s in schedules]),
-                              np.stack([s.spectrum.angles for s in schedules]))
-    block = spectra.apply_powers((to_dual @ uniform)[..., 0],
-                                 np.array([s.p for s in schedules]))
-    coeffs = from_dual @ block[..., np.newaxis]
-    eigenvalues = _eigenvalues(n)
-    head = coeffs[:, 0, 0]
-    for index, step in enumerate(schedules[0].tail):
-        parameters = np.array([s.tail[index].parameter for s in schedules])
-        if step.kind is StepKind.WALK:
-            phases = np.exp(1j * _eigenphases(eigenvalues, parameters))
-            _walk(coeffs, phases[..., np.newaxis], to_dual, from_dual, out=coeffs)
-        else:
-            phase = np.exp(-1j * parameters)
-            re, im = head.real.copy(), head.imag.copy()
-            head.real = re * phase.real - im * phase.imag
-            head.imag = re * phase.imag + im * phase.real
-    return np.array([float(abs(c) ** 2) for c in head])
+                              np.array([s.spectrum.eigenstates for s in schedules]),
+                              np.array([s.spectrum.angles for s in schedules]))
+    finals, _ = _run_stack(matrix[..., :1].astype(complex), schedules, matrix, _eigenvalues(n),
+                           spectra)
+    return np.array(finals)

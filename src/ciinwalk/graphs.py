@@ -103,8 +103,9 @@ class DualBasis:
     def eigenphases(self, times) -> np.ndarray:
         """The eigenphases -t lambda of exp(-i t A), one row per eigenvalue,
         for walk times of any shape.  Every walk phase of the package is
-        formed here, by `_eigenphases`; exp(1j * phase) has the bits of
-        exp(-1j * t * lambda)."""
+        formed by `_eigenphases`: here for one size, and by the runner in
+        `dynamics` for its states' tail steps; exp(1j * phase) has the bits
+        of exp(-1j * t * lambda)."""
         return _eigenphases(self.eigenvalues, times)
 
     def to_dual(self, state: np.ndarray) -> np.ndarray:
@@ -149,9 +150,9 @@ def _eigenvalues(n) -> np.ndarray:
 def _eigenphases(eigenvalues: np.ndarray, times) -> np.ndarray:
     """-t lambda, one row per eigenvalue.  One size's eigenvalues, shape
     (4,), take walk times of any shape T and give shape (4,) + T.  A stack
-    of sizes' eigenvalues, shape S + (4,), takes one time per size, shape
-    S, and gives shape S + (4,).  Each phase is the one product
-    (-lambda) t."""
+    of sizes' eigenvalues, shape S + (4,), takes times that broadcast
+    against S, each size's against its eigenvalues, and gives their shape
+    + (4,).  Each phase is the one product (-lambda) t."""
     if eigenvalues.ndim == 1:
         return np.multiply.outer(-eigenvalues, times)
     return -eigenvalues * np.asarray(times)[..., np.newaxis]

@@ -38,6 +38,7 @@ from .dynamics import (
     IterateSpectrum,
     Schedule,
     ScheduleStep,
+    StepKind,
     oracle_step,
     schedule_matrix,
     walk_step,
@@ -136,10 +137,14 @@ def _no_exact_route(route: str, sizes: str, n: int) -> UnsupportedSizeError:
 
 
 def deterministic_params(size: GraphSize, p: int) -> DeterministicParams:
+    return _deterministic_params(size, p, deterministic_p_min(size))
+
+
+def _deterministic_params(size: GraphSize, p: int, p_min: int) -> DeterministicParams:
+    """`deterministic_params`, given `deterministic_p_min(size)`."""
     n = size.n
     if n % 4 != 0:
         raise _no_exact_route("deterministic schedule", "n = 0 mod 4", n)
-    p_min = deterministic_p_min(size)
     if p < p_min:
         raise ThetaNotRealError(f"p={p} is below p_min={p_min} for n={n}")
     half_angle = math.acos(1.0 / math.sqrt(n)) / (2.0 * p)
@@ -243,7 +248,9 @@ def _approx_steps(params: ApproxParams) -> tuple[ScheduleStep, ...]:
 
 def _slowed_steps(n: int, theta: float) -> tuple[ScheduleStep, ...]:
     """One slowed iterate U(theta): O(theta) W(pi/2) O(theta) W(pi/n)."""
-    return (oracle_step(theta), walk_step(PI / 2.0), oracle_step(theta), walk_step(PI / n))
+    oracle = ScheduleStep(StepKind.ORACLE, theta)
+    return (oracle, ScheduleStep(StepKind.WALK, PI / 2.0), oracle,
+            ScheduleStep(StepKind.WALK, PI / n))
 
 
 def _half_turn_steps(theta: float) -> tuple[ScheduleStep, ...]:
@@ -290,13 +297,8 @@ def approx_schedule(size: GraphSize, finishing: str = "coherent") -> Schedule:
 def marked_to_entangled(size: GraphSize) -> tuple[ScheduleStep, ...]:
     """Two-query fragment mapping |marked> to the entangled state exactly."""
     m = mapping_params(size)
-    n = size.n
-    return (
-        walk_step(2.0 * PI * m.k / n),
-        oracle_step(m.phi),
-        walk_step(2.0 * PI * m.j / n),
-        oracle_step(-m.gamma),
-    )
+    return (walk_step(2.0 * PI * m.k / size.n), oracle_step(m.phi),
+            walk_step(2.0 * PI * m.j / size.n), oracle_step(-m.gamma))
 
 
 def entangled_to_marked(size: GraphSize) -> tuple[ScheduleStep, ...]:
@@ -305,10 +307,10 @@ def entangled_to_marked(size: GraphSize) -> tuple[ScheduleStep, ...]:
     The reverse of `marked_to_entangled`: same operators in reverse order
     with all parameters negated.
     """
-    return tuple(
-        ScheduleStep(step.kind, -step.parameter)
-        for step in reversed(marked_to_entangled(size))
-    )
+    m = mapping_params(size)
+    walk, oracle = StepKind.WALK, StepKind.ORACLE
+    return (ScheduleStep(oracle, m.gamma), ScheduleStep(walk, -2.0 * PI * m.j / size.n),
+            ScheduleStep(oracle, -m.phi), ScheduleStep(walk, -2.0 * PI * m.k / size.n))
 
 
 def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
@@ -321,9 +323,8 @@ def deterministic_schedule(size: GraphSize, p: int | None = None) -> Schedule:
     if size.n > 2**60:  # the largest n tested, where 1 - P is within 5e-15
         raise UnsupportedSizeError(
             f"deterministic schedule is tested up to n = 2^60, got {size.n}")
-    if p is None:
-        p = deterministic_p_min(size)
-    params = deterministic_params(size, p)
+    p_min = deterministic_p_min(size)
+    params = _deterministic_params(size, p_min if p is None else p, p_min)
     n = size.n
     iterate = _slowed_steps(n, params.theta) + _slowed_steps(n, -params.theta)
     return Schedule(

@@ -596,8 +596,9 @@ PARAMETER_POOL = (0.0, -0.0, np.pi, -np.pi, np.pi / 2.0, -np.pi / 2.0, 0.3, -1.7
 
 
 class TestStepLoopBitwise:
-    """The step loop caches phases and updates in place; every output bit
-    equals stepping through the public walk_reduced and oracle_phase."""
+    """The runner forms its phases at once and updates in place; every
+    output bit equals stepping through the public walk_reduced and
+    oracle_phase."""
 
     @pytest.mark.parametrize("route", sorted(BUILDERS))
     def test_builder_schedules(self, route, rng):
@@ -965,11 +966,7 @@ class TestStackedEndpoints:
     @pytest.mark.parametrize("spoil, complaint", [
         (flat, "recorded iterate"),
         (lambda s: dataclasses.replace(s, n=None), "size n"),
-        (lambda s: dataclasses.replace(s, finishing_rule=FinishingRule.MEASURE_AND_CHECK),
-         "COHERENT finishing rule, got measure-and-check"),
-        (lambda s: dataclasses.replace(s, finishing_rule=FinishingRule.NONE),
-         "COHERENT finishing rule, got none"),
-    ], ids=["no iterate", "no n", "measure-and-check", "none"])
+    ], ids=["no iterate", "no n"])
     def test_refuses_a_schedule_it_cannot_stack(self, spoil, complaint):
         good = [sch.deterministic_schedule(GraphSize(n)) for n in (8, 12, 16)]
         for position in range(3):
@@ -977,6 +974,78 @@ class TestStackedEndpoints:
             schedules[position] = spoil(schedules[position])
             with pytest.raises(ValueError, match=complaint):
                 dynamics._final_probabilities(schedules)
+
+    @pytest.mark.parametrize("rule", [FinishingRule.MEASURE_AND_CHECK, FinishingRule.NONE],
+                             ids=["measure-and-check", "none"])
+    def test_stacks_every_finishing_rule(self, rule):
+        # one schedule with `rule` among schedules with the other one: each
+        # keeps its own, which moves the approximate route's probability
+        other = ({FinishingRule.MEASURE_AND_CHECK, FinishingRule.NONE} - {rule}).pop()
+        good = [dataclasses.replace(sch.approx_schedule(GraphSize(n), "measure"),
+                                    finishing_rule=other) for n in (12, 13, 14)]
+        for position in range(3):
+            schedules = list(good)
+            schedules[position] = dataclasses.replace(schedules[position], finishing_rule=rule)
+            stacked = dynamics._final_probabilities(schedules)
+            assert stacked.tobytes() == endpoint_probabilities(schedules).tobytes()
+            assert stacked[position] != dynamics._final_probabilities(good)[position]
+
+    @pytest.mark.parametrize("finishing", ["coherent", "measure", "none"])
+    def test_approximate_routes_match_apply_schedule(self, finishing):
+        # "coherent" and "measure" finish with measure-and-check, "none"
+        # with no claim; "measure" and "none" share the odd-approx pattern
+        schedules = [sch.approx_schedule(GraphSize(n), finishing) for n in range(3, 700)]
+        if finishing != "coherent":
+            schedules += [sch.odd_schedule(GraphSize(n), deterministic=False, p=p)
+                          for n in range(3, 700, 2) for p in (None, 3)]
+        assert len({schedule.p for schedule in schedules}) > 10
+        stacked = dynamics._final_probabilities(schedules)
+        assert stacked.tobytes() == endpoint_probabilities(schedules).tobytes()
+
+    def test_random_starts_match_apply_schedule(self, rng):
+        # the runner from any 4-dim starts, states at every tail position
+        # included, against each schedule's own sampled run
+        schedules = [build(GraphSize(n)) for n in range(12, 400, 4)
+                     for build in (sch.deterministic_schedule,
+                                   lambda size: sch.odd_schedule(GraphSize(size.n + 1)))]
+        starts = np.array([random_state(rng, 4) for _ in schedules])
+        n = np.array([float(schedule.n) for schedule in schedules])[:, np.newaxis]
+        matrix = dynamics._dual_matrix(n[..., np.newaxis])
+        positions = range(len(schedules[0].tail) + 1)
+        spectra = dynamics.IterateSpectrum(
+            np.array([s.spectrum.lambda_plus for s in schedules]),
+            np.array([s.spectrum.eigenstates for s in schedules]),
+            np.array([s.spectrum.angles for s in schedules]))
+        finals, states = dynamics._run_stack(starts[..., np.newaxis], schedules, matrix,
+                                             dynamics._eigenvalues(n), spectra, positions)
+        for index, (schedule, start) in enumerate(zip(schedules, starts)):
+            size = GraphSize(schedule.n)
+            report = apply_schedule(start, schedule, size, sample_every=1)
+            assert report.final_success_probability.hex() == finals[index].hex()
+            rows = report.trajectory.probabilities[-len(positions):]
+            assert rows.tobytes() == np.array([np.abs(state[index]) ** 2
+                                               for state in states]).tobytes()
+
+    def test_every_run_goes_through_the_one_runner(self, rng, monkeypatch, tmp_path):
+        class Reached(Exception):
+            pass
+
+        def runner(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(dynamics, "_run_stack", runner)
+        size = GraphSize(12)
+        schedule = sch.deterministic_schedule(size)
+        runs = [(uniform_state(size), schedule, {}),
+                (random_state(rng, size.N), schedule, {"marked": 5}),
+                (uniform_state(size), flat(schedule), {}),
+                (uniform_state(size), Schedule(()), {})]
+        for state, run, kwargs in runs:
+            with pytest.raises(Reached):
+                apply_schedule(state, run, size, **kwargs)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(Reached):
+            main(["sweep-determinism", "--n-list", "8,12,16"])
 
     def test_refuses_mixed_step_patterns(self):
         det = sch.deterministic_schedule(GraphSize(8))
@@ -1095,11 +1164,11 @@ class TestBlockSamples:
             assert np.abs(columns - expected).max() <= 1e-13
 
     def test_loop_steps_only_the_tail(self, monkeypatch):
-        walked = []  # 4-vectors walked: one per walk step of the step loop
+        walked = []  # state columns walked, not 4 x 4 folds: one per walk step of the tail
         walk = dynamics._walk
 
         def counting_walk(coeffs, *args, **kwargs):
-            if coeffs.ndim == 1:
+            if coeffs.shape[-1] == 1:
                 walked.append(coeffs)
             return walk(coeffs, *args, **kwargs)
 
@@ -1207,6 +1276,18 @@ def test_import_loads_no_exact_arithmetic_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_refuses_a_schedule_built_for_another_size():
+    small, large = GraphSize(8), GraphSize(16)
+    schedule = sch.deterministic_schedule(small)
+    for state in (uniform_state(large), uniform_state(large, reduced=False)):
+        with pytest.raises(DimensionMismatchError, match="built for n=8.*at n=16"):
+            apply_schedule(state, schedule, large, sample_every=len(schedule.steps))
+    # without a recorded size, the steps run at any size
+    unsized = dataclasses.replace(flat(schedule), n=None)
+    report = apply_schedule(uniform_state(large), unsized, large)
+    assert len(report.trajectory) == len(schedule.steps) + 1
 
 
 class TestSizeTwoRefused:

@@ -1,4 +1,6 @@
-"""Every walk phase of the package comes from `DualBasis.eigenphases`.
+"""Every walk phase of the package comes from `DualBasis.eigenphases`, or
+from its size-axis form `graphs._eigenphases`, which the runner in
+`dynamics` calls for the tail steps of every schedule run.
 
 Each site that turns a walk time into a phase keeps its own formula here as
 the reference, and that formula gives the method's bits at random t and n.
@@ -143,13 +145,20 @@ def test_every_site_takes_its_phases_from_the_method(site, row, monkeypatch, tmp
     """
     function, _ = SITES[site]
     before = np.asarray(function(tmp_path))
-    original = DualBasis.eigenphases
+    original, stacked = DualBasis.eigenphases, dynamics._eigenphases
 
     def shifted(self, times):
         phases = original(self, times)
         phases[row] += 1e-3
         return phases
 
+    def shifted_stack(eigenvalues, times):
+        # the runner stacks sizes, whose eigenvalues run along the last axis
+        phases = stacked(eigenvalues, times)
+        phases[..., row] += 1e-3
+        return phases
+
     monkeypatch.setattr(DualBasis, "eigenphases", shifted)
+    monkeypatch.setattr(dynamics, "_eigenphases", shifted_stack)
     after = np.asarray(function(tmp_path))
     assert np.max(np.abs(after - before)) > 1e-6
