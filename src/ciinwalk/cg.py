@@ -92,8 +92,11 @@ def _sample_times(total_time: float, dt: float) -> np.ndarray:
     return times
 
 
-def cg_evolve(config: CGConfig, marked: int = 0) -> RunReport:
+def cg_evolve(config: CGConfig) -> RunReport:
     """Evolve |s> under the search Hamiltonian; sample every dt up to total_time.
+
+    In walk-basis coordinates the marked vertex is coordinate 0, so the run
+    takes no marked vertex.
 
     Returns a RunReport whose walk_time_so_far column carries the evolution
     time t and whose query count is zero (the oracle acts continuously here,

@@ -232,7 +232,7 @@ def _run_fig5(args) -> int:
                             sample_basis="dual")
     _write_report(report, _out_path(args), args.format)
     # fidelity with the entangled target after the tuning walk: p iterates
-    # through the closed-form spectrum, then the tail's fold
+    # through the closed-form spectrum, then the tail's unitary
     dual = dual_basis(size)
     block = schedule.spectrum.apply_powers(dual.to_dual(uniform_state(size)), schedule.p)
     state = sch.schedule_matrix(schedule.tail, dual) @ dual.from_dual(block)

@@ -34,19 +34,14 @@ and <b, a> and returns (||a||^2 + ||b||^2)/2 and
 (||a||^2 - ||b||^2)/4 + i Im<b, a>/2, which equal the three scalars for
 sym = (a + b)/2 and asym = (a - b)/2; so it builds no full-length array.
 
-One private runner, `_run_stack`, steps every 4-dim state: a run of
-`apply_schedule` hands it one, and a sweep that needs only final
-probabilities (`_final_probabilities`) a chunk of sizes from the uniform
-state.  It runs k states under k schedules of one pattern of step kinds,
-k along a leading axis of every operand (none for one state): the block
-through the stacked spectra, then each walk step of the tail in one numpy
-call for the whole stack and each oracle step in float arithmetic on each
-state's coefficient 0.  No state's bits depend on the stack around it,
-and each step has the bits of the public `walk_reduced` and
-`oracle_phase`.  It returns the final success probabilities and the
-states at the tail steps that the caller samples; the accounting, the
-samples inside the block and the full-space complement stay with
-`apply_schedule`.
+One private loop, `_run_stack`, applies steps to 4-dim states: the tail of
+a run, the samples inside its block, the chunk of sizes of a sweep that
+needs only final probabilities (`_final_probabilities`), and the identity
+of `schedule_matrix`.  It takes one pattern of step kinds with a column of
+parameters per state, states stacked along a leading axis, and steps each
+walk in one numpy call and each oracle in float ufuncs on coefficient 0.
+No state's bits depend on the stack around it, and each step has the bits
+of the public `walk_reduced` and `oracle_phase`.
 
 A `Schedule` stores its repeated block once: `iterate`, its count `p` and
 the `tail` that follows, which is all that `apply_schedule` reads.  Its
@@ -63,24 +58,21 @@ block add p S for its sum S.  A schedule tallies its queries and walk
 times once (`_tallies`), in O(len(iterate) + len(tail)) whatever p is.  A
 sum beyond the largest double reads inf, as IEEE rounding gives.
 
-A recorded iterate is never stepped.  A builder records its iterate's
-closed-form spectrum (`IterateSpectrum`: eigenstates V and eigenphases phi
-in dual coordinates), and the state after the block is
+A recorded iterate is never repeated step by step.  A builder records its
+iterate's closed-form spectrum (`IterateSpectrum`: eigenstates V and
+eigenphases phi in dual coordinates), and the state after the block is
 V e^{i p phi} V^dagger c.  A sample inside the block, at step
-s = j len(iterate) + r, is P_r V e^{i j phi} V^dagger c, with P_r the fold
-of the iterate's first r steps; one array of exponents serves every j.  Its
-walk time is j S plus the exact sum of the iterate's first r walk times,
+s = j len(iterate) + r, is U^j c = V e^{i j phi} V^dagger c, one array of
+exponents for every j, stepped through the iterate's first r steps when
+r > 0; its walk time is j S plus the exact sum of those r walk times,
 rounded once.  So a run costs O(len(iterate)) numpy calls, not
 O(len(iterate) p), and time and memory in proportion to its samples.  Each
 p phi is one rounded product, so the block's error does not grow with p;
-its walk phases take their multiples of pi exactly, where a fold of the
-float steps carries fl(pi) n in each.  So a `Schedule` refuses an iterate
-without its spectrum; hand-built steps go in the tail.  Each sample's step,
-query count and walk time are those of stepping every step.  Its
-probabilities are not bit for bit those, and stepping's fl(pi) n makes
-them differ by up to about 1e-11 at n near 4096.  Only the tail, at most
-five steps for every builder, is stepped, and so are hand-built schedules
-without a recorded iterate.
+its walk phases take their multiples of pi exactly, where stepping the
+float steps carries fl(pi) n in each, up to about 1e-11 in probability at n
+near 4096.  So a `Schedule` refuses an iterate without its spectrum, and
+hand-built steps go in the tail, which is stepped: at most five steps for
+every builder.
 
 `RunReport.to_csv` renders its text in numpy, a block of rows at a time,
 through the private `_csvtext` module, which it imports on first use.
@@ -241,13 +233,12 @@ class Schedule:
     steps of `tail`.  `steps` is the chronological `ScheduleSteps` view of
     `iterate * p + tail`, with only a length and an iteration, the first
     step applied first.  A builder records its iterate, whose unitary is
-    `schedule_matrix(iterate, size)`, with that unitary's closed-form
-    `spectrum`, and puts the tuning walk and the finishing map in the
-    tail.  An iterate and its spectrum come together: either without the
-    other is refused.  A hand-built
-    `Schedule(steps, rule, ...)` has no iterate: its steps are all tail,
-    and `p` is metadata only.  `n` and `variant` are metadata; the circuit
-    compiler checks `n`.
+    `schedule_matrix(iterate, size)`, with the closed-form `spectrum` that
+    a run powers in place of repeating the steps, and puts the tuning walk
+    and the finishing map in the tail.  An iterate and its spectrum come
+    together: either without the other is refused.  A hand-built `Schedule(steps, rule, ...)` has no
+    iterate: its steps are all tail, and `p` is metadata only.  `n` and
+    `variant` are metadata; the circuit compiler checks `n`.
 
     Two schedules are equal when their stored fields are: the same tail,
     finishing rule, n, variant, p and iterate.  So equality and the hash
@@ -503,21 +494,14 @@ def walk_reduced(state: np.ndarray, t, graph: DualBasis | GraphSize) -> np.ndarr
 
 
 def schedule_matrix(steps, graph: DualBasis | GraphSize) -> np.ndarray:
-    """Fold chronological steps into a single 4x4 unitary (reduced space).
-
-    Walks act on all four columns at once through the dual-basis formula
-    of `walk_reduced`; an oracle scales the marked row.  Pass the
+    """The 4x4 unitary of chronological steps (reduced space): the runner's
+    steps applied to the identity, one column per basis state.  Pass the
     `DualBasis` itself to reuse one already built.
     """
     dual = graph if isinstance(graph, DualBasis) else dual_basis(graph)
-    m = np.eye(4, dtype=complex)
-    for step in steps:
-        if step.kind is StepKind.WALK:
-            phases = np.exp(1j * dual.eigenphases(step.parameter))
-            m = _walk(m, phases[:, np.newaxis], dual.matrix.T, dual.matrix)
-        else:
-            m[0] *= np.exp(-1j * step.parameter)
-    return m
+    unitary, _ = _run_stack(np.eye(4), *_pattern(tuple(steps)), *_complex_bases(dual.matrix),
+                            dual.eigenvalues)
+    return unitary
 
 
 # index pairs per block in `walk_full` and `_split_full`: the 128 KiB blocks
@@ -617,12 +601,14 @@ def uniform_state(size: GraphSize, reduced: bool = True) -> np.ndarray:
 
 
 def marked_state(size: GraphSize, reduced: bool = True, marked: int = 0) -> np.ndarray:
+    """The marked vertex's basis state, in reduced or full coordinates; a
+    full one takes `marked` in [0, N), as `group_probabilities` does."""
     if reduced:
         state = np.zeros(REDUCED_DIM, dtype=complex)
         state[0] = 1.0
     else:
         state = np.zeros(size.N, dtype=complex)
-        state[marked] = 1.0
+        state[_check_vertex(size, marked)] = 1.0
     return state
 
 
@@ -709,44 +695,6 @@ def _split_full(state: np.ndarray, size: GraphSize, marked: int):
     return coeffs, (norm_a + norm_b) / 2.0, complex((norm_a - norm_b) / 4.0, cross.imag / 2.0)
 
 
-def _run_block(coeffs: np.ndarray, schedule: Schedule, sample_every: int, dual: DualBasis,
-               dual_samples: bool):
-    """Sample a repeated block without stepping it.
-
-    With L = len(iterate) and e = `sample_every`, the block is sampled at
-    steps s = e, 2e, ... below L p.  With s = j L + r, the state there is
-    P_r U^j c, where U is the iterate's unitary and P_r folds the first r
-    steps of the iterate.  U^j c is V e^{i j phi} V^dagger c in dual
-    coordinates (`spectrum`), one column per sample from one array of
-    exponents, and each P_r is applied to the columns of offset r at once.
-    Returns the samples (steps, the 4 x k block of states, in dual
-    coordinates when `dual_samples` and in walk coordinates otherwise,
-    queries, walk times, signed walk times mod pi); at least one sample
-    falls inside the block.  Their accounting is j times the iterate's plus
-    that of its first r steps (`Schedule._tallies`).
-    """
-    iterate, p, spectrum = schedule.iterate, schedule.p, schedule.spectrum
-    scale, block, _ = schedule._tallies
-    oracles, units, taus = zip(*block)
-    width = len(iterate)
-    stops = np.arange(sample_every, width * p, sample_every)
-    turns, offsets = np.divmod(stops, width)
-    # in dual coordinates, where the eigenstates are given
-    states = spectrum.apply_powers(dual.to_dual(coeffs), turns)
-    # samples L apart share their offset, so the first L show every one
-    for offset in set(offsets[:width].tolist()) - {0}:
-        at = offsets == offset
-        prefix = schedule_matrix(iterate[:offset], dual)
-        states[:, at] = dual.to_dual(prefix @ dual.from_dual(states[:, at]))
-    if not dual_samples:
-        states = dual.from_dual(states)
-    total = units[-1]
-    elapsed = [_rounded(j * total + units[r], scale)
-               for j, r in zip(turns.tolist(), offsets.tolist())]
-    return (stops, states, turns * oracles[-1] + np.array(oracles)[offsets],
-            elapsed, (turns * taus[-1] + np.array(taus)[offsets]) % np.pi)
-
-
 def apply_schedule(
     state: np.ndarray,
     schedule: Schedule,
@@ -767,10 +715,11 @@ def apply_schedule(
     A full-space state is projected once onto the walk basis of `marked`;
     its complement enters the samples through three scalars (see the module
     docstring), so a full-space run costs O(N) once plus its 4-dim run,
-    not O(N) a step.  A recorded iterate is never stepped: the state after
-    the block and the samples inside it come from powers of the iterate
-    through its closed-form spectrum (see the module docstring); only the
-    tail is stepped, by the runner that also serves stacked sweeps.
+    not O(N) a step.  A recorded iterate is never repeated step by step: the
+    state after the block and each sample inside it come from a power of
+    the iterate through its closed-form spectrum, and a sample r steps past
+    a whole iterate is stepped from there through the iterate's first r
+    steps (see the module docstring).
     """
     _check_unambiguous(size)
     if schedule.n is not None and schedule.n != size.n:
@@ -790,109 +739,149 @@ def apply_schedule(
         raise ValueError("dual-basis sampling is only defined for reduced states")
     else:
         coeffs, rest_norm, rest_cross = _split_full(coeffs, size, marked)
-    dual = dual_basis(size)
+    dual_samples = sample_basis == "dual"
+    # the closed forms of `DualBasis`, without building one
+    matrix, eigenvalues = _dual_matrix(float(size.n)), _eigenvalues(float(size.n))
+    to_dual, from_dual = _complex_bases(matrix)
 
-    def probabilities(coeffs, tau, in_dual=False):
-        """Sample probabilities of a 4-vector at one tau, or of the columns
-        of a 4 x k block at a vector of k taus; dual-basis samples may come
-        in dual coordinates already (`in_dual`)."""
-        if sample_basis == "dual":
-            return np.abs(coeffs if in_dual else dual.to_dual(coeffs)) ** 2
+    def probabilities(coeffs, tau):
+        """|c|^2 of a 4-vector at a tau, or of 4 x k columns at k taus."""
         probs = np.abs(coeffs) ** 2
         if rest_norm:  # else there is no complement, and adding zeros keeps the bits
-            swing = 2.0 * (np.exp(1j * dual.eigenphases(tau)[2]) * rest_cross).real
+            swing = 2.0 * (np.exp(1j * _eigenphases(eigenvalues, tau)[2]) * rest_cross).real
             probs[2] += rest_norm + swing
             probs[3] += rest_norm - swing
         return probs
 
+    scale, block, tail = schedule._tallies
     last = len(schedule.steps)
     done = last - len(schedule.tail)  # the block's steps, none without an iterate
-    # the samples after the block and after tail steps, as tail positions
+    # the samples: step 0, then inside the block, then after the block and
+    # after tail steps, as tail positions; one row each of the columns
+    stops = np.arange(sample_every, done, sample_every)
     positions = [step - done for step in range(max(done, 1), last + 1)
                  if step % sample_every == 0 or step == last]
-    (final,), states = _run_stack(coeffs[:, np.newaxis], [schedule], dual.matrix,
-                                  dual.eigenvalues, schedule.spectrum, positions)
-    scale, _, tallies = schedule._tallies
-    steps, rows, counts, times = [0], [probabilities(coeffs, 0.0)], [0], [0.0]
-    for state, r in zip(states, positions):
-        queries, units, tau = tallies[r]
-        steps.append(done + r)
-        rows.append(probabilities(state, tau))
-        counts.append(queries)
-        times.append(_rounded(units, scale))
-    columns = (steps, rows, counts, times)
-    if sample_every < done:
-        # the samples inside the block go between step 0 and the rest
-        inside = _run_block(coeffs, schedule, sample_every, dual, sample_basis == "dual")
-        stops, states, block_queries, block_times, block_taus = inside
-        columns = [np.concatenate((column[:1], values, column[1:])) for column, values in
-                   zip(map(np.asarray, columns), (stops, probabilities(states, block_taus, True).T,
-                                                  block_queries, block_times))]
+    count = 1 + len(stops) + len(positions)
+    steps, counts = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    rows, times = np.empty((count, 4)), np.zeros(count)
+    rows[0] = probabilities(matrix.T @ coeffs if dual_samples else coeffs, 0.0)
+    start = coeffs[:, np.newaxis]
+    if stops.size:
+        # at s = j L + r (L = len(iterate)): U^j c from the spectrum, in dual
+        # coordinates, then for r > 0 the iterate's first r steps, stepped
+        # together; the accounting is j times the iterate's plus r steps'.
+        iterate, (oracles, units, taus) = schedule.iterate, zip(*block)
+        turns, offsets = np.divmod(stops, len(iterate))
+        inside = schedule.spectrum.apply_powers(matrix.T @ coeffs, turns)
+        if not dual_samples:
+            inside = matrix @ inside
+        # offsets repeat every `period` samples, one each: (r, first sample)
+        period = len(iterate) // math.gcd(sample_every, len(iterate))
+        phases = sorted((r, c) for c, r in enumerate(offsets[:period].tolist()) if r)
+        if phases:
+            parts = [inside[:, c::period] for _, c in phases]  # views, written back
+            walked = np.concatenate(parts, axis=1)
+            _, states = _run_stack(matrix @ walked if dual_samples else walked,
+                                   *_pattern(iterate[:phases[-1][0]]), to_dual, from_dual,
+                                   eigenvalues, [r for r, _ in phases])
+            bounds = np.cumsum([0] + [part.shape[1] for part in parts])
+            for part, state, lo, hi in zip(parts, states, bounds, bounds[1:]):
+                part[...] = matrix.T @ state[:, lo:hi] if dual_samples else state[:, lo:hi]
+        taus = (turns * taus[-1] + np.array(taus)[offsets]) % np.pi
+        inner = slice(1, 1 + len(stops))
+        steps[inner], rows[inner] = stops, probabilities(inside, taus).T
+        counts[inner] = turns * oracles[-1] + np.array(oracles)[offsets]
+        total = units[-1]
+        times[inner] = [_rounded(j * total + units[r], scale)
+                        for j, r in zip(turns.tolist(), offsets.tolist())]
+    if done:
+        # the state after the block, from one power as a column
+        start = from_dual @ schedule.spectrum.apply_powers((to_dual @ start)[:, 0],
+                                                            np.array([schedule.p]))
+    end, states = _run_stack(start, *_pattern(schedule.tail), to_dual, from_dual, eigenvalues,
+                             positions)
+    for row, (state, r) in enumerate(zip(states, positions), 1 + len(stops)):
+        queries, units, tau = tail[r]
+        steps[row], counts[row], times[row] = done + r, queries, _rounded(units, scale)
+        rows[row] = probabilities(matrix.T @ state[:, 0] if dual_samples else state[:, 0], tau)
+    (final,) = _success(end, [schedule.finishing_rule])
     return RunReport(
-        trajectory=Trajectory(*columns),
+        trajectory=Trajectory(steps, rows, counts, times),
         final_success_probability=final,
         oracle_queries=schedule.oracle_queries,
         total_walk_time=schedule.total_walk_time,
     )
 
 
-def _run_stack(coeffs: np.ndarray, schedules, matrix: np.ndarray, eigenvalues: np.ndarray,
-               spectrum: IterateSpectrum | None, stops=()):
-    """Run 4-dim states, shape S + (4, 1) in walk coordinates, one under
-    each of `schedules`, whose tails share one pattern of step kinds: one
-    state with S = (), or k with S = (k,).  `matrix` (S + (4, 4)) and
-    `eigenvalues` (S + (4,)) are each state's `DualBasis.matrix` and
-    `.eigenvalues`; `spectrum` is the iterates' spectrum, stacked alike, or
-    None without an iterate.  Returns each final success probability under
-    its schedule's finishing rule (measure-and-check adds the opposite
-    vertex's mass, squared as in `group_probabilities`), and the states,
-    S + (4,), at the tail positions in `stops`: r after r tail steps.
+def _complex_bases(matrix: np.ndarray):
+    """`DualBasis.matrix.T` and `.matrix`, or stacks of them, as C-ordered
+    complex copies: the bits of the real ones without a cast per product."""
+    return np.ascontiguousarray(np.swapaxes(matrix, -1, -2), dtype=complex), matrix.astype(complex)
 
-    Every matrix product runs per state with the operand layouts of a run
-    of one, and every elementwise operation rounds once per entry.  Two
-    operations that numpy's array loops may round otherwise are spelt out:
-    the oracle's product on coefficient 0, in float arithmetic per state as
-    numpy's scalar complex product rounds it, and |c_0|^2, through a scalar
-    `abs` and `**`.
+
+def _pattern(steps):
+    """The kinds of chronological steps, and their parameters as an array."""
+    return [step.kind for step in steps], np.array([step.parameter for step in steps])
+
+
+def _run_stack(coeffs: np.ndarray, kinds, parameters: np.ndarray, to_dual: np.ndarray,
+               from_dual: np.ndarray, eigenvalues: np.ndarray, stops=()):
+    """Step 4-dim states through one pattern of step kinds: the package's
+    one loop that applies steps.  `coeffs` holds the states in walk
+    coordinates, shape S + (4, k): one state with S = (), or m with
+    S = (m,), each state k columns.  `kinds` gives one `StepKind` a step,
+    and `parameters`, of shape (len(kinds),) + S, each state's parameters.
+    `to_dual` and `from_dual` (S + (4, 4), from `_complex_bases`) and
+    `eigenvalues` (S + (4,)) are each state's.  Returns the states after
+    every step, and copies of them after r steps for each r in `stops`;
+    `coeffs` is not written.
+
+    Every matrix product runs per state with the operand layouts of a run of
+    one, so no state's bits depend on the stack around it.  The k columns of
+    a state are one operand, and a column's bits may depend on k: BLAS takes
+    one kernel for one column and others for more.  A walk has the bits of
+    `walk_reduced`.  An oracle multiplies each column's coefficient 0,
+    (re, im), by z = e^{-i theta} in float arithmetic, as
+    re (zr, zi) + im (-zi, zr): two products and a sum, one ufunc each, so
+    each product and sum rounds once.  That is re zr - im zi and
+    re zi + im zr as numpy's scalar complex product in `oracle_phase`
+    rounds them: negation is exact, and x + (-y) is x - y.
     """
-    stack = matrix.shape[:-2]
-    # C-ordered complex copies: the bits of the real matrices, no cast per step
-    to_dual = np.ascontiguousarray(np.swapaxes(matrix, -1, -2), dtype=complex)
-    from_dual = matrix.astype(complex)
-    if spectrum is None:
-        coeffs = coeffs.copy()
-    else:
-        # one power per state, as a column: the block comes out as S + (4, 1)
-        powers = np.array([schedule.p for schedule in schedules]).reshape(stack + (1,))
-        coeffs = from_dual @ spectrum.apply_powers((to_dual @ coeffs)[..., 0], powers)
-    tail = schedules[0].tail
-    states = [coeffs[..., 0].copy()] if 0 in stops else []
-    if tail:
-        # each tail step's phases, formed at once as a walk (`turns`) and as
-        # an oracle (`shifts`); a step reads its kind's.  One state's
+    coeffs = np.array(coeffs, dtype=complex, order="C")
+    states = [coeffs.copy()] if 0 in stops else []
+    if kinds:
+        # each step's phases, formed at once as a walk (`turns`) and as an
+        # oracle (`along`, `across`); a step reads its kind's.  One state's
         # eigenvalues, as shape (1, 4), broadcast against its times.
-        parameters = np.array([[step.parameter for step in schedule.tail]
-                               for schedule in schedules]).T.reshape((len(tail),) + stack)
         turns = np.exp(1j * _eigenphases(eigenvalues.reshape(-1, 4), parameters))[..., np.newaxis]
-        shifts = np.exp(-1j * parameters).reshape(len(tail), len(schedules)).tolist()
-        heads = coeffs.reshape(-1, 4)[:, 0]  # each state's coefficient 0, in place
-    for index, step in enumerate(tail, 1):
-        if step.kind is StepKind.WALK:
+        # z = e^{-i theta} as (zr, zi), and from its conjugate as (-zi, zr)
+        shifts = np.exp(-1j * parameters)[..., np.newaxis, np.newaxis]
+        along, across = shifts.view(np.float64), shifts.conj().view(np.float64)[..., ::-1]
+        # each column's coefficient 0 as (re, im), in place: S + (k, 2)
+        heads = coeffs.view(np.float64).reshape(coeffs.shape + (2,))[..., 0, :, :]
+        re, im = heads[..., :1], heads[..., 1:]
+    for index, kind in enumerate(kinds, 1):
+        if kind is StepKind.WALK:
             _walk(coeffs, turns[index - 1], to_dual, from_dual, out=coeffs)
         else:
-            # c e^{-i theta} in floats, each product and sum rounded once
-            heads[:] = [complex(c.real * z.real - c.imag * z.imag,
-                                c.real * z.imag + c.imag * z.real)
-                        for c, z in zip(heads.tolist(), shifts[index - 1])]
+            np.add(np.multiply(re, along[index - 1]), np.multiply(im, across[index - 1]),
+                   out=heads)
         if index in stops:
-            states.append(coeffs[..., 0].copy())
+            states.append(coeffs.copy())
+    return coeffs, states
+
+
+def _success(coeffs: np.ndarray, rules) -> list[float]:
+    """The final success probability of each state, S + (4, 1), under its
+    finishing rule: |c_0|^2 by a scalar `abs` and `**`, plus for
+    measure-and-check the opposite's mass, squared as in `group_probabilities`."""
     finals = []
-    for schedule, c in zip(schedules, coeffs.reshape(-1, 4)):
+    for rule, c in zip(rules, coeffs.reshape(-1, 4)):
         final = float(abs(c[0]) ** 2)
-        if schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK:
+        if rule is FinishingRule.MEASURE_AND_CHECK:
             final += float((np.abs(c) ** 2)[1])
         finals.append(final)
-    return finals, states
+    return finals
 
 
 def _final_probabilities(schedules) -> np.ndarray:
@@ -918,9 +907,15 @@ def _final_probabilities(schedules) -> np.ndarray:
                              "schedules mix step patterns")
     n = np.array([float(schedule.n) for schedule in schedules])[:, np.newaxis]
     matrix = _dual_matrix(n[..., np.newaxis])
+    to_dual, from_dual = _complex_bases(matrix)
     spectra = IterateSpectrum(np.array([s.spectrum.lambda_plus for s in schedules]),
                               np.array([s.spectrum.eigenstates for s in schedules]),
                               np.array([s.spectrum.angles for s in schedules]))
-    finals, _ = _run_stack(matrix[..., :1].astype(complex), schedules, matrix, _eigenvalues(n),
-                           spectra)
-    return np.array(finals)
+    # each state after its block, one power per state as a column
+    powers = np.array([schedule.p for schedule in schedules])[:, np.newaxis]
+    starts = from_dual @ spectra.apply_powers((to_dual @ matrix[..., :1].astype(complex))[..., 0],
+                                              powers)
+    parameters = np.array([[step.parameter for step in schedule.tail]
+                           for schedule in schedules]).T
+    ends, _ = _run_stack(starts, pattern[1], parameters, to_dual, from_dual, _eigenvalues(n))
+    return np.array(_success(ends, [schedule.finishing_rule for schedule in schedules]))

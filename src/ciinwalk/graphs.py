@@ -104,8 +104,8 @@ class DualBasis:
         """The eigenphases -t lambda of exp(-i t A), one row per eigenvalue,
         for walk times of any shape.  Every walk phase of the package is
         formed by `_eigenphases`: here for one size, and by the runner in
-        `dynamics` for its states' tail steps; exp(1j * phase) has the bits
-        of exp(-1j * t * lambda)."""
+        `dynamics` for every step it takes; exp(1j * phase) has the bits of
+        exp(-1j * t * lambda)."""
         return _eigenphases(self.eigenvalues, times)
 
     def to_dual(self, state: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# schedule_matrix lives beside the walk it folds; it stays importable here,
-# where the bench's tracer wraps it as schedules.schedule_matrix
+# schedule_matrix lives beside the runner it applies to the identity; it
+# stays importable here, where the bench's tracer wraps it
 from .dynamics import (
     FinishingRule,
     IterateSpectrum,

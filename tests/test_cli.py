@@ -548,6 +548,10 @@ class TestParserReuse:
 # probabilities lie within 1e-13 of a 40-digit stepping
 # (`tests/test_dynamics.py`, `TestBlockSamples`), and within 3e-15 of one
 # whose iterate takes its multiples of pi exactly.
+# A sample r > 0 steps past a whole iterate is stepped from its power of
+# the iterate through the iterate's first r steps, not multiplied by a fold
+# of them: that moved the fig7-oddpath digest, whose samples every 2 steps
+# of a 4-step iterate fall at offsets 0 and 2, and no other.
 # Walk times are exact sums rounded once (`test_walk_times_are_exact_sums`),
 # not chronological float sums: that moved the walk-time values of the
 # fig5-dual JSON, the fig6-compare deterministic CSV and both sweep-queries
@@ -581,7 +585,7 @@ PINNED_OUTPUTS = {
             "c4b6600c49b89c6d3eec043266e1cb8e70c6881edabbf0537a8a01d334c43eb0",
     },
     ("fig7-oddpath", "--N", "130"): {
-        "fig7-oddpath.csv": "3d5be7e69c8ab405ce621b4e69ef1bf9f594926ad78afce0968d572ac331b2f1",
+        "fig7-oddpath.csv": "cfcc83921ab49b126f1566b8786be083fc612207d3a526696fc6e62513d040d6",
     },
     ("sweep-determinism", "--n-list", "8,12,...,64"): {
         "sweep-determinism.csv":

@@ -327,6 +327,14 @@ class TestObservables:
             with pytest.raises(IndexError):
                 observable(state, marked=marked)
 
+    def test_marked_state_does_not_wrap(self):
+        # marked = -1 would mark vertex 15
+        size = GraphSize(8)
+        for marked in (-1, -16, 16):
+            with pytest.raises(IndexError):
+                marked_state(size, reduced=False, marked=marked)
+        assert np.flatnonzero(marked_state(size, reduced=False, marked=15)).tolist() == [15]
+
 
 class TestApplySchedule:
     def test_empty_schedule_uniform_success(self):
@@ -748,6 +756,29 @@ def assert_agrees_with_the_loop(report, looped):
     assert report.total_walk_time.hex() == looped.total_walk_time.hex()
 
 
+class RunnerCall:
+    """One `dynamics._run_stack` call: its arguments and what it returned."""
+
+    def __init__(self, coeffs, kinds, parameters, args, kwargs, result):
+        self.coeffs, self.kinds, self.parameters = np.array(coeffs), list(kinds), parameters
+        self.args, self.kwargs, self.result = args, kwargs, result
+
+
+def recording_runner(monkeypatch):
+    """Patch `dynamics._run_stack` to record every call as a `RunnerCall`,
+    in order, in the returned list."""
+    calls = []
+    run_stack = dynamics._run_stack
+
+    def runner(coeffs, kinds, parameters, *args, **kwargs):
+        result = run_stack(coeffs, kinds, parameters, *args, **kwargs)
+        calls.append(RunnerCall(coeffs, kinds, parameters, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(dynamics, "_run_stack", runner)
+    return calls
+
+
 # sample cadences around the iterate length L and the block length L p:
 # (a, b, c) stands for a + b L + c L p
 CADENCES = {"1": (1, 0, 0), "2": (2, 0, 0), "3": (3, 0, 0), "L-1": (-1, 1, 0), "L": (0, 1, 0),
@@ -894,31 +925,33 @@ class TestEndpointFold:
         assert abs(report.final_success_probability - final) <= 1e-12
 
     def test_built_blocks_fold_nothing_whole(self, rng, monkeypatch):
-        # the spectrum replaces the fold of the whole iterate and its powers;
-        # only prefixes of the iterate are folded, for in-block offsets
-        folded = []
-        fold = dynamics.schedule_matrix
-
-        def counting_fold(steps, graph):
-            folded.append(len(steps))
-            return fold(steps, graph)
-
+        # the spectrum replaces stepping the iterate p times, and a run folds
+        # nothing: a sample inside the block is stepped from its power of the
+        # iterate through fewer steps than one iterate, in at most one runner
+        # call before the tail's, made when some sample falls r > 0 steps
+        # past a whole iterate
         def forbidden(*args, **kwargs):
-            raise AssertionError("matrix_power called for a built schedule")
+            raise AssertionError("a run folded steps or raised a matrix to a power")
 
-        monkeypatch.setattr(dynamics, "schedule_matrix", counting_fold)
+        monkeypatch.setattr(dynamics, "schedule_matrix", forbidden)
         monkeypatch.setattr(np.linalg, "matrix_power", forbidden)
+        calls = recording_runner(monkeypatch)
         for n in (9, 64, 67):
             size = GraphSize(n)
             for schedule in every_builder(n):
                 width, p = len(schedule.iterate), schedule.p
+                iterate = [step.kind for step in schedule.iterate]
                 for a, b, c in CADENCES.values():
                     every = max(1, a + b * width + c * width * p)
+                    offsets = {step % width for step in range(every, width * p, every)} - {0}
                     for state in (random_state(rng, 4), random_state(rng, size.N)):
-                        folded.clear()
+                        calls.clear()
                         apply_schedule(state, schedule, size, sample_every=every,
                                        marked=int(rng.integers(0, size.N)) if len(state) > 4 else 0)
-                        assert all(length < width for length in folded)
+                        *inside, tail = calls
+                        assert tail.kinds == [step.kind for step in schedule.tail]
+                        assert [call.kinds for call in inside] == \
+                            ([iterate[:max(offsets)]] if offsets else [])
 
 
 def endpoint_probabilities(schedules):
@@ -1003,49 +1036,76 @@ class TestStackedEndpoints:
         assert stacked.tobytes() == endpoint_probabilities(schedules).tobytes()
 
     def test_random_starts_match_apply_schedule(self, rng):
-        # the runner from any 4-dim starts, states at every tail position
-        # included, against each schedule's own sampled run
+        # the runner from any 4-dim starts after their blocks, states at
+        # every tail position included, against each schedule's own sampled
+        # run
         schedules = [build(GraphSize(n)) for n in range(12, 400, 4)
                      for build in (sch.deterministic_schedule,
                                    lambda size: sch.odd_schedule(GraphSize(size.n + 1)))]
         starts = np.array([random_state(rng, 4) for _ in schedules])
         n = np.array([float(schedule.n) for schedule in schedules])[:, np.newaxis]
-        matrix = dynamics._dual_matrix(n[..., np.newaxis])
+        to_dual, from_dual = dynamics._complex_bases(dynamics._dual_matrix(n[..., np.newaxis]))
         positions = range(len(schedules[0].tail) + 1)
         spectra = dynamics.IterateSpectrum(
             np.array([s.spectrum.lambda_plus for s in schedules]),
             np.array([s.spectrum.eigenstates for s in schedules]),
             np.array([s.spectrum.angles for s in schedules]))
-        finals, states = dynamics._run_stack(starts[..., np.newaxis], schedules, matrix,
-                                             dynamics._eigenvalues(n), spectra, positions)
+        powers = np.array([s.p for s in schedules])[:, np.newaxis]
+        blocks = from_dual @ spectra.apply_powers(
+            (to_dual @ starts[..., np.newaxis])[..., 0], powers)
+        parameters = np.array([[step.parameter for step in s.tail] for s in schedules]).T
+        ends, states = dynamics._run_stack(blocks, [step.kind for step in schedules[0].tail],
+                                           parameters, to_dual, from_dual,
+                                           dynamics._eigenvalues(n), positions)
+        finals = dynamics._success(ends, [s.finishing_rule for s in schedules])
         for index, (schedule, start) in enumerate(zip(schedules, starts)):
             size = GraphSize(schedule.n)
             report = apply_schedule(start, schedule, size, sample_every=1)
             assert report.final_success_probability.hex() == finals[index].hex()
             rows = report.trajectory.probabilities[-len(positions):]
-            assert rows.tobytes() == np.array([np.abs(state[index]) ** 2
+            assert rows.tobytes() == np.array([np.abs(state[index, :, 0]) ** 2
                                                for state in states]).tobytes()
 
     def test_every_run_goes_through_the_one_runner(self, rng, monkeypatch, tmp_path):
+        # endpoints, full-space runs, hand-built steps, samples r > 0 steps
+        # past a whole iterate, `schedule_matrix` and the sweep all step
+        # through `_run_stack`; the samples inside the block reach it with
+        # a proper prefix of the iterate
         class Reached(Exception):
             pass
 
-        def runner(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr(dynamics, "_run_stack", runner)
         size = GraphSize(12)
         schedule = sch.deterministic_schedule(size)
-        runs = [(uniform_state(size), schedule, {}),
-                (random_state(rng, size.N), schedule, {"marked": 5}),
-                (uniform_state(size), flat(schedule), {}),
-                (uniform_state(size), Schedule(()), {})]
-        for state, run, kwargs in runs:
-            with pytest.raises(Reached):
-                apply_schedule(state, run, size, **kwargs)
+        iterate = [step.kind for step in schedule.iterate]
+        run_stack = dynamics._run_stack
+
+        def runner(coeffs, kinds, *args, **kwargs):
+            if wanted(list(kinds)):
+                raise Reached
+            return run_stack(coeffs, kinds, *args, **kwargs)
+
+        def anything(kinds):
+            return True
+
+        def iterate_prefix(kinds):
+            return 0 < len(kinds) < len(iterate) and kinds == iterate[:len(kinds)]
+
+        monkeypatch.setattr(dynamics, "_run_stack", runner)
+        runs = [(anything, lambda: apply_schedule(uniform_state(size), schedule, size)),
+                (anything, lambda: apply_schedule(random_state(rng, size.N), schedule, size,
+                                                  marked=5)),
+                (anything, lambda: apply_schedule(uniform_state(size), flat(schedule), size)),
+                (anything, lambda: apply_schedule(uniform_state(size), Schedule(()), size)),
+                (iterate_prefix, lambda: apply_schedule(uniform_state(size), schedule, size,
+                                                        sample_every=3)),
+                (iterate_prefix, lambda: apply_schedule(uniform_state(size), schedule, size,
+                                                        sample_every=3, sample_basis="dual")),
+                (anything, lambda: sch.schedule_matrix(schedule.iterate, size))]
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(Reached):
-            main(["sweep-determinism", "--n-list", "8,12,16"])
+        runs.append((anything, lambda: main(["sweep-determinism", "--n-list", "8,12,16"])))
+        for wanted, run in runs:
+            with pytest.raises(Reached):
+                run()
 
     def test_refuses_mixed_step_patterns(self):
         det = sch.deterministic_schedule(GraphSize(8))
@@ -1164,12 +1224,14 @@ class TestBlockSamples:
             assert np.abs(columns - expected).max() <= 1e-13
 
     def test_loop_steps_only_the_tail(self, monkeypatch):
-        walked = []  # state columns walked, not 4 x 4 folds: one per walk step of the tail
+        # the walks a run takes: the tail's, and those of the iterate's first
+        # r steps for the largest offset r of a sample inside the block; a
+        # schedule without an iterate walks every walk step
+        walked = []
         walk = dynamics._walk
 
         def counting_walk(coeffs, *args, **kwargs):
-            if coeffs.shape[-1] == 1:
-                walked.append(coeffs)
+            walked.append(coeffs.shape)
             return walk(coeffs, *args, **kwargs)
 
         def forbidden(self):
@@ -1184,14 +1246,63 @@ class TestBlockSamples:
             looped = flat(schedule)
             width, p = len(schedule.iterate), schedule.p
             for every in (1, 3, width, width * p):
+                offsets = [step % width for step in range(every, width * p, every)]
+                prefix = schedule.iterate[:max(offsets, default=0)]
                 walked.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(dynamics.ScheduleSteps, "__iter__", forbidden)
                     apply_schedule(uniform_state(size), schedule, size, sample_every=every)
-                assert len(walked) == sum(s.kind is StepKind.WALK for s in schedule.tail)
+                # the prefix walks one column per sample r > 0 steps past an
+                # iterate, all at once, and then the tail walks its one state
+                assert walked == \
+                    [(4, sum(map(bool, offsets)))] * sum(s.kind is StepKind.WALK for s in prefix) \
+                    + [(4, 1)] * sum(s.kind is StepKind.WALK for s in schedule.tail)
                 walked.clear()
                 apply_schedule(uniform_state(size), looped, size, sample_every=every)
                 assert len(walked) == sum(s.kind is StepKind.WALK for s in schedule.steps)
+
+    @pytest.mark.parametrize("n, route, every", [
+        (64, "deterministic", 3), (64, "deterministic", 5), (65, "odd-approx", 2),
+        (65, "odd-approx", 3), (1024, "approx", 3), (1025, "odd-deterministic", 7),
+    ])
+    @pytest.mark.parametrize("basis", ["walk", "dual"])
+    def test_stepped_columns_are_iterate_prefixes(self, monkeypatch, n, route, every, basis):
+        # a sample r > 0 steps past a whole iterate is its column of U^j c
+        # after exactly the iterate's first r steps: the bits of stepping the
+        # same block through that prefix alone.  A column stepped by itself
+        # takes one-column matrix products, which BLAS rounds otherwise than
+        # a block's, so it agrees to rounding, not bit for bit
+        size = GraphSize(n)
+        schedule = next(s for s in every_builder(n) if s.variant == route)
+        width = len(schedule.iterate)
+        run_stack = dynamics._run_stack
+        calls = recording_runner(monkeypatch)
+        report = apply_schedule(uniform_state(size), schedule, size, sample_every=every,
+                                sample_basis=basis)
+        inside, _ = calls
+        stops = np.arange(every, width * schedule.p, every)
+        offsets = stops % width
+        # the block holds the samples r > 0 steps past an iterate, grouped
+        # by r and in order within a group
+        moved = np.flatnonzero(offsets)
+        order = moved[np.argsort(offsets[moved], kind="stable")]
+        kept = sorted(set(offsets[moved].tolist()))
+        assert inside.coeffs.shape == (4, len(order))
+        assert inside.kinds == [step.kind for step in schedule.iterate[:kept[-1]]]
+        _, states = inside.result
+        rows = report.trajectory.probabilities[1:][order]
+        dual = dual_basis(size).matrix
+        for r, state in zip(kept, states):
+            at = offsets[order] == r
+            ran, _ = run_stack(inside.coeffs, inside.kinds[:r], inside.parameters[:r],
+                               *inside.args)
+            assert state[:, at].tobytes() == ran[:, at].tobytes()
+            sampled = dual.T @ ran if basis == "dual" else ran
+            assert np.abs(rows[at] - (np.abs(sampled[:, at]) ** 2).T).max() <= 1e-15
+            for column in np.flatnonzero(at):
+                alone, _ = run_stack(inside.coeffs[:, column:column + 1], inside.kinds[:r],
+                                     inside.parameters[:r], *inside.args)
+                assert np.abs(alone[:, 0] - ran[:, column]).max() <= 1e-15
 
 
 def exact_times(steps):
@@ -1350,6 +1461,29 @@ class TestMeasureAndCheck:
         claimed, success = measure_and_check(state, size, marked=4,
                                              rng=np.random.default_rng(0))
         assert claimed == 4 and success
+
+    @pytest.mark.parametrize("n, route, floor", [
+        (64, "measure", 1 - 1 / 64), (256, "measure", 1 - 1 / 256),
+        (1024, "measure", 1 - 1 / 1024), (65, "odd-approx", 1 - 2 / 65),
+        (257, "odd-approx", 1 - 2 / 257),
+    ])
+    def test_final_probability_is_the_claimed_pair(self, n, route, floor):
+        # a claim of x or its opposite succeeds with the mass on the marked
+        # vertex and its opposite: p1 + p2 of the last walk-basis sample.
+        # The approximate route ends near the entangled target, where it is
+        # at least its fidelity F >= 1 - 1/n; the odd one meets 1 - 2/n
+        size = GraphSize(n)
+        if route == "measure":
+            schedule = sch.approx_schedule(size, finishing="measure")
+        else:
+            schedule = sch.odd_schedule(size, deterministic=False)
+        assert schedule.finishing_rule is FinishingRule.MEASURE_AND_CHECK
+        for every in (1, 3, len(schedule.steps)):
+            report = apply_schedule(uniform_state(size), schedule, size, sample_every=every)
+            p1, p2 = report.trajectory.probabilities[-1, :2]
+            assert abs(report.final_success_probability - (p1 + p2)) <= 1e-15
+            assert report.final_success_probability >= floor
+        assert dynamics._final_probabilities([schedule])[0] == report.final_success_probability
 
 
 # floats that stress `.17g` text: signed zeros, non-finite values, the

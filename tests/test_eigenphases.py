@@ -1,6 +1,6 @@
 """Every walk phase of the package comes from `DualBasis.eigenphases`, or
-from its size-axis form `graphs._eigenphases`, which the runner in
-`dynamics` calls for the tail steps of every schedule run.
+from its size-axis form `graphs._eigenphases`, which `dynamics` calls for
+every step that its runner takes and for the complement of a full run.
 
 Each site that turns a walk time into a phase keeps its own formula here as
 the reference, and that formula gives the method's bits at random t and n.
@@ -153,9 +153,10 @@ def test_every_site_takes_its_phases_from_the_method(site, row, monkeypatch, tmp
         return phases
 
     def shifted_stack(eigenvalues, times):
-        # the runner stacks sizes, whose eigenvalues run along the last axis
+        # one size's eigenvalues give a row each; the runner's, a stack of
+        # sizes or one as shape (1, 4), run along the last axis
         phases = stacked(eigenvalues, times)
-        phases[..., row] += 1e-3
+        phases[(row,) if eigenvalues.ndim == 1 else (..., row)] += 1e-3
         return phases
 
     monkeypatch.setattr(DualBasis, "eigenphases", shifted)
